@@ -1,0 +1,146 @@
+/* Compiled pair loop of the gossipavg engines.
+ *
+ * pair_chunk() applies a batch of pairwise exchanges to the agent values in
+ * place, exactly as the Python reference loop in dynamics.py does
+ * (_pairs_reference, which calls _apply_pair and _decomposition_step).
+ * Every floating-point operation is written in the same order as there, so
+ * the results are bit-identical provided the compiler neither fuses
+ * multiply-adds nor reassociates: build with -ffp-contract=off and never
+ * with -ffast-math.  The loader (_native.py) does so.
+ */
+
+#include <math.h>
+#include <stdint.h>
+
+/* CPython's float floor division v // w for nonzero w (_float_div_mod in
+ * Objects/floatobject.c): fmod, then snap the quotient to an integer.  It is
+ * not floor(v / w): the two differ for NaN, infinities and near-integral
+ * quotients. */
+double py_floordiv(double v, double w)
+{
+    double mod = fmod(v, w);
+    double div = (v - mod) / w;
+    double floordiv;
+
+    if (mod) {
+        if ((w < 0) != (mod < 0))
+            div -= 1.0;
+    }
+    if (div) {
+        floordiv = floor(div);
+        if (div - floordiv > 0.5)
+            floordiv += 1.0;
+    } else {
+        floordiv = copysign(0.0, v / w);
+    }
+    return floordiv;
+}
+
+static double clamp(double v, double vmin, double vmax)
+{
+    if (v > vmax)
+        return vmax;
+    if (v < vmin)
+        return vmin;
+    return v;
+}
+
+/* s / 2 rounded up (coin u < 0.5) or down when s is not even; the offset
+ * records +1, -1, or 0 when s / 2 is stored as is. */
+static double round_half(double s, double u, int8_t *offset)
+{
+    double f = py_floordiv(s, 2.0);
+
+    if (s != 2.0 * f) {
+        if (u < 0.5) {
+            *offset = 1;
+            return f + 1.0;
+        }
+        *offset = -1;
+        return f;
+    }
+    *offset = 0;
+    return s * 0.5;
+}
+
+/* Apply npairs exchanges (idx[2k], idx[2k+1]) to x[0..n) in order.
+ *
+ * noise[2k] is agent idx[2k]'s outgoing channel noise and coins[2k] its
+ * rounding coin (coins may be NULL unless do_round).  A self-pair is skipped.
+ * state holds {mean, phibar, s_prime, s_star, s_minus} and is updated in
+ * place; the last four only when decomp is set.  If offsets is not NULL, the
+ * rounding offset of each agent is written to it (0 for a self-pair). */
+void pair_chunk(double *x, int64_t n, const int64_t *idx, const double *noise,
+                const double *coins, int64_t npairs, int do_round, int do_clamp,
+                double vmin, double vmax, int decomp, double *state,
+                int8_t *offsets)
+{
+    double mean = state[0], phibar = state[1];
+    double sp = state[2], ss = state[3], sm = state[4];
+    const double inv_n = 1.0 / (double)n;
+    const double inv4n = 0.25 * inv_n;
+
+    for (int64_t k = 0; k < 2 * npairs; k += 2) {
+        const int64_t i = idx[k], j = idx[k + 1];
+        double xi, xj, wi, wj, si, sj, vi, vj;
+        int8_t ri = 0, rj = 0;
+
+        if (i == j) {
+            if (offsets)
+                offsets[k] = offsets[k + 1] = 0;
+            continue;
+        }
+        xi = x[i];
+        xj = x[j];
+        wi = xj + noise[k + 1];
+        wj = xi + noise[k];
+        if (do_clamp) {
+            wi = clamp(wi, vmin, vmax);
+            wj = clamp(wj, vmin, vmax);
+        }
+        si = xi + wi;
+        sj = xj + wj;
+        if (do_round) {
+            vi = round_half(si, coins[k], &ri);
+            vj = round_half(sj, coins[k + 1], &rj);
+        } else {
+            vi = si * 0.5;
+            vj = sj * 0.5;
+        }
+        if (do_clamp) {
+            vi = clamp(vi, vmin, vmax);
+            vj = clamp(vj, vmin, vmax);
+        }
+        if (decomp) {
+            const double a = vi + vi - xi - xj;
+            const double c = vj + vj - xi - xj;
+            const double d = xi - xj;
+            const double dsq = d * d;
+            const double nsum = a + c;
+            const double z = (xi + xj) * 0.5 - mean;
+            const double quarter = (a * a + c * c) * 0.25;
+
+            sp += quarter;
+            ss += nsum * z;
+            if (phibar > 0.0) {
+                const double dl = dsq / (phibar + phibar);
+                sm += dl < 1.0 ? dl : 1.0;
+            } else {
+                sm += inv_n;
+            }
+            phibar += -dsq * 0.5 + quarter - nsum * nsum * inv4n + nsum * z;
+        }
+        mean += (vi - xi + vj - xj) * inv_n;
+        x[i] = vi;
+        x[j] = vj;
+        if (offsets) {
+            offsets[k] = ri;
+            offsets[k + 1] = rj;
+        }
+    }
+    state[0] = mean;
+    state[1] = phibar;
+    state[2] = sp;
+    state[3] = ss;
+    state[4] = sm;
+}

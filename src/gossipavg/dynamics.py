@@ -20,12 +20,14 @@ interaction.
 
 from __future__ import annotations
 
+import ctypes
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional, Union
 
 import numpy as np
 
+from . import _native
 from .errors import NumericalDriftError, ParameterError
 from .noise import NoiseModel, sample_batch
 
@@ -329,8 +331,174 @@ def replay_event(pop: Population, event: StepEvent, rule: UpdateRule) -> None:
 # batched engines
 # ---------------------------------------------------------------------------
 
+#: The compiled pair loop (``_kernel.c``), or None where it could not be built;
+#: the engines then run ``_pairs_reference``.
+_kernel = _native.load()
 
-class SequentialEngine:
+
+def _exact(values: np.ndarray, with_phibar: bool = True) -> tuple[float, Optional[float]]:
+    """Mean and (if asked) potential about it, each from one correctly rounded sum.
+
+    The squares are rounded one by one, as ``(x - m) * (x - m)`` would be.
+    """
+    mean = math.fsum(values.tolist()) / len(values)
+    if not with_phibar:
+        return mean, None
+    d = values - mean
+    return mean, math.fsum((d * d).tolist())
+
+
+def _decomposition_step(xi, xj, vi, vj, mean, tracked, inv_n):
+    """Advance (phi_bar, S', S*, S^-) over one exchange xi, xj -> vi, vj.
+
+    The effective received offsets a = 2 vi - xi - xj and c = 2 vj - xi - xj
+    are the channel noise plus the rounding offset; phi_bar follows the exact
+    one-step change formula about the running mean.
+    """
+    phibar, sp, ss, sm = tracked
+    a = vi + vi - xi - xj
+    c = vj + vj - xi - xj
+    d = xi - xj
+    dsq = d * d
+    nsum = a + c
+    z = (xi + xj) * 0.5 - mean
+    quarter = (a * a + c * c) * 0.25
+    sp += quarter
+    ss += nsum * z
+    if phibar > 0.0:
+        dl = dsq / (phibar + phibar)
+        sm += dl if dl < 1.0 else 1.0
+    else:
+        sm += inv_n
+    phibar += -dsq * 0.5 + quarter - nsum * nsum * (0.25 * inv_n) + nsum * z
+    return phibar, sp, ss, sm
+
+
+def _pairs_reference(values, pairs, noise, coins, flags, decomp, state, offsets):
+    """Python form of ``pair_chunk`` in ``_kernel.c``: the tests' oracle, and
+    the engines' loop where the kernel is unavailable."""
+    mean, *tracked = state
+    inv_n = 1.0 / len(values)
+    pairs = pairs.tolist()
+    noise = noise.tolist()
+    coins = coins.tolist() if coins is not None else [0.0] * len(pairs)
+    for k in range(0, len(pairs), 2):
+        i, j = pairs[k], pairs[k + 1]
+        if i == j:
+            continue
+        xi, xj = values.item(i), values.item(j)
+        vi, vj, ri, rj = _apply_pair(xi, xj, noise[k], noise[k + 1], coins[k], coins[k + 1],
+                                     flags)
+        if decomp:
+            tracked = _decomposition_step(xi, xj, vi, vj, mean, tracked, inv_n)
+        mean += (vi - xi + vj - xj) * inv_n
+        values[i] = vi
+        values[j] = vj
+        if offsets is not None:
+            offsets[k] = ri
+            offsets[k + 1] = rj
+    return [mean, *tracked]
+
+
+_F64, _I64, _I8 = np.dtype(np.float64), np.dtype(np.int64), np.dtype(np.int8)
+
+
+def _address(arr: Optional[np.ndarray], dtype: np.dtype) -> Optional[int]:
+    """Address of a kernel buffer (``from_buffer`` rejects read-only and
+    non-contiguous arrays, and is cheaper than ``arr.ctypes.data``)."""
+    if arr is None:
+        return None
+    if arr.dtype != dtype:
+        raise TypeError(f"kernel buffer must be a {dtype} array, got {arr.dtype}")
+    return ctypes.addressof(ctypes.c_char.from_buffer(arr))
+
+
+def _run_pairs(values: np.ndarray, pairs: np.ndarray, noise: np.ndarray,
+               coins: Optional[np.ndarray], flags, decomp: bool, state: list,
+               offsets: Optional[np.ndarray]) -> list:
+    """Apply the exchanges (pairs[2k], pairs[2k+1]) to ``values`` in order.
+
+    ``state`` is [mean, phi_bar, S', S*, S^-]; the updated list is returned
+    (the last four move only when ``decomp``).  The rounding offsets go to
+    ``offsets`` when given.  The indices must lie in [0, len(values)), as
+    the engines' draws do.
+    """
+    if _kernel is None:
+        return _pairs_reference(values, pairs, noise, coins, flags, decomp, state, offsets)
+    do_round, do_clamp, vmin, vmax = flags
+    if (do_round and coins is None) or any(
+            a is not None and len(a) != len(pairs) for a in (noise, coins, offsets)):
+        raise ValueError("kernel buffers must hold one entry per agent of each pair")
+    st = np.array(state, dtype=np.float64)
+    _kernel.pair_chunk(_address(values, _F64), len(values), _address(pairs, _I64),
+                       _address(noise, _F64), _address(coins, _F64),
+                       len(pairs) // 2, do_round, do_clamp, vmin, vmax, decomp,
+                       _address(st, _F64), _address(offsets, _I8))
+    return st.tolist()
+
+
+def _interactions(pairs: np.ndarray, noise: np.ndarray, offsets: np.ndarray):
+    """The Interaction of each pair of a chunk; a self-pair records no exchange."""
+    p, z, r = pairs.tolist(), noise.tolist(), offsets.tolist()
+    for k in range(0, len(p), 2):
+        i, j = p[k], p[k + 1]
+        if i == j:
+            yield Interaction(i, i, 0.0, 0.0, 0, 0)
+        else:
+            yield Interaction(i, j, z[k], z[k + 1], r[k], r[k + 1])
+
+
+class _Engine:
+    """What both engines share: the values, the running-mean tracker and the
+    exact recomputation that checks it."""
+
+    _unit = "step"
+
+    def __init__(self, pop: Population, model: NoiseModel, rule: UpdateRule,
+                 rng: np.random.Generator):
+        self.pop = pop
+        self.model = model
+        self.rule = rule
+        self.rng = rng
+        self.flags = _rule_flags(rule)
+        self.values = np.array(pop.values, dtype=np.float64)
+        self.n = len(self.values)
+        self.mean = _exact(self.values, False)[0]
+        self.step = pop.step_count
+        self.phibar: Optional[float] = None
+        self._since_resync = 0
+
+    def values_array(self) -> np.ndarray:
+        return self.values
+
+    def refresh(self, rel_tol: float = 1e-6) -> tuple[float, float]:
+        """Recompute mean and potential; verify and resync the trackers."""
+        mean_full, phibar_full = _exact(self.values)
+        if abs(self.mean - mean_full) > rel_tol * (1.0 + abs(mean_full)):
+            raise NumericalDriftError(
+                f"running-mean tracker drifted: {self.mean} vs {mean_full} "
+                f"at {self._unit} {self.step}"
+            )
+        if self.phibar is not None and abs(self.phibar - phibar_full) > rel_tol * (
+            1.0 + phibar_full
+        ):
+            raise NumericalDriftError(
+                f"potential tracker drifted: {self.phibar} vs {phibar_full} "
+                f"at {self._unit} {self.step}"
+            )
+        self.mean = mean_full
+        if self.phibar is not None:
+            self.phibar = phibar_full
+        self._since_resync = 0
+        return mean_full, phibar_full
+
+    def finish(self) -> None:
+        """Write the engine state back into the owned Population."""
+        self.pop.values = self.values.copy()
+        self.pop.step_count = self.step
+
+
+class SequentialEngine(_Engine):
     """Drives one sequential run with incremental mean/potential tracking.
 
     The running mean is maintained incrementally from the value deltas and
@@ -343,27 +511,17 @@ class SequentialEngine:
 
     def __init__(self, pop: Population, model: NoiseModel, rule: UpdateRule,
                  rng: np.random.Generator):
-        self.pop = pop
-        self.model = model
-        self.rule = rule
-        self.rng = rng
-        self.flags = _rule_flags(rule)
-        self.values: list[float] = pop.values.tolist()
-        self.n = len(self.values)
-        self.mean = math.fsum(self.values) / self.n
-        self.step = pop.step_count
-        self.phibar: Optional[float] = None
+        super().__init__(pop, model, rule, rng)
         self.s_prime = 0.0
         self.s_star = 0.0
         self.s_minus = 0.0
         self._decomp = False
         self._resync_every = max(self.n, 1024)
-        self._since_resync = 0
 
     # -- tracking control ---------------------------------------------------
 
     def begin_decomposition(self) -> None:
-        self.phibar = self._phibar_full()
+        self.phibar = _exact(self.values)[1]
         self.s_prime = 0.0
         self.s_star = 0.0
         self.s_minus = 0.0
@@ -375,286 +533,78 @@ class SequentialEngine:
         self.phibar = None
         return sums
 
-    def values_array(self) -> np.ndarray:
-        return np.asarray(self.values)
-
-    def _mean_full(self) -> float:
-        return math.fsum(self.values) / self.n
-
-    def _phibar_full(self) -> float:
-        m = self._mean_full()
-        return math.fsum((x - m) * (x - m) for x in self.values)
-
-    def refresh(self, rel_tol: float = 1e-6) -> tuple[float, float]:
-        """Recompute mean and potential; verify and resync the trackers."""
-        mean_full = self._mean_full()
-        phibar_full = math.fsum((x - mean_full) * (x - mean_full) for x in self.values)
-        if abs(self.mean - mean_full) > rel_tol * (1.0 + abs(mean_full)):
-            raise NumericalDriftError(
-                f"running-mean tracker drifted: {self.mean} vs {mean_full} at step {self.step}"
-            )
-        if self.phibar is not None and abs(self.phibar - phibar_full) > rel_tol * (
-            1.0 + phibar_full
-        ):
-            raise NumericalDriftError(
-                f"potential tracker drifted: {self.phibar} vs {phibar_full} at step {self.step}"
-            )
-        self.mean = mean_full
-        if self.phibar is not None:
-            self.phibar = phibar_full
-        self._since_resync = 0
-        return mean_full, phibar_full
-
-    def finish(self) -> None:
-        """Write the engine state back into the owned Population."""
-        self.pop.values = np.asarray(self.values)
-        self.pop.step_count = self.step
-
     # -- main loop -----------------------------------------------------------
 
     def advance(self, steps: int, collect: Optional[list] = None) -> None:
         if steps <= 0:
             return
-        vals = self.values
-        n = self.n
         rng = self.rng
-        model = self.model
-        do_round, do_clamp, vmin, vmax = self.flags
+        n = self.n
         decomp = self._decomp
-        mean = self.mean
-        phibar = self.phibar if decomp else 0.0
-        sp = self.s_prime
-        ss = self.s_star
-        sm = self.s_minus
-        inv_n = 1.0 / n
-        inv4n = 0.25 * inv_n
+        state = [self.mean, self.phibar if decomp else 0.0,
+                 self.s_prime, self.s_star, self.s_minus]
         done = 0
         while done < steps:
             b = min(CHUNK, steps - done, self._resync_every - self._since_resync)
-            ii = rng.integers(0, n, size=2 * b).tolist()
-            noi = sample_batch(model, rng, 2 * b).tolist()
-            ru = rng.random(2 * b).tolist() if do_round else None
-            k2 = 0
-            for _ in range(b):
-                i = ii[k2]
-                j = ii[k2 + 1]
-                ni = noi[k2]
-                nj = noi[k2 + 1]
-                k2 += 2
-                if i == j:
-                    if collect is not None:
-                        collect.append(StepEvent([Interaction(i, i, 0.0, 0.0, 0, 0)]))
-                    continue
-                xi = vals[i]
-                xj = vals[j]
-                wi = xj + nj
-                wj = xi + ni
-                if do_clamp:
-                    if wi > vmax:
-                        wi = vmax
-                    elif wi < vmin:
-                        wi = vmin
-                    if wj > vmax:
-                        wj = vmax
-                    elif wj < vmin:
-                        wj = vmin
-                si = xi + wi
-                sj = xj + wj
-                ri = rj = 0
-                if do_round:
-                    fi = si // 2.0
-                    if si != 2.0 * fi:
-                        if ru[k2 - 2] < 0.5:
-                            vi = fi + 1.0
-                            ri = 1
-                        else:
-                            vi = fi
-                            ri = -1
-                    else:
-                        vi = si * 0.5
-                    fj = sj // 2.0
-                    if sj != 2.0 * fj:
-                        if ru[k2 - 1] < 0.5:
-                            vj = fj + 1.0
-                            rj = 1
-                        else:
-                            vj = fj
-                            rj = -1
-                    else:
-                        vj = sj * 0.5
-                else:
-                    vi = si * 0.5
-                    vj = sj * 0.5
-                if do_clamp:
-                    if vi > vmax:
-                        vi = vmax
-                    elif vi < vmin:
-                        vi = vmin
-                    if vj > vmax:
-                        vj = vmax
-                    elif vj < vmin:
-                        vj = vmin
-                if decomp:
-                    # effective received offsets: a = 2 vi - xi - xj etc.,
-                    # equal to channel noise plus rounding offset
-                    a = vi + vi - xi - xj
-                    c = vj + vj - xi - xj
-                    d = xi - xj
-                    dsq = d * d
-                    nsum = a + c
-                    z = (xi + xj) * 0.5 - mean
-                    quarter = (a * a + c * c) * 0.25
-                    sp += quarter
-                    ss += nsum * z
-                    if phibar > 0.0:
-                        dl = dsq / (phibar + phibar)
-                        sm += dl if dl < 1.0 else 1.0
-                    else:
-                        sm += inv_n
-                    phibar += -dsq * 0.5 + quarter - nsum * nsum * inv4n + nsum * z
-                mean += (vi - xi + vj - xj) * inv_n
-                vals[i] = vi
-                vals[j] = vj
-                if collect is not None:
-                    collect.append(StepEvent([Interaction(i, j, ni, nj, ri, rj)]))
+            pairs = rng.integers(0, n, size=2 * b)
+            noise = sample_batch(self.model, rng, 2 * b)
+            coins = rng.random(2 * b) if self.flags[0] else None
+            offsets = np.zeros(2 * b, np.int8) if collect is not None else None
+            state = _run_pairs(self.values, pairs, noise, coins, self.flags, decomp, state,
+                               offsets)
+            if collect is not None:
+                collect.extend(StepEvent([it]) for it in _interactions(pairs, noise, offsets))
             done += b
             self._since_resync += b
             if self._since_resync >= self._resync_every:
-                mean = math.fsum(vals) / n
+                state[0], phibar = _exact(self.values, decomp)
                 if decomp:
-                    phibar = math.fsum((x - mean) * (x - mean) for x in vals)
+                    state[1] = phibar
                 self._since_resync = 0
-        self.mean = mean
+        self.mean = state[0]
         if decomp:
-            self.phibar = phibar
-            self.s_prime = sp
-            self.s_star = ss
-            self.s_minus = sm
+            self.phibar, self.s_prime, self.s_star, self.s_minus = state[1:]
         self.step += steps
 
 
-class SynchronousEngine:
-    """Drives one synchronous run; ``advance`` counts rounds, not interactions."""
+class SynchronousEngine(_Engine):
+    """Drives one synchronous run; ``advance`` counts rounds, not interactions.
+
+    The pairs of a round are disjoint, so updating them in place in matching
+    order still reads the pre-round values.
+    """
+
+    _unit = "round"
 
     def __init__(self, pop: Population, model: NoiseModel, rule: UpdateRule,
                  rng: np.random.Generator):
-        self.pop = pop
-        self.model = model
-        self.rule = rule
-        self.rng = rng
-        self.flags = _rule_flags(rule)
-        self.values: list[float] = pop.values.tolist()
-        self.n = len(self.values)
-        self.mean = math.fsum(self.values) / self.n
-        self.step = pop.step_count
-        self.phibar = None
+        super().__init__(pop, model, rule, rng)
         self._resync_every = max(1, 4096 // max(self.n, 1))
-        self._since_resync = 0
-
-    def values_array(self) -> np.ndarray:
-        return np.asarray(self.values)
-
-    def refresh(self, rel_tol: float = 1e-6) -> tuple[float, float]:
-        mean_full = math.fsum(self.values) / self.n
-        phibar_full = math.fsum((x - mean_full) * (x - mean_full) for x in self.values)
-        if abs(self.mean - mean_full) > rel_tol * (1.0 + abs(mean_full)):
-            raise NumericalDriftError(
-                f"running-mean tracker drifted: {self.mean} vs {mean_full} at round {self.step}"
-            )
-        self.mean = mean_full
-        self._since_resync = 0
-        return mean_full, phibar_full
-
-    def finish(self) -> None:
-        self.pop.values = np.asarray(self.values)
-        self.pop.step_count = self.step
 
     def advance(self, rounds: int, collect: Optional[list] = None) -> None:
         if rounds <= 0:
             return
-        vals = self.values
-        n = self.n
         rng = self.rng
-        do_round, do_clamp, vmin, vmax = self.flags
-        mean = self.mean
-        inv_n = 1.0 / n
+        n = self.n
         npairs = n // 2
-        odd = n % 2 == 1
+        state = [self.mean, 0.0, 0.0, 0.0, 0.0]
         for _ in range(rounds):
-            perm = rng.permutation(n).tolist()
-            noi = sample_batch(self.model, rng, 2 * npairs).tolist()
-            ru = rng.random(2 * npairs).tolist() if do_round else None
-            interactions = [] if collect is not None else None
-            # within a round all pairs are disjoint, so in-place updates in
-            # matching order still read pre-round values
-            for k in range(npairs):
-                i = perm[2 * k]
-                j = perm[2 * k + 1]
-                ni = noi[2 * k]
-                nj = noi[2 * k + 1]
-                xi = vals[i]
-                xj = vals[j]
-                wi = xj + nj
-                wj = xi + ni
-                if do_clamp:
-                    if wi > vmax:
-                        wi = vmax
-                    elif wi < vmin:
-                        wi = vmin
-                    if wj > vmax:
-                        wj = vmax
-                    elif wj < vmin:
-                        wj = vmin
-                si = xi + wi
-                sj = xj + wj
-                ri = rj = 0
-                if do_round:
-                    fi = si // 2.0
-                    if si != 2.0 * fi:
-                        if ru[2 * k] < 0.5:
-                            vi = fi + 1.0
-                            ri = 1
-                        else:
-                            vi = fi
-                            ri = -1
-                    else:
-                        vi = si * 0.5
-                    fj = sj // 2.0
-                    if sj != 2.0 * fj:
-                        if ru[2 * k + 1] < 0.5:
-                            vj = fj + 1.0
-                            rj = 1
-                        else:
-                            vj = fj
-                            rj = -1
-                    else:
-                        vj = sj * 0.5
-                else:
-                    vi = si * 0.5
-                    vj = sj * 0.5
-                if do_clamp:
-                    if vi > vmax:
-                        vi = vmax
-                    elif vi < vmin:
-                        vi = vmin
-                    if vj > vmax:
-                        vj = vmax
-                    elif vj < vmin:
-                        vj = vmin
-                mean += (vi - xi + vj - xj) * inv_n
-                vals[i] = vi
-                vals[j] = vj
-                if interactions is not None:
-                    interactions.append(Interaction(i, j, ni, nj, ri, rj))
-            if odd:
-                k = perm[-1]
-                if interactions is not None:
-                    interactions.append(Interaction(k, k, 0.0, 0.0, 0, 0))
+            perm = rng.permutation(n)
+            noise = sample_batch(self.model, rng, 2 * npairs)
+            coins = rng.random(2 * npairs) if self.flags[0] else None
+            offsets = np.zeros(2 * npairs, np.int8) if collect is not None else None
+            pairs = perm[: 2 * npairs]
+            state = _run_pairs(self.values, pairs, noise, coins, self.flags, False, state,
+                               offsets)
             if collect is not None:
+                interactions = list(_interactions(pairs, noise, offsets))
+                if n % 2 == 1:
+                    k = int(perm[-1])
+                    interactions.append(Interaction(k, k, 0.0, 0.0, 0, 0))
                 collect.append(StepEvent(interactions))
             self._since_resync += 1
             if self._since_resync >= self._resync_every:
-                mean = math.fsum(vals) / n
+                state[0] = _exact(self.values, False)[0]
                 self._since_resync = 0
-        self.mean = mean
+        self.mean = state[0]
         self.step += rounds

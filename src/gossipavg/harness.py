@@ -101,6 +101,12 @@ class ExperimentConfig:
             )
         if isinstance(self.init, UniformInit) and not self.init.lo < self.init.hi:
             raise ConfigError(f"init: uniform range needs lo < hi, got [{self.init.lo}, {self.init.hi}]")
+        for v in _init_numbers(self.init):
+            if not math.isfinite(self.n * v):
+                raise ConfigError(
+                    f"init: {v} is not finite or too large for n={self.n} "
+                    "(n * |value| must be finite, so that the sum of the values is)"
+                )
         prev_end = 0
         for t0, t1 in self.decomposition_intervals:
             if not (0 <= t0 < t1 <= self.steps):
@@ -116,6 +122,19 @@ class ExperimentConfig:
             raise ConfigError(
                 "decomposition_intervals: decomposition is defined for the sequential scheduler"
             )
+
+
+def _init_numbers(init: InitSpec) -> tuple[float, ...]:
+    """The numbers an init spec puts into the population or draws between.
+
+    A uniform range enters with its width too: numpy cannot sample a range
+    whose width overflows.
+    """
+    if isinstance(init, UniformInit):
+        return init.lo, init.hi, init.hi - init.lo
+    if isinstance(init, ConstantInit):
+        return (init.v,)
+    return init.values
 
 
 def _noise_to_json(model: NoiseModel) -> dict:
@@ -175,6 +194,17 @@ def _init_from_json(d: dict) -> InitSpec:
     raise ConfigError(f"init: unknown kind {kind!r}")
 
 
+def _kind_from_json(d: dict, key: str, parse):
+    """Parse the ``{"kind": ...}`` object under ``key``, naming ``key`` on error."""
+    spec = d[key]
+    if not isinstance(spec, dict):
+        raise ConfigError(f"{key}: expected an object with a \"kind\", got {spec!r}")
+    try:
+        return parse(spec)
+    except ParameterError as exc:
+        raise ConfigError(f"{key}: {exc}") from exc
+
+
 def config_to_json_dict(config: ExperimentConfig) -> dict:
     return {
         "n": config.n,
@@ -201,10 +231,10 @@ def config_from_json_dict(d: dict) -> ExperimentConfig:
     try:
         config = ExperimentConfig(
             n=int(d["n"]),
-            init=_init_from_json(d["init"]),
+            init=_kind_from_json(d, "init", _init_from_json),
             scheduler=str(d["scheduler"]),
-            noise=_noise_from_json(d["noise"]),
-            rule=_rule_from_json(d["rule"]),
+            noise=_kind_from_json(d, "noise", _noise_from_json),
+            rule=_kind_from_json(d, "rule", _rule_from_json),
             steps=int(d["steps"]),
             master_seed=int(d["master_seed"]),
             record_every=int(d["record_every"]),
@@ -213,6 +243,8 @@ def config_from_json_dict(d: dict) -> ExperimentConfig:
             ),
             runs=int(d.get("runs", 1)),
         )
+    except ConfigError:
+        raise
     except KeyError as exc:
         raise ConfigError(f"missing config field: {exc.args[0]}") from exc
     except ParameterError as exc:
@@ -255,7 +287,6 @@ class FinalSummary:
     minimum: float
     maximum: float
     mean: float
-    histogram: Optional[Histogram]
 
 
 @dataclass
@@ -364,7 +395,6 @@ def run_single(config: ExperimentConfig, run_index: int,
         minimum=float(vals.min()),
         maximum=float(vals.max()),
         mean=float(vals.mean()),
-        histogram=distance_histogram(pop),
     )
     if keep_final_values:
         trace.final_population = vals.copy()

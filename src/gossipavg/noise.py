@@ -38,8 +38,8 @@ class Gaussian:
     sigma2: float
 
     def __post_init__(self) -> None:
-        if not self.sigma2 > 0.0:
-            raise ParameterError(f"sigma2 must be positive, got {self.sigma2}")
+        if not 0.0 < self.sigma2 < math.inf:
+            raise ParameterError(f"sigma2 must be positive and finite, got {self.sigma2}")
 
 
 @dataclass(frozen=True)

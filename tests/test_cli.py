@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from gossipavg import dynamics
 from gossipavg.cli import main
 
 BASE_CONFIG = {
@@ -157,3 +158,45 @@ def test_replicate_fig_a_small(tmp_path):
 
 def test_verify_passes():
     assert main(["verify"]) == 0
+
+
+@pytest.mark.parametrize(
+    "override,field",
+    [
+        ("init.hi=inf", "init"),
+        ("noise.sigma2=inf", "noise"),
+        ("noise=gaussian", "noise"),
+        ("init=[0, 10]", "init"),
+        ("rule=real", "rule"),
+    ],
+)
+def test_malformed_config_exits_2_naming_the_field(tmp_path, config_path, capsys, override,
+                                                    field):
+    out = tmp_path / "x"
+    assert main(["run", "--config", str(config_path), "--out", str(out), "--jobs", "1",
+                 "--set", override]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {field}: ")
+    assert not out.exists()
+
+
+def test_run_byte_identical_without_kernel(tmp_path, config_path, monkeypatch):
+    """The compiled kernel and the Python reference loop write the same bytes."""
+    variants = (
+        [],
+        ["--set", 'rule={"kind": "cutoff", "vmin": 0, "vmax": 10, "rounding": true}',
+         "--set", 'noise={"kind": "discrete_geometric", "p": 0.8}'],
+        ["--set", "scheduler=synchronous", "--set", "decomposition_intervals=[]",
+         "--set", "n=41", "--set", "steps=60", "--set", "record_every=7"],
+    )
+    outputs = []
+    for kernel in (dynamics._kernel, None):
+        monkeypatch.setattr(dynamics, "_kernel", kernel)
+        files = {}
+        for k, extra in enumerate(variants):
+            out = tmp_path / f"{kernel is None}-{k}"
+            assert main(["run", "--config", str(config_path), "--out", str(out),
+                         "--jobs", "1", *extra]) == 0
+            files.update({(k, p.name): p.read_bytes() for p in out.iterdir()})
+        outputs.append(files)
+    assert len(outputs[0]) == 13
+    assert outputs[0] == outputs[1]

@@ -1,7 +1,15 @@
 """Averaging dynamic: step semantics, rules, replay, determinism."""
 
+import math
+import shutil
+import struct
+import tempfile
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gossipavg import (
     Cutoff,
@@ -21,6 +29,7 @@ from gossipavg import (
     sequential_step,
     synchronous_step,
 )
+from gossipavg import _native, dynamics
 from gossipavg.dynamics import SequentialEngine, SynchronousEngine
 from gossipavg.errors import NumericalDriftError
 
@@ -271,3 +280,160 @@ def test_same_seed_same_trajectory():
             sequential_step(pop, Gaussian(1.0), Real(), rng)
         runs.append(pop.values.copy())
     assert np.array_equal(runs[0], runs[1])
+
+
+# ---------------------------------------------------------------------------
+# compiled kernel against the Python reference loop
+# ---------------------------------------------------------------------------
+
+ORACLE_RULES = [Real(), DiscreteRounding(), Cutoff(1.0, 10.0), Cutoff(1.0, 10.0, rounding=True)]
+ORACLE_NOISES = [Gaussian(1.0), DiscreteGeometric(0.8), Zero()]
+
+needs_kernel = pytest.mark.skipif(dynamics._kernel is None, reason="no compiled kernel")
+
+
+def _bits(x):
+    return None if x is None else struct.pack("<d", x)
+
+
+def _drive(scheduler, rule, model, start, seed, segments, decomp, collect):
+    """Run one engine over ``segments`` of (length, refresh after it) and
+    record everything observable, floats as their bytes."""
+    pop = init_population(start)
+    engine_cls = SequentialEngine if scheduler == "sequential" else SynchronousEngine
+    engine = engine_cls(pop, model, rule, make_rng(seed))
+    events = [] if collect else None
+    seen = []
+    if decomp:
+        engine.begin_decomposition()
+    for length, refresh in segments:
+        engine.advance(length, collect=events)
+        trackers = [engine.mean, engine.phibar]
+        if decomp:
+            trackers += [engine.s_prime, engine.s_star, engine.s_minus]
+        seen.append([_bits(x) for x in trackers])
+        if refresh:
+            seen.append([_bits(x) for x in engine.refresh()])
+    if decomp:
+        seen.append([_bits(x) for x in engine.end_decomposition()])
+    engine.finish()
+    if collect:
+        seen.append([[(*it[:2], _bits(it[2]), _bits(it[3]), *it[4:]) for it in ev.interactions]
+                     for ev in events])
+    return pop.values.tobytes(), seen
+
+
+@needs_kernel
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(
+    scheduler=st.sampled_from(["sequential", "synchronous"]),
+    rule=st.sampled_from(ORACLE_RULES),
+    model=st.sampled_from(ORACLE_NOISES),
+    n=st.integers(2, 65),
+    integral=st.booleans(),
+    decomp=st.booleans(),
+    collect=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+    segments=st.lists(st.tuples(st.integers(0, 2600), st.booleans()), min_size=1, max_size=4),
+)
+def test_kernel_matches_reference_loop(scheduler, rule, model, n, integral, decomp, collect,
+                                       seed, segments):
+    """Bit-for-bit: values, trackers, interval sums, refreshes and events.
+
+    Sequential segments reach past the 1024-step resync and synchronous
+    ones (about as many pairs) past the 4096 // n round resync; the
+    refreshes between segments are the harness's record boundaries.
+    """
+    start = make_rng(seed + 1).uniform(0.0, 12.0, n)
+    if integral:
+        start = np.floor(start)
+    if scheduler == "synchronous":
+        segments = [(2 * length // n, refresh) for length, refresh in segments]
+        decomp = False
+    args = (scheduler, rule, model, start, seed, segments, decomp, collect)
+    compiled = _drive(*args)
+    with mock.patch.object(dynamics, "_kernel", None):
+        reference = _drive(*args)
+    assert compiled == reference
+
+
+FLOORDIV_CASES = [
+    -1.0, -3.0, -5.0, -7.0, -2.0**52 - 1, 2.0**52 + 1, -0.0, 0.0, 1.0, 3.0,
+    float(2**53 + 1), -float(2**53 + 1), 2.0**53 + 2, -(2.0**53 + 2),
+    math.inf, -math.inf, math.nan, 5e-324, -5e-324, 2.2250738585072009e-308,
+    -2.2250738585072009e-308, 1.7976931348623157e308, -1.7976931348623157e308, -2.5, 2.5,
+]
+
+
+@needs_kernel
+def test_kernel_floor_division_matches_python():
+    for v in FLOORDIV_CASES:
+        got, want = dynamics._kernel.py_floordiv(v, 2.0), v // 2.0
+        assert (math.isnan(got) and math.isnan(want)) or _bits(got) == _bits(want), v
+
+
+@needs_kernel
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.floats(allow_nan=True, allow_infinity=True))
+def test_kernel_floor_division_matches_python_anywhere(v):
+    got, want = dynamics._kernel.py_floordiv(v, 2.0), v // 2.0
+    assert (math.isnan(got) and math.isnan(want)) or _bits(got) == _bits(want)
+
+
+def test_kernel_is_built_where_a_compiler_exists():
+    """A broken build must not let the suite pass on the Python loop."""
+    assert shutil.which("cc") is None or dynamics._kernel is not None
+
+
+@pytest.mark.parametrize(
+    "scheduler,n,model,rule",
+    [
+        ("sequential", 40, Gaussian(1.0), Real()),
+        ("sequential", 40, DiscreteGeometric(0.8), DiscreteRounding()),
+        ("sequential", 40, DiscreteGeometric(0.8), Cutoff(1.0, 10.0, rounding=True)),
+        ("synchronous", 41, Gaussian(1.0), Real()),
+        ("synchronous", 40, DiscreteGeometric(0.8), Cutoff(1.0, 10.0, rounding=True)),
+    ],
+)
+def test_reference_loop_matches_engine_and_replay(monkeypatch, scheduler, n, model, rule):
+    """With the kernel forced off the engines give the same values and events,
+    and replaying those events reproduces the values."""
+    start = make_rng(29).uniform(0, 10, n)
+    length = 3000 if scheduler == "sequential" else 60
+    compiled = _drive(scheduler, rule, model, start, 30, [(length, False)], False, True)
+    monkeypatch.setattr(dynamics, "_kernel", None)
+    pop = init_population(start)
+    ref = pop.copy()
+    engine_cls = SequentialEngine if scheduler == "sequential" else SynchronousEngine
+    engine = engine_cls(pop, model, rule, make_rng(30))
+    events = []
+    engine.advance(length, collect=events)
+    engine.finish()
+    for event in events:
+        replay_event(ref, event, rule)
+    assert np.array_equal(pop.values, ref.values)
+    assert _drive(scheduler, rule, model, start, 30, [(length, False)], False, True) == compiled
+
+
+needs_compiler = pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
+
+
+@needs_compiler
+def test_kernel_library_is_built_once_and_cached(tmp_path, monkeypatch):
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    assert _native.load() is not None
+    path = tmp_path / "gossipavg" / _native.library_name(_native.SOURCE.read_bytes())
+    assert [p.name for p in path.parent.iterdir()] == [path.name]  # no temporary file left
+    stamp = path.stat().st_mtime_ns
+    monkeypatch.setattr(_native, "_build", lambda *args: pytest.fail("rebuilt a cached library"))
+    assert _native.load() is not None
+    assert path.stat().st_mtime_ns == stamp
+
+
+def test_kernel_falls_back_with_one_warning(tmp_path, monkeypatch):
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+    monkeypatch.setattr(tempfile, "gettempdir", lambda: str(tmp_path / "tmp"))
+    monkeypatch.setattr(shutil, "which", lambda name: None)
+    with pytest.warns(RuntimeWarning, match="pure-Python loop") as record:
+        assert _native.load() is None
+    assert len(record) == 1
