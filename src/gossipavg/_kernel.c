@@ -1,8 +1,10 @@
-/* Compiled pair loop of the gossipavg engines.
+/* Compiled pair loop and exact sums of the gossipavg engines.
  *
  * pair_chunk() applies a batch of pairwise exchanges to the agent values in
  * place, exactly as the Python reference loop in dynamics.py does
  * (_pairs_reference, which calls _apply_pair and _decomposition_step).
+ * exact_moments() computes the mean and the potential about it from
+ * correctly rounded sums, exactly as the math.fsum body of dynamics._exact.
  * Every floating-point operation is written in the same order as there, so
  * the results are bit-identical provided the compiler neither fuses
  * multiply-adds nor reassociates: build with -ffp-contract=off and never
@@ -143,4 +145,101 @@ void pair_chunk(double *x, int64_t n, const int64_t *idx, const double *noise,
     state[2] = sp;
     state[3] = ss;
     state[4] = sm;
+}
+
+/* Partials kept by fsum_add(); CPython's math.fsum starts with as many and
+ * grows the array, exact_moments() gives up instead. */
+#define NUM_PARTIALS 32
+
+/* Add x to the non-overlapping partials p[0..*n) (Shewchuk's algorithm, as
+ * math_fsum in CPython's Modules/mathmodule.c).  Returns nonzero, leaving
+ * the partials unusable, if x or the new top partial is not finite or the
+ * partials array is full. */
+static int fsum_add(double *p, int *n, double x)
+{
+    int i = 0;
+
+    if (!isfinite(x))
+        return 1;
+    for (int j = 0; j < *n; j++) {
+        double y = p[j], hi, yr, lo;
+
+        if (fabs(x) < fabs(y)) {
+            const double t = x;
+            x = y;
+            y = t;
+        }
+        hi = x + y;
+        yr = hi - x;
+        lo = y - yr;
+        if (lo != 0.0)
+            p[i++] = lo;
+        x = hi;
+    }
+    *n = i;
+    if (x != 0.0) {
+        if (!isfinite(x) || i >= NUM_PARTIALS)
+            return 1;
+        p[(*n)++] = x;
+    }
+    return 0;
+}
+
+/* The correctly rounded sum of the partials, with CPython's half-even
+ * fix-up across partials. */
+static double fsum_result(const double *p, int n)
+{
+    double hi = 0.0, lo = 0.0, x, y, yr;
+
+    if (n > 0) {
+        hi = p[--n];
+        while (n > 0) {
+            x = hi;
+            y = p[--n];
+            hi = x + y;
+            yr = hi - x;
+            lo = y - yr;
+            if (lo != 0.0)
+                break;
+        }
+        if (n > 0 && ((lo < 0.0 && p[n - 1] < 0.0) || (lo > 0.0 && p[n - 1] > 0.0))) {
+            y = lo * 2.0;
+            x = hi + y;
+            yr = x - hi;
+            if (y == yr)
+                hi = x;
+        }
+    }
+    return hi;
+}
+
+/* out[0] = fsum(x[0..n)) / n, the mean; if with_phibar, also
+ * out[1] = fsum((x[k] - mean) * (x[k] - mean)), each square rounded on its
+ * own.  Both equal math.fsum bit for bit.  Returns 0 on success; nonzero,
+ * with out untouched, on n < 1, a non-finite summand or partial, or a full
+ * partials array, where the caller recomputes with math.fsum (which then
+ * returns or raises what it does). */
+int exact_moments(const double *x, int64_t n, int with_phibar, double *out)
+{
+    double p[NUM_PARTIALS], mean;
+    int np = 0;
+
+    if (n < 1)
+        return 1;
+    for (int64_t k = 0; k < n; k++)
+        if (fsum_add(p, &np, x[k]))
+            return 1;
+    mean = fsum_result(p, np) / (double)n;
+    if (with_phibar) {
+        np = 0;
+        for (int64_t k = 0; k < n; k++) {
+            const double d = x[k] - mean;
+
+            if (fsum_add(p, &np, d * d))
+                return 1;
+        }
+        out[1] = fsum_result(p, np);
+    }
+    out[0] = mean;
+    return 0;
 }

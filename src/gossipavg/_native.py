@@ -1,4 +1,4 @@
-"""Build and load the compiled pair kernel ``_kernel.c`` through ctypes.
+"""Build and load the compiled kernel ``_kernel.c`` (pair loop, exact sums) through ctypes.
 
 The shared library is built once with the system C compiler and cached as
 ``$XDG_CACHE_HOME/gossipavg/kernel-<sha256>.so`` (``~/.cache`` when the
@@ -71,6 +71,10 @@ def _bind(lib: ctypes.CDLL) -> ctypes.CDLL:
     lib.pair_chunk.restype = None
     lib.py_floordiv.argtypes = [dbl, dbl]
     lib.py_floordiv.restype = dbl
+    # Called once per tracker check, often on few values: keeping the GIL
+    # (PYFUNCTYPE) spares releasing and retaking it around a short call.
+    lib.exact_moments = ctypes.PYFUNCTYPE(c_int, ctypes.POINTER(dbl), i64, c_int, ptr)(
+        ("exact_moments", lib))
     return lib
 
 
@@ -94,6 +98,7 @@ def load() -> Optional[ctypes.CDLL]:
             return _bind(ctypes.CDLL(str(path)))
         except (OSError, AttributeError) as exc:  # AttributeError: a symbol is missing
             problem = f"{type(exc).__name__}: {exc}"
-    warnings.warn(f"gossipavg: compiled pair kernel unavailable ({problem}); "
-                  "using the slower pure-Python loop", RuntimeWarning, stacklevel=2)
+    warnings.warn(f"gossipavg: compiled kernel unavailable ({problem}); "
+                  "using the slower pure-Python loop and math.fsum", RuntimeWarning,
+                  stacklevel=2)
     return None

@@ -5,7 +5,10 @@ Subcommands: ``run`` (execute a config), ``replicate-fig-a`` /
 (distance-distribution study of a config), ``bounds`` (closed-form bound
 values as JSON), ``verify`` (invariant and Monte Carlo smoke suite).
 
-Exit codes: 0 success, 1 verification failure, 2 argument/config errors.
+Exit codes: 0 success; 1 verification failure or an output i/o error; 2
+argument/config errors, and a tracker that drifted from its exact
+recomputation (``NumericalDriftError``: the config asks for more precision
+than float64 has, as with values far from zero and close together).
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, bounds, harness, verify
-from .errors import ConfigError, InsufficientDataError, ParameterError
+from .errors import ConfigError, InsufficientDataError, NumericalDriftError, ParameterError
 from .noise import DiscreteGeometric, Gaussian, Zero
 
 
@@ -238,7 +241,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, ParameterError) as exc:
+    except (ConfigError, ParameterError, NumericalDriftError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

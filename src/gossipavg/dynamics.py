@@ -331,16 +331,43 @@ def replay_event(pop: Population, event: StepEvent, rule: UpdateRule) -> None:
 # batched engines
 # ---------------------------------------------------------------------------
 
-#: The compiled pair loop (``_kernel.c``), or None where it could not be built;
-#: the engines then run ``_pairs_reference``.
+#: The compiled pair loop and exact sums (``_kernel.c``), or None where they
+#: could not be built; the engines then run ``_pairs_reference`` and ``_exact``
+#: its ``math.fsum`` body.
 _kernel = _native.load()
 
+_F64, _I64, _I8 = np.dtype(np.float64), np.dtype(np.int64), np.dtype(np.int8)
+_MOMENTS = ctypes.c_double * 2
 
-def _exact(values: np.ndarray, with_phibar: bool = True) -> tuple[float, Optional[float]]:
+
+def _kernel_view(values: np.ndarray) -> Optional[ctypes.c_double]:
+    """``values`` as the array argument of the kernel's ``exact_moments``, or
+    None where there is no kernel or it cannot take the array (not a writable,
+    C-contiguous, non-empty 1-d float64 array).  Making one costs about as
+    much as the call, so each engine keeps one for its values."""
+    if _kernel is None or values.ndim != 1 or values.dtype != _F64:
+        return None
+    try:
+        return ctypes.c_double.from_buffer(values)
+    except (TypeError, ValueError):
+        return None
+
+
+def _exact(values: np.ndarray, with_phibar: bool = True,
+           view: Optional[ctypes.c_double] = None) -> tuple[float, Optional[float]]:
     """Mean and (if asked) potential about it, each from one correctly rounded sum.
 
     The squares are rounded one by one, as ``(x - m) * (x - m)`` would be.
+    Given ``view = _kernel_view(values)``, the kernel's ``exact_moments``
+    computes both sums in one call, bit for bit as ``math.fsum`` does.  The
+    fsum body below, the tests' oracle, runs without a view or a kernel and
+    where the kernel declines (a non-finite summand or partial, more partials
+    than it keeps), so it returns or raises what ``math.fsum`` does.
     """
+    if view is not None and _kernel is not None:
+        out = _MOMENTS()
+        if not _kernel.exact_moments(view, len(values), with_phibar, out):
+            return out[0], (out[1] if with_phibar else None)
     mean = math.fsum(values.tolist()) / len(values)
     if not with_phibar:
         return mean, None
@@ -398,9 +425,6 @@ def _pairs_reference(values, pairs, noise, coins, flags, decomp, state, offsets)
             offsets[k] = ri
             offsets[k + 1] = rj
     return [mean, *tracked]
-
-
-_F64, _I64, _I8 = np.dtype(np.float64), np.dtype(np.int64), np.dtype(np.int8)
 
 
 def _address(arr: Optional[np.ndarray], dtype: np.dtype) -> Optional[int]:
@@ -462,8 +486,9 @@ class _Engine:
         self.rng = rng
         self.flags = _rule_flags(rule)
         self.values = np.array(pop.values, dtype=np.float64)
+        self._view = _kernel_view(self.values)
         self.n = len(self.values)
-        self.mean = _exact(self.values, False)[0]
+        self.mean = _exact(self.values, False, self._view)[0]
         self.step = pop.step_count
         self.phibar: Optional[float] = None
         self._since_resync = 0
@@ -473,7 +498,7 @@ class _Engine:
 
     def refresh(self, rel_tol: float = 1e-6) -> tuple[float, float]:
         """Recompute mean and potential; verify and resync the trackers."""
-        mean_full, phibar_full = _exact(self.values)
+        mean_full, phibar_full = _exact(self.values, True, self._view)
         if abs(self.mean - mean_full) > rel_tol * (1.0 + abs(mean_full)):
             raise NumericalDriftError(
                 f"running-mean tracker drifted: {self.mean} vs {mean_full} "
@@ -521,7 +546,7 @@ class SequentialEngine(_Engine):
     # -- tracking control ---------------------------------------------------
 
     def begin_decomposition(self) -> None:
-        self.phibar = _exact(self.values)[1]
+        self.phibar = _exact(self.values, True, self._view)[1]
         self.s_prime = 0.0
         self.s_star = 0.0
         self.s_minus = 0.0
@@ -557,7 +582,7 @@ class SequentialEngine(_Engine):
             done += b
             self._since_resync += b
             if self._since_resync >= self._resync_every:
-                state[0], phibar = _exact(self.values, decomp)
+                state[0], phibar = _exact(self.values, decomp, self._view)
                 if decomp:
                     state[1] = phibar
                 self._since_resync = 0
@@ -571,7 +596,9 @@ class SynchronousEngine(_Engine):
     """Drives one synchronous run; ``advance`` counts rounds, not interactions.
 
     The pairs of a round are disjoint, so updating them in place in matching
-    order still reads the pre-round values.
+    order still reads the pre-round values.  A due resync of the mean tracker
+    runs before the next round rather than after the last one, so a
+    ``refresh`` between the two (which resyncs too) replaces it.
     """
 
     _unit = "round"
@@ -589,6 +616,9 @@ class SynchronousEngine(_Engine):
         npairs = n // 2
         state = [self.mean, 0.0, 0.0, 0.0, 0.0]
         for _ in range(rounds):
+            if self._since_resync >= self._resync_every:
+                state[0] = _exact(self.values, False, self._view)[0]
+                self._since_resync = 0
             perm = rng.permutation(n)
             noise = sample_batch(self.model, rng, 2 * npairs)
             coins = rng.random(2 * npairs) if self.flags[0] else None
@@ -603,8 +633,5 @@ class SynchronousEngine(_Engine):
                     interactions.append(Interaction(k, k, 0.0, 0.0, 0, 0))
                 collect.append(StepEvent(interactions))
             self._since_resync += 1
-            if self._since_resync >= self._resync_every:
-                state[0] = _exact(self.values, False)[0]
-                self._since_resync = 0
         self.mean = state[0]
         self.step += rounds

@@ -101,12 +101,14 @@ class ExperimentConfig:
             )
         if isinstance(self.init, UniformInit) and not self.init.lo < self.init.hi:
             raise ConfigError(f"init: uniform range needs lo < hi, got [{self.init.lo}, {self.init.hi}]")
-        for v in _init_numbers(self.init):
-            if not math.isfinite(self.n * v):
-                raise ConfigError(
-                    f"init: {v} is not finite or too large for n={self.n} "
-                    "(n * |value| must be finite, so that the sum of the values is)"
-                )
+        # |x - mean| <= 2 m, so every step-0 sum of squares (tss, phi_bar and
+        # phi = 2 n phi_bar) is at most 2 n^2 (2 m)^2.
+        m = float(np.max(np.abs(_init_numbers(self.init))))
+        if not math.isfinite(2.0 * self.n * self.n * (2.0 * m) * (2.0 * m)):
+            raise ConfigError(
+                f"init: values up to {m} are not finite or too large for n={self.n} "
+                "(2 n^2 (2 max |value|)^2 must be finite, so that the sums of squares are)"
+            )
         prev_end = 0
         for t0, t1 in self.decomposition_intervals:
             if not (0 <= t0 < t1 <= self.steps):
@@ -424,31 +426,17 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1,
 
 
 def distance_histogram(pop: Population, bins: Optional[int] = None) -> Histogram:
-    """Histogram of the distances x_i - mean(x) over equal-width bins.
-
-    ``bins=None`` selects the bin count by the Freedman-Diaconis rule; an
-    explicit count must be >= 2.  An all-equal population collapses to a
-    single bin regardless.
-    """
-    dist = pop.values - np.mean(pop.values)
-    lo, hi = float(dist.min()), float(dist.max())
-    if hi <= lo:
-        return Histogram((lo, lo + 1.0), (len(dist),), len(dist))
-    if bins is None:
-        edges = np.histogram_bin_edges(dist, bins="fd")
-        if len(edges) < 3:
-            edges = np.histogram_bin_edges(dist, bins=2)
-    else:
-        if bins < 2:
-            raise ParameterError(f"bins must be >= 2, got {bins}")
-        edges = np.histogram_bin_edges(dist, bins=bins)
-    counts, edges = np.histogram(dist, bins=edges)
-    return Histogram(tuple(float(e) for e in edges),
-                     tuple(int(c) for c in counts), int(len(dist)))
+    """Histogram of the distances x_i - mean(x), by ``histogram_of``'s rules."""
+    return histogram_of(pop.values - np.mean(pop.values), bins)
 
 
 def histogram_of(values: Sequence[float], bins: Optional[int] = None) -> Histogram:
-    """Histogram of arbitrary sample values (same binning rules)."""
+    """Histogram of sample values over equal-width bins.
+
+    ``bins=None`` selects the bin count by the Freedman-Diaconis rule (at
+    least 2); an explicit count must be >= 2.  All-equal values collapse to
+    a single bin regardless.
+    """
     arr = np.asarray(values, dtype=float)
     lo, hi = float(arr.min()), float(arr.max())
     if hi <= lo:

@@ -180,13 +180,16 @@ def test_malformed_config_exits_2_naming_the_field(tmp_path, config_path, capsys
 
 
 def test_run_byte_identical_without_kernel(tmp_path, config_path, monkeypatch):
-    """The compiled kernel and the Python reference loop write the same bytes."""
+    """The compiled kernel and the Python reference loop and fsum write the same bytes."""
     variants = (
         [],
         ["--set", 'rule={"kind": "cutoff", "vmin": 0, "vmax": 10, "rounding": true}',
          "--set", 'noise={"kind": "discrete_geometric", "p": 0.8}'],
         ["--set", "scheduler=synchronous", "--set", "decomposition_intervals=[]",
          "--set", "n=41", "--set", "steps=60", "--set", "record_every=7"],
+        # n > 4096: the mean tracker is resynced every round
+        ["--set", "scheduler=synchronous", "--set", "decomposition_intervals=[]",
+         "--set", "n=4100", "--set", "steps=6", "--set", "record_every=4"],
     )
     outputs = []
     for kernel in (dynamics._kernel, None):
@@ -198,5 +201,33 @@ def test_run_byte_identical_without_kernel(tmp_path, config_path, monkeypatch):
                          "--jobs", "1", *extra]) == 0
             files.update({(k, p.name): p.read_bytes() for p in out.iterdir()})
         outputs.append(files)
-    assert len(outputs[0]) == 13
+    assert len(outputs[0]) == 16
     assert outputs[0] == outputs[1]
+
+
+def test_init_whose_squares_overflow_exits_2(tmp_path, config_path, capsys):
+    """n = 100 values up to 1e300 have a finite sum but infinite potentials."""
+    out = tmp_path / "x"
+    argv = ["run", "--config", str(config_path), "--out", str(out), "--jobs", "1",
+            "--set", "n=100", "--set", "init.lo=0"]
+    assert main([*argv, "--set", "init.hi=1e300"]) == 2
+    assert capsys.readouterr().err.startswith("error: init: ")
+    assert not out.exists()
+    assert main([*argv, "--set", "init.hi=1e150"]) == 0
+    assert "inf" not in (out / "trace_run0000.csv").read_text()
+
+
+def test_tracker_drift_exits_2_with_one_line(tmp_path, capsys):
+    """Values near 1e12 that differ by at most 10 leave the potential tracker
+    too few digits: the error keeps the tracker, the step and both values."""
+    config = dict(BASE_CONFIG, n=100, init={"kind": "uniform", "lo": 1e12, "hi": 1e12 + 10},
+                  steps=5000, record_every=5000, decomposition_intervals=[[0, 5000]], runs=1)
+    path = tmp_path / "drift.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "x"
+    assert main(["run", "--config", str(path), "--out", str(out), "--seed", "1",
+                 "--jobs", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err == ("error: potential tracker drifted: 38.23122319355599 vs "
+                   "38.24231190979481 at step 5000\n")
+    assert not out.exists()

@@ -271,6 +271,52 @@ def test_engine_mean_tracker_verified():
         engine.refresh()
 
 
+def test_synchronous_engine_mean_tracker_verified():
+    """At n > 4096 a resync is due every round; it runs before the next round,
+    so the refresh after a round still checks the tracked mean."""
+    pop = init_population(make_rng(31).uniform(0, 100, 5000))
+    engine = SynchronousEngine(pop, Gaussian(1.0), Real(), make_rng(32))
+    assert engine._resync_every == 1
+    engine.advance(3)
+    engine.refresh()  # passes on an honest tracker
+    engine.mean += 1.0
+    engine.advance(1)
+    with pytest.raises(NumericalDriftError):
+        engine.refresh()
+
+
+def test_synchronous_advance_resyncs_every_interval(monkeypatch):
+    """One long advance resyncs the mean tracker on the values after every
+    ``_resync_every`` rounds, as advancing one interval at a time shows."""
+    start = make_rng(34).uniform(0, 100, 64)
+    twin = SynchronousEngine(init_population(start), Gaussian(1.0), Real(), make_rng(35))
+    every = twin._resync_every
+    assert every == 64
+    due = []
+    for _ in range(3):
+        twin.advance(every)
+        due.append(twin.values.copy())
+    engine = SynchronousEngine(init_population(start), Gaussian(1.0), Real(), make_rng(35))
+    seen = []
+    exact = dynamics._exact
+
+    def spy(values, with_phibar, view):
+        assert view is engine._view  # the compiled sums, where there is a kernel
+        seen.append(values.copy())
+        return exact(values, with_phibar, view)
+
+    assert (engine._view is None) == (dynamics._kernel is None)
+    monkeypatch.setattr(dynamics, "_exact", spy)
+    engine.advance(3 * every + 8)
+    monkeypatch.undo()
+    assert len(seen) == 3
+    assert all(np.array_equal(a, b) for a, b in zip(seen, due))
+    assert engine._since_resync == 8
+    twin.advance(8)
+    assert engine.values.tobytes() == twin.values.tobytes()
+    assert _bits(engine.mean) == _bits(twin.mean)
+
+
 def test_same_seed_same_trajectory():
     runs = []
     for _ in range(2):
@@ -378,6 +424,88 @@ def test_kernel_floor_division_matches_python():
 def test_kernel_floor_division_matches_python_anywhere(v):
     got, want = dynamics._kernel.py_floordiv(v, 2.0), v // 2.0
     assert (math.isnan(got) and math.isnan(want)) or _bits(got) == _bits(want)
+
+
+#: Summands that cancel, sit at the ends of the float range or are signed zeros.
+EXACT_EDGE_FLOATS = [1e16, 1.0, -1e16, 1e-16, -1e-16, 0.0, -0.0, 5e-324, -5e-324,
+                     2.2250738585072009e-308, -2.2250738585072014e-308, 1e200, -1e200,
+                     1.7976931348623157e308, -1.7976931348623157e308, 2.0**53 + 1.0, 0.1]
+EXACT_FINITE = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                         st.floats(-1e6, 1e6), st.sampled_from(EXACT_EDGE_FLOATS))
+
+
+def _exact_outcome(values, with_phibar, view=None):
+    """float.hex of what ``_exact`` returns, or the type of what it raises."""
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            mean, phibar = dynamics._exact(values, with_phibar, view)
+    except (OverflowError, ValueError) as exc:
+        return type(exc)
+    return mean.hex(), None if phibar is None else phibar.hex()
+
+
+def _assert_exact_matches_fsum(values, with_phibar):
+    """The compiled sums (through a kernel view) against the fsum body."""
+    view = dynamics._kernel_view(values)
+    assert view is not None
+    assert _exact_outcome(values, with_phibar, view) == _exact_outcome(values, with_phibar)
+
+
+@needs_kernel
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(values=st.lists(EXACT_FINITE, min_size=2, max_size=300), with_phibar=st.booleans())
+def test_compiled_exact_matches_fsum(values, with_phibar):
+    """``exact_moments`` returns math.fsum's correctly rounded sums bit for bit
+    (or hands over to it where a sum or a square overflows)."""
+    _assert_exact_matches_fsum(np.array(values), with_phibar)
+
+
+@needs_kernel
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(values=st.lists(st.one_of(EXACT_FINITE, st.sampled_from([math.inf, -math.inf, math.nan])),
+                       min_size=2, max_size=40),
+       with_phibar=st.booleans())
+def test_compiled_exact_matches_fsum_on_non_finite_values(values, with_phibar):
+    """inf, -inf and NaN give fsum's value, OverflowError or ValueError."""
+    _assert_exact_matches_fsum(np.array(values), with_phibar)
+
+
+@needs_kernel
+def test_compiled_exact_sums_itself_and_declines_what_fsum_must_do():
+    """The kernel sums ordinary values itself; it declines non-finite values,
+    an intermediate overflow and more partials than it keeps, where ``_exact``
+    then gives fsum's answer."""
+    def code(values):
+        return dynamics._kernel.exact_moments(dynamics._kernel_view(values), len(values), 1,
+                                              dynamics._MOMENTS())
+
+    assert code(np.array([1e16, 1.0, -1e16, 1e-16])) == 0
+    assert code(make_rng(1).uniform(1e12, 1e12 + 10, 300)) == 0
+    many_partials = [2.0 ** (60 * k - 1000) for k in range(34)]
+    declined = [[1.0, math.inf], [math.nan, 1.0], [math.inf, -math.inf],
+                [1.7e308, 1.7e308, -1.7e308], [1e200, -1e200], many_partials]
+    for values in declined:
+        assert code(np.array(values)) != 0
+        for with_phibar in (True, False):
+            _assert_exact_matches_fsum(np.array(values), with_phibar)
+    assert _exact_outcome(np.array([1.7e308, 1.7e308, -1.7e308]), False) is OverflowError
+    assert _exact_outcome(np.array([math.inf, -math.inf]), True) is ValueError
+
+
+@needs_kernel
+def test_kernel_view_only_of_arrays_the_kernel_can_take(monkeypatch):
+    """Other arrays, and every array without a kernel, get the fsum body."""
+    frozen = np.arange(4.0)
+    frozen.flags.writeable = False
+    assert dynamics._kernel_view(np.arange(4.0)) is not None
+    for values in (frozen, np.arange(8.0)[::2], np.arange(6.0).reshape(2, 3),
+                   np.arange(4, dtype=np.float32), np.arange(4.0).astype(">f8"), np.zeros(0)):
+        assert dynamics._kernel_view(values) is None
+    values = np.arange(4.0)
+    view = dynamics._kernel_view(values)
+    monkeypatch.setattr(dynamics, "_kernel", None)
+    assert dynamics._kernel_view(values) is None
+    assert dynamics._exact(values, True, view) == (1.5, 5.0)
 
 
 def test_kernel_is_built_where_a_compiler_exists():
