@@ -35,7 +35,7 @@ def _parse_set(pairs: list[str]) -> list[tuple[list[str], object]]:
         key, raw = pair.split("=", 1)
         try:
             value = json.loads(raw)
-        except json.JSONDecodeError:
+        except ValueError:  # not JSON, or an integer of more digits than Python reads
             value = raw
         out.append((key.split("."), value))
     return out
@@ -57,7 +57,12 @@ def _apply_overrides(config_dict: dict, overrides: list[str]) -> dict:
 
 def _resolve_config(args) -> harness.ExperimentConfig:
     with open(args.config) as fh:
-        config_dict = json.load(fh)
+        try:
+            config_dict = json.load(fh)
+        except ValueError as exc:
+            raise ConfigError(f"--config: {args.config} is not valid JSON: {exc}") from exc
+    if not isinstance(config_dict, dict):
+        raise ConfigError(f"--config: {args.config} must hold a JSON object")
     if args.seed is not None:
         config_dict["master_seed"] = args.seed
     elif "master_seed" not in config_dict:

@@ -141,7 +141,7 @@ def parallel_time(t_sequential: int, n: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# single-interaction arithmetic (shared by step, replay and the engines)
+# single-interaction arithmetic (the Python oracle: replay and reference loop)
 # ---------------------------------------------------------------------------
 
 
@@ -202,40 +202,6 @@ def _apply_pair(xi, xj, ni, nj, ui, uj, flags):
     return vi, vj, ri, rj
 
 
-def _replay_pair(xi, xj, ni, nj, ri, rj, flags):
-    """Deterministic re-application of one exchange from recorded offsets."""
-    do_round, do_clamp, vmin, vmax = flags
-    wi = xj + nj
-    wj = xi + ni
-    if do_clamp:
-        if wi > vmax:
-            wi = vmax
-        elif wi < vmin:
-            wi = vmin
-        if wj > vmax:
-            wj = vmax
-        elif wj < vmin:
-            wj = vmin
-    si = xi + wi
-    sj = xj + wj
-    if do_round:
-        vi = si // 2.0 + 1.0 if ri > 0 else (si // 2.0 if ri < 0 else si * 0.5)
-        vj = sj // 2.0 + 1.0 if rj > 0 else (sj // 2.0 if rj < 0 else sj * 0.5)
-    else:
-        vi = si * 0.5
-        vj = sj * 0.5
-    if do_clamp:
-        if vi > vmax:
-            vi = vmax
-        elif vi < vmin:
-            vi = vmin
-        if vj > vmax:
-            vj = vmax
-        elif vj < vmin:
-            vj = vmin
-    return vi, vj
-
-
 def apply_rule(value: float, rule: UpdateRule, rng: np.random.Generator) -> float:
     """Post-average transform of one stored value under ``rule``.
 
@@ -263,24 +229,11 @@ def sequential_step(
     pop: Population, model: NoiseModel, rule: UpdateRule, rng: np.random.Generator
 ) -> StepEvent:
     """One uniformly random interaction (i, j drawn with replacement)."""
-    n = pop.n
-    flags = _rule_flags(rule)
-    ij = rng.integers(0, n, size=2)
-    i, j = int(ij[0]), int(ij[1])
-    noise = sample_batch(model, rng, 2)
-    coins = rng.random(2) if flags[0] else (0.0, 0.0)
-    if i == j:
-        inter = Interaction(i, i, 0.0, 0.0, 0, 0)
-    else:
-        ni, nj = float(noise[0]), float(noise[1])
-        vi, vj, ri, rj = _apply_pair(
-            pop.values[i], pop.values[j], ni, nj, coins[0], coins[1], flags
-        )
-        pop.values[i] = vi
-        pop.values[j] = vj
-        inter = Interaction(i, j, ni, nj, ri, rj)
+    # the step API keeps no trackers, so the tracker state passed is discarded
+    events: list = []
+    _sequential_chunk(pop.values, 1, model, rng, _rule_flags(rule), False, [0.0] * 5, events)
     pop.step_count += 1
-    return StepEvent([inter])
+    return events[0]
 
 
 def synchronous_step(
@@ -289,39 +242,27 @@ def synchronous_step(
     """One synchronous round: a uniform random perfect matching, all pairs
     updating from the pre-round values.  For odd n the leftover agent
     self-pairs and keeps its value."""
-    n = pop.n
-    flags = _rule_flags(rule)
-    perm = rng.permutation(n)
-    npairs = n // 2
-    noise = sample_batch(model, rng, 2 * npairs)
-    coins = rng.random(2 * npairs) if flags[0] else None
-    old = pop.values.copy()
-    interactions = []
-    for k in range(npairs):
-        i, j = int(perm[2 * k]), int(perm[2 * k + 1])
-        ni, nj = float(noise[2 * k]), float(noise[2 * k + 1])
-        ui, uj = (coins[2 * k], coins[2 * k + 1]) if coins is not None else (0.0, 0.0)
-        vi, vj, ri, rj = _apply_pair(old[i], old[j], ni, nj, ui, uj, flags)
-        pop.values[i] = vi
-        pop.values[j] = vj
-        interactions.append(Interaction(i, j, ni, nj, ri, rj))
-    if n % 2 == 1:
-        k = int(perm[-1])
-        interactions.append(Interaction(k, k, 0.0, 0.0, 0, 0))
+    events: list = []
+    _synchronous_round(pop.values, model, rng, _rule_flags(rule), [0.0] * 5, events)
     pop.step_count += 1
-    return StepEvent(interactions)
+    return events[0]
 
 
 def replay_event(pop: Population, event: StepEvent, rule: UpdateRule) -> None:
-    """Re-apply a recorded event; bit-for-bit identical to the original step."""
+    """Re-apply a recorded event; bit-for-bit identical to the original step.
+
+    A recorded offset of +1 replays as a coin below 1/2 (round up), any other
+    as one above; ``_apply_pair`` reads a coin only where the rule rounds and
+    the sum is not exactly even, where the step recorded a nonzero offset.
+    """
     flags = _rule_flags(rule)
     pre = pop.values if len(event.interactions) == 1 else pop.values.copy()
     for it in event.interactions:
         if it.i == it.j:
             continue
-        vi, vj = _replay_pair(
-            pre[it.i], pre[it.j], it.noise_i, it.noise_j, it.round_i, it.round_j, flags
-        )
+        vi, vj, _, _ = _apply_pair(pre[it.i], pre[it.j], it.noise_i, it.noise_j,
+                                   0.0 if it.round_i > 0 else 1.0,
+                                   0.0 if it.round_j > 0 else 1.0, flags)
         pop.values[it.i] = vi
         pop.values[it.j] = vj
     pop.step_count += 1
@@ -428,9 +369,10 @@ def _pairs_reference(values, pairs, noise, coins, flags, decomp, state, offsets)
 
 
 def _address(arr: Optional[np.ndarray], dtype: np.dtype) -> Optional[int]:
-    """Address of a kernel buffer (``from_buffer`` rejects read-only and
-    non-contiguous arrays, and is cheaper than ``arr.ctypes.data``)."""
-    if arr is None:
+    """Address of a kernel buffer, or None for no buffer or an empty one
+    (``from_buffer`` rejects read-only, non-contiguous and empty arrays, and
+    is cheaper than ``arr.ctypes.data``)."""
+    if arr is None or not arr.size:
         return None
     if arr.dtype != dtype:
         raise TypeError(f"kernel buffer must be a {dtype} array, got {arr.dtype}")
@@ -472,6 +414,43 @@ def _interactions(pairs: np.ndarray, noise: np.ndarray, offsets: np.ndarray):
             yield Interaction(i, j, z[k], z[k + 1], r[k], r[k + 1])
 
 
+def _sequential_chunk(values: np.ndarray, b: int, model: NoiseModel, rng: np.random.Generator,
+                      flags, decomp: bool, state: list, collect: Optional[list]) -> list:
+    """Draw ``b`` steps (pairs, then noise, then coins) and apply them; returns
+    the updated ``state``.  With ``collect``, appends one StepEvent per step."""
+    pairs = rng.integers(0, len(values), size=2 * b)
+    noise = sample_batch(model, rng, 2 * b)
+    coins = rng.random(2 * b) if flags[0] else None
+    offsets = np.zeros(2 * b, np.int8) if collect is not None else None
+    state = _run_pairs(values, pairs, noise, coins, flags, decomp, state, offsets)
+    if collect is not None:
+        collect.extend(StepEvent([it]) for it in _interactions(pairs, noise, offsets))
+    return state
+
+
+def _synchronous_round(values: np.ndarray, model: NoiseModel, rng: np.random.Generator,
+                       flags, state: list, collect: Optional[list]) -> list:
+    """Draw one round (a permutation, then noise, then coins) and apply it in
+    place: the pairs are disjoint, so each reads the pre-round values.  Returns
+    the updated ``state``.  With ``collect``, appends the round's StepEvent,
+    ending in the leftover self-pair when n is odd."""
+    n = len(values)
+    npairs = n // 2
+    perm = rng.permutation(n)
+    noise = sample_batch(model, rng, 2 * npairs)
+    coins = rng.random(2 * npairs) if flags[0] else None
+    offsets = np.zeros(2 * npairs, np.int8) if collect is not None else None
+    pairs = perm[: 2 * npairs]
+    state = _run_pairs(values, pairs, noise, coins, flags, False, state, offsets)
+    if collect is not None:
+        interactions = list(_interactions(pairs, noise, offsets))
+        if n % 2 == 1:
+            k = int(perm[-1])
+            interactions.append(Interaction(k, k, 0.0, 0.0, 0, 0))
+        collect.append(StepEvent(interactions))
+    return state
+
+
 class _Engine:
     """What both engines share: the values, the running-mean tracker and the
     exact recomputation that checks it."""
@@ -492,9 +471,6 @@ class _Engine:
         self.step = pop.step_count
         self.phibar: Optional[float] = None
         self._since_resync = 0
-
-    def values_array(self) -> np.ndarray:
-        return self.values
 
     def refresh(self, rel_tol: float = 1e-6) -> tuple[float, float]:
         """Recompute mean and potential; verify and resync the trackers."""
@@ -563,22 +539,14 @@ class SequentialEngine(_Engine):
     def advance(self, steps: int, collect: Optional[list] = None) -> None:
         if steps <= 0:
             return
-        rng = self.rng
-        n = self.n
         decomp = self._decomp
         state = [self.mean, self.phibar if decomp else 0.0,
                  self.s_prime, self.s_star, self.s_minus]
         done = 0
         while done < steps:
             b = min(CHUNK, steps - done, self._resync_every - self._since_resync)
-            pairs = rng.integers(0, n, size=2 * b)
-            noise = sample_batch(self.model, rng, 2 * b)
-            coins = rng.random(2 * b) if self.flags[0] else None
-            offsets = np.zeros(2 * b, np.int8) if collect is not None else None
-            state = _run_pairs(self.values, pairs, noise, coins, self.flags, decomp, state,
-                               offsets)
-            if collect is not None:
-                collect.extend(StepEvent([it]) for it in _interactions(pairs, noise, offsets))
+            state = _sequential_chunk(self.values, b, self.model, self.rng, self.flags, decomp,
+                                      state, collect)
             done += b
             self._since_resync += b
             if self._since_resync >= self._resync_every:
@@ -595,10 +563,9 @@ class SequentialEngine(_Engine):
 class SynchronousEngine(_Engine):
     """Drives one synchronous run; ``advance`` counts rounds, not interactions.
 
-    The pairs of a round are disjoint, so updating them in place in matching
-    order still reads the pre-round values.  A due resync of the mean tracker
-    runs before the next round rather than after the last one, so a
-    ``refresh`` between the two (which resyncs too) replaces it.
+    A due resync of the mean tracker runs before the next round rather than
+    after the last one, so a ``refresh`` between the two (which resyncs too)
+    replaces it.
     """
 
     _unit = "round"
@@ -611,27 +578,13 @@ class SynchronousEngine(_Engine):
     def advance(self, rounds: int, collect: Optional[list] = None) -> None:
         if rounds <= 0:
             return
-        rng = self.rng
-        n = self.n
-        npairs = n // 2
         state = [self.mean, 0.0, 0.0, 0.0, 0.0]
         for _ in range(rounds):
             if self._since_resync >= self._resync_every:
                 state[0] = _exact(self.values, False, self._view)[0]
                 self._since_resync = 0
-            perm = rng.permutation(n)
-            noise = sample_batch(self.model, rng, 2 * npairs)
-            coins = rng.random(2 * npairs) if self.flags[0] else None
-            offsets = np.zeros(2 * npairs, np.int8) if collect is not None else None
-            pairs = perm[: 2 * npairs]
-            state = _run_pairs(self.values, pairs, noise, coins, self.flags, False, state,
-                               offsets)
-            if collect is not None:
-                interactions = list(_interactions(pairs, noise, offsets))
-                if n % 2 == 1:
-                    k = int(perm[-1])
-                    interactions.append(Interaction(k, k, 0.0, 0.0, 0, 0))
-                collect.append(StepEvent(interactions))
+            state = _synchronous_round(self.values, self.model, self.rng, self.flags, state,
+                                       collect)
             self._since_resync += 1
         self.mean = state[0]
         self.step += rounds

@@ -10,6 +10,7 @@ against full recomputations.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import dataclasses
 import json
@@ -102,9 +103,10 @@ class ExperimentConfig:
         if isinstance(self.init, UniformInit) and not self.init.lo < self.init.hi:
             raise ConfigError(f"init: uniform range needs lo < hi, got [{self.init.lo}, {self.init.hi}]")
         # |x - mean| <= 2 m, so every step-0 sum of squares (tss, phi_bar and
-        # phi = 2 n phi_bar) is at most 2 n^2 (2 m)^2.
+        # phi = 2 n phi_bar) is at most 2 n^2 (2 m)^2.  From n = 2^512 on that
+        # product is inf or nan, and n may be too large for a float at all.
         m = float(np.max(np.abs(_init_numbers(self.init))))
-        if not math.isfinite(2.0 * self.n * self.n * (2.0 * m) * (2.0 * m)):
+        if self.n >= 2**512 or not math.isfinite(2.0 * self.n * self.n * (2.0 * m) * (2.0 * m)):
             raise ConfigError(
                 f"init: values up to {m} are not finite or too large for n={self.n} "
                 "(2 n^2 (2 max |value|)^2 must be finite, so that the sums of squares are)"
@@ -139,120 +141,120 @@ def _init_numbers(init: InitSpec) -> tuple[float, ...]:
     return init.values
 
 
-def _noise_to_json(model: NoiseModel) -> dict:
-    if isinstance(model, Gaussian):
-        return {"kind": "gaussian", "sigma2": model.sigma2}
-    if isinstance(model, DiscreteGeometric):
-        return {"kind": "discrete_geometric", "p": model.p}
-    return {"kind": "zero"}
+#: The ``kind`` of each init, noise and rule object and the class it builds.
+KINDS = {
+    "init": {"uniform": UniformInit, "constant": ConstantInit, "explicit": ExplicitInit},
+    "noise": {"gaussian": Gaussian, "discrete_geometric": DiscreteGeometric, "zero": Zero},
+    "rule": {"real": Real, "discrete_rounding": DiscreteRounding, "cutoff": Cutoff},
+}
+_KIND_OF = {cls: kind for classes in KINDS.values() for kind, cls in classes.items()}
 
 
-def _noise_from_json(d: dict) -> NoiseModel:
-    kind = d.get("kind")
-    if kind == "gaussian":
-        return Gaussian(float(d["sigma2"]))
-    if kind == "discrete_geometric":
-        return DiscreteGeometric(float(d["p"]))
-    if kind == "zero":
-        return Zero()
-    raise ConfigError(f"noise: unknown kind {kind!r}")
+def _read_int(v) -> int:
+    """A JSON integer, an integral float such as ``2e2``, or a string such as ``"12"``."""
+    integral = isinstance(v, float) and v.is_integer()
+    if integral or (isinstance(v, (int, str)) and not isinstance(v, bool)):
+        with contextlib.suppress(ValueError):
+            return int(v)
+    raise ValueError(f"expected an integer, got {v!r}")
 
 
-def _rule_to_json(rule: UpdateRule) -> dict:
-    if isinstance(rule, Real):
-        return {"kind": "real"}
-    if isinstance(rule, DiscreteRounding):
-        return {"kind": "discrete_rounding"}
-    return {"kind": "cutoff", "vmin": rule.vmin, "vmax": rule.vmax, "rounding": rule.rounding}
+def _read_float(v) -> float:
+    """A JSON number, or a string such as ``"5"``, as a float."""
+    if isinstance(v, (int, float, str)) and not isinstance(v, bool):
+        with contextlib.suppress(OverflowError, ValueError):
+            return float(v)
+    raise ValueError(f"expected a number, got {v!r}")
 
 
-def _rule_from_json(d: dict) -> UpdateRule:
-    kind = d.get("kind")
-    if kind == "real":
-        return Real()
-    if kind == "discrete_rounding":
-        return DiscreteRounding()
-    if kind == "cutoff":
-        return Cutoff(float(d["vmin"]), float(d["vmax"]), bool(d.get("rounding", False)))
-    raise ConfigError(f"rule: unknown kind {kind!r}")
+def _read_only(types, what: str):
+    """A reader that passes on values of ``types`` and rejects the rest."""
+    def read(v):
+        if not isinstance(v, types):
+            raise ValueError(f"expected {what}, got {v!r}")
+        return v
+    return read
 
 
-def _init_to_json(init: InitSpec) -> dict:
-    if isinstance(init, UniformInit):
-        return {"kind": "uniform", "lo": init.lo, "hi": init.hi}
-    if isinstance(init, ConstantInit):
-        return {"kind": "constant", "v": init.v}
-    return {"kind": "explicit", "values": list(init.values)}
+_read_list = _read_only((list, tuple), "a list")
 
 
-def _init_from_json(d: dict) -> InitSpec:
-    kind = d.get("kind")
-    if kind == "uniform":
-        return UniformInit(float(d["lo"]), float(d["hi"]))
-    if kind == "constant":
-        return ConstantInit(float(d["v"]))
-    if kind == "explicit":
-        return ExplicitInit(tuple(float(v) for v in d["values"]))
-    raise ConfigError(f"init: unknown kind {kind!r}")
+def _read_interval(v) -> tuple[int, int]:
+    if len(_read_list(v)) != 2:
+        raise ValueError(f"expected [t0, t1] pairs, got {v!r}")
+    return _read_int(v[0]), _read_int(v[1])
 
 
-def _kind_from_json(d: dict, key: str, parse):
-    """Parse the ``{"kind": ...}`` object under ``key``, naming ``key`` on error."""
-    spec = d[key]
-    if not isinstance(spec, dict):
-        raise ConfigError(f"{key}: expected an object with a \"kind\", got {spec!r}")
+#: The reader of each field type (the annotation, as written) of the config classes.
+_READERS = {
+    "int": _read_int,
+    "float": _read_float,
+    "bool": _read_only(bool, "true or false"),
+    "str": _read_only(str, "a string"),
+    "tuple[float, ...]": lambda v: tuple(map(_read_float, _read_list(v))),
+    "tuple[tuple[int, int], ...]": lambda v: tuple(map(_read_interval, _read_list(v))),
+}
+
+
+def _from_json(cls, d: dict, where: str = ""):
+    """Build the config class ``cls`` from the JSON object ``d``.
+
+    Every error is a ConfigError whose message starts with ``where`` (the
+    enclosing field, as ``"noise: "``) and names the field at fault.
+    """
+    if not isinstance(d, dict):
+        raise ConfigError(f"{where}expected an object, got {d!r}")
+    fields = dataclasses.fields(cls)
+    unknown = set(d) - {f.name for f in fields}
+    if unknown:
+        raise ConfigError(f"{where}unknown config fields: {sorted(unknown)}")
+    kwargs = {}
+    for f in fields:
+        if f.name not in d:
+            if f.default is dataclasses.MISSING:
+                raise ConfigError(f"{where}missing config field: {f.name}")
+        elif f.name in KINDS:
+            kwargs[f.name] = _read_kind(f.name, d[f.name])
+        else:
+            try:
+                kwargs[f.name] = _READERS[f.type](d[f.name])
+            except ValueError as exc:
+                raise ConfigError(f"{where}{f.name}: {exc}") from exc
     try:
-        return parse(spec)
+        return cls(**kwargs)
     except ParameterError as exc:
-        raise ConfigError(f"{key}: {exc}") from exc
+        raise ConfigError(f"{where}{exc}") from exc
+
+
+def _read_kind(name: str, spec):
+    """The ``{"kind": ...}`` object ``spec`` of the field ``name`` as its class."""
+    if not isinstance(spec, dict):
+        raise ConfigError(f"{name}: expected an object with a \"kind\", got {spec!r}")
+    fields = dict(spec)
+    kind = fields.pop("kind", None)
+    if not isinstance(kind, str) or kind not in KINDS[name]:
+        raise ConfigError(f"{name}: unknown kind {kind!r}")
+    return _from_json(KINDS[name][kind], fields, f"{name}: ")
+
+
+def _to_json(obj):
+    """A config object as JSON data: ``kind`` first where it has one, then its
+    fields in declaration order; tuples as lists."""
+    if dataclasses.is_dataclass(obj):
+        out = {"kind": _KIND_OF[type(obj)]} if type(obj) in _KIND_OF else {}
+        out.update((f.name, _to_json(getattr(obj, f.name))) for f in dataclasses.fields(obj))
+        return out
+    if isinstance(obj, tuple):
+        return [_to_json(x) for x in obj]
+    return obj
 
 
 def config_to_json_dict(config: ExperimentConfig) -> dict:
-    return {
-        "n": config.n,
-        "init": _init_to_json(config.init),
-        "scheduler": config.scheduler,
-        "noise": _noise_to_json(config.noise),
-        "rule": _rule_to_json(config.rule),
-        "steps": config.steps,
-        "master_seed": config.master_seed,
-        "record_every": config.record_every,
-        "decomposition_intervals": [list(iv) for iv in config.decomposition_intervals],
-        "runs": config.runs,
-    }
+    return _to_json(config)
 
 
 def config_from_json_dict(d: dict) -> ExperimentConfig:
-    known = {
-        "n", "init", "scheduler", "noise", "rule", "steps",
-        "master_seed", "record_every", "decomposition_intervals", "runs",
-    }
-    unknown = set(d) - known
-    if unknown:
-        raise ConfigError(f"unknown config fields: {sorted(unknown)}")
-    try:
-        config = ExperimentConfig(
-            n=int(d["n"]),
-            init=_kind_from_json(d, "init", _init_from_json),
-            scheduler=str(d["scheduler"]),
-            noise=_kind_from_json(d, "noise", _noise_from_json),
-            rule=_kind_from_json(d, "rule", _rule_from_json),
-            steps=int(d["steps"]),
-            master_seed=int(d["master_seed"]),
-            record_every=int(d["record_every"]),
-            decomposition_intervals=tuple(
-                (int(t0), int(t1)) for t0, t1 in d.get("decomposition_intervals", [])
-            ),
-            runs=int(d.get("runs", 1)),
-        )
-    except ConfigError:
-        raise
-    except KeyError as exc:
-        raise ConfigError(f"missing config field: {exc.args[0]}") from exc
-    except ParameterError as exc:
-        raise ConfigError(str(exc)) from exc
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"malformed config value: {exc}") from exc
+    config = _from_json(ExperimentConfig, d)
     config.validate()
     return config
 
@@ -320,7 +322,7 @@ def _initial_values(config: ExperimentConfig, rng) -> np.ndarray:
 
 def _snapshot_from_engine(engine, step: int, initial_average: float,
                           mean: float, phibar: float) -> PotentialSnapshot:
-    vals = engine.values_array()
+    vals = engine.values
     d0 = vals - initial_average
     n = len(vals)
     return PotentialSnapshot(
@@ -392,7 +394,7 @@ def run_single(config: ExperimentConfig, run_index: int,
             open_phi0 = phibar
 
     engine.finish()
-    vals = engine.values_array()
+    vals = engine.values
     trace.final_values = FinalSummary(
         minimum=float(vals.min()),
         maximum=float(vals.max()),
@@ -651,33 +653,9 @@ def emit_decomposition_csv(trace: TraceRecord, path) -> None:
 
 def read_trace_csv(path) -> list[PotentialSnapshot]:
     """Parse a trace CSV back into snapshots (exact round-trip)."""
-    out = []
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        for row in reader:
-            out.append(
-                PotentialSnapshot(
-                    step=int(row["step"]),
-                    tss=float(row["tss"]),
-                    phi_bar=float(row["phi_bar"]),
-                    phi=float(row["phi"]),
-                    running_avg=float(row["running_avg"]),
-                    drift=float(row["drift"]),
-                )
-            )
-    return out
-
-
-def _snapshot_dict(s: PotentialSnapshot, n: int) -> dict:
-    return {
-        "step": s.step,
-        "tss": s.tss,
-        "phi_bar": s.phi_bar,
-        "phi": s.phi,
-        "running_avg": s.running_avg,
-        "drift": s.drift,
-        "parallel_time": s.step / n,
-    }
+        return [PotentialSnapshot(int(row["step"]), *(float(row[c]) for c in TRACE_COLUMNS[1:6]))
+                for row in csv.DictReader(fh)]
 
 
 def summary_dict(traces: list[TraceRecord], config: ExperimentConfig,
@@ -699,21 +677,15 @@ def summary_dict(traces: list[TraceRecord], config: ExperimentConfig,
         "runs": [
             {
                 "run_index": t.run_index,
-                "final": _snapshot_dict(t.snapshots[-1], t.n),
+                "final": {**dataclasses.asdict(t.snapshots[-1]),
+                          "parallel_time": t.snapshots[-1].step / t.n},
                 "final_values": {
                     "min": t.final_values.minimum,
                     "max": t.final_values.maximum,
                     "mean": t.final_values.mean,
                 },
                 "decompositions": [
-                    {
-                        "t0": rec.accumulator.t0,
-                        "t1": rec.accumulator.t1,
-                        "s_prime": rec.accumulator.s_prime,
-                        "s_star": rec.accumulator.s_star,
-                        "s_minus": rec.accumulator.s_minus,
-                        "bound_holds": rec.bound_holds,
-                    }
+                    {**dataclasses.asdict(rec.accumulator), "bound_holds": rec.bound_holds}
                     for rec in t.decompositions
                 ],
             }

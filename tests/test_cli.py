@@ -168,6 +168,20 @@ def test_verify_passes():
         ("noise=gaussian", "noise"),
         ("init=[0, 10]", "init"),
         ("rule=real", "rule"),
+        ("n=2.5", "n"),
+        ("steps=200.7", "steps"),
+        ("runs=1.5", "runs"),
+        ("runs=true", "runs"),
+        ("master_seed=1.5", "master_seed"),
+        ('rule={"kind": "cutoff", "vmin": 0, "vmax": 10, "rounding": "false"}', "rule"),
+        ('rule={"kind": "cutoff", "vmin": 0, "vmax": 10, "round": true}', "rule"),
+        ("n=abc", "n"),
+        ('noise.sigma2="abc"', "noise"),
+        ("init.lo=abc", "init"),
+        ("decomposition_intervals=[[0]]", "decomposition_intervals"),
+        ("master_seed=abc", "master_seed"),
+        ("n=1e400", "n"),
+        ("steps=1e400", "steps"),
     ],
 )
 def test_malformed_config_exits_2_naming_the_field(tmp_path, config_path, capsys, override,
@@ -176,6 +190,31 @@ def test_malformed_config_exits_2_naming_the_field(tmp_path, config_path, capsys
     assert main(["run", "--config", str(config_path), "--out", str(out), "--jobs", "1",
                  "--set", override]) == 2
     assert capsys.readouterr().err.startswith(f"error: {field}: ")
+    assert not out.exists()
+
+
+def test_integer_beyond_the_float_range_exits_2(tmp_path, config_path, capsys):
+    """n = 10^400 is a JSON integer no float holds; the init check names it."""
+    out = tmp_path / "x"
+    assert main(["run", "--config", str(config_path), "--out", str(out), "--jobs", "1",
+                 "--set", "n=1" + "0" * 400]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: init: ") and "n=1" + "0" * 400 in err
+    assert not out.exists()
+
+
+def test_json_that_python_cannot_read_exits_2(tmp_path, config_path, capsys):
+    """A config file that is not JSON or not an object, and an integer longer
+    than Python converts, are config errors, not tracebacks."""
+    out = tmp_path / "x"
+    broken = tmp_path / "broken.json"
+    for text in ('{"n": 40,', "[1, 2]"):
+        broken.write_text(text)
+        assert main(["run", "--config", str(broken), "--out", str(out), "--seed", "1"]) == 2
+        assert capsys.readouterr().err.startswith("error: --config: ")
+    assert main(["run", "--config", str(config_path), "--out", str(out), "--jobs", "1",
+                 "--set", "n=1" + "0" * 5000]) == 2
+    assert capsys.readouterr().err.startswith("error: n: expected an integer")
     assert not out.exists()
 
 

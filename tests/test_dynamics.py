@@ -30,7 +30,7 @@ from gossipavg import (
     synchronous_step,
 )
 from gossipavg import _native, dynamics
-from gossipavg.dynamics import SequentialEngine, SynchronousEngine
+from gossipavg.dynamics import Population, SequentialEngine, SynchronousEngine
 from gossipavg.errors import NumericalDriftError
 
 
@@ -96,6 +96,16 @@ def test_synchronous_odd_leftover_unchanged():
     assert len(self_pairs) == 1
     k = self_pairs[0].i
     assert pop.values[k] == before[k]
+
+
+def test_step_api_on_a_single_agent():
+    """One agent can only self-pair, so neither scheduler changes it."""
+    pop = Population(np.array([3.0]), 3.0)
+    for step in (sequential_step, synchronous_step):
+        event = step(pop, Gaussian(1.0), Real(), make_rng(40))
+        assert event.interactions == [Interaction(0, 0, 0.0, 0.0, 0, 0)]
+    assert pop.values.tolist() == [3.0]
+    assert pop.step_count == 2
 
 
 def test_synchronous_covers_everyone_once():
@@ -204,6 +214,21 @@ def test_replay_synchronous_bitexact():
     for event in events:
         replay_event(ref, event, Real())
     assert np.array_equal(pop.values, ref.values)
+
+
+@pytest.mark.parametrize("n", [30, 31])
+@pytest.mark.parametrize("rule", [DiscreteRounding(), Cutoff(1, 10, rounding=True)])
+def test_replay_synchronous_bitexact_rounding(n, rule):
+    """Replay maps each recorded rounding offset back to a coin that rounds
+    the same way; both offsets, and even sums (offset 0), occur."""
+    pop = init_population(np.floor(make_rng(27).uniform(0, 10, n)))
+    ref = pop.copy()
+    rng = make_rng(28)
+    events = [synchronous_step(pop, DiscreteGeometric(0.8), rule, rng) for _ in range(50)]
+    for event in events:
+        replay_event(ref, event, rule)
+    assert np.array_equal(pop.values, ref.values)
+    assert {it.round_i for event in events for it in event.interactions} == {-1, 0, 1}
 
 
 @pytest.mark.parametrize(

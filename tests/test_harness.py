@@ -1,15 +1,19 @@
 """Harness: config handling, trace recording, histograms, serialization."""
 
+import itertools
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gossipavg import (
     ConfigError,
     ConstantInit,
     DiscreteGeometric,
+    DiscreteRounding,
     ExperimentConfig,
     ExplicitInit,
     Gaussian,
@@ -17,6 +21,7 @@ from gossipavg import (
     ModelMismatchError,
     Real,
     UniformInit,
+    Zero,
     config_from_json_dict,
     config_to_json_dict,
     distance_histogram,
@@ -32,7 +37,7 @@ from gossipavg import (
     survival_fit,
 )
 from gossipavg.dynamics import Cutoff
-from gossipavg.harness import TraceRecord, summary_dict
+from gossipavg.harness import KINDS, TraceRecord, summary_dict
 
 
 def small_config(**overrides):
@@ -94,6 +99,85 @@ def test_config_rejects_unknown_fields():
     d["turbo"] = True
     with pytest.raises(ConfigError, match="turbo"):
         config_from_json_dict(d)
+
+
+FINITE = st.floats(-1e6, 1e6)
+POSITIVE = st.floats(1e-6, 1e6)
+
+
+@st.composite
+def ranges(draw):
+    lo, hi = draw(st.lists(FINITE, min_size=2, max_size=2, unique=True))
+    return min(lo, hi), max(lo, hi)
+
+
+@st.composite
+def valid_configs(draw, init, noise, rule):
+    """A config that validates, with the given init, noise and rule."""
+    steps = draw(st.integers(1, 10**6))
+    scheduler = draw(st.sampled_from(["sequential", "synchronous"]))
+    cuts = sorted(set(draw(st.lists(st.integers(0, steps), max_size=6))))
+    intervals = tuple(zip(cuts[0::2], cuts[1::2])) if scheduler == "sequential" else ()
+    n = len(init.values) if isinstance(init, ExplicitInit) else draw(st.integers(2, 10**4))
+    return ExperimentConfig(
+        n=n, init=init, scheduler=scheduler, noise=noise, rule=rule, steps=steps,
+        master_seed=draw(st.integers(0, 2**64)), record_every=draw(st.integers(1, steps)),
+        decomposition_intervals=intervals, runs=draw(st.integers(1, 1000)),
+    )
+
+
+@st.composite
+def objects_of_every_kind(draw):
+    """One init, noise and rule object of each kind, with random fields."""
+    (lo, hi), (vmin, vmax) = draw(ranges()), draw(ranges())
+    inits = [UniformInit(lo, hi), ConstantInit(draw(FINITE)),
+             ExplicitInit(tuple(draw(st.lists(FINITE, min_size=2, max_size=12))))]
+    noises = [Gaussian(draw(POSITIVE)), DiscreteGeometric(draw(st.floats(1e-6, 1.0))), Zero()]
+    rules = [Real(), DiscreteRounding(), Cutoff(vmin, vmax, rounding=draw(st.booleans()))]
+    return inits, noises, rules
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(kinds=objects_of_every_kind(), data=st.data())
+def test_config_json_round_trip_every_kind(kinds, data):
+    combos = list(itertools.product(*kinds))
+    assert len(combos) == 27 and {type(x) for c in combos for x in c} == {
+        cls for classes in KINDS.values() for cls in classes.values()}
+    for init, noise, rule in combos:
+        config = data.draw(valid_configs(init, noise, rule))
+        again = config_from_json_dict(json.loads(json.dumps(config_to_json_dict(config))))
+        assert again == config
+
+
+#: Values at the edges of what the fields take: non-finite, beyond the float
+#: range, of the wrong type, or numbers written as strings.
+EDGE_VALUES = [math.inf, -math.inf, math.nan, 10**400, -(10**400), 2.5, 0, -1, True, "abc",
+               "12", "1e400", [], {}, [0], {"kind": "zero"}]
+
+JSON_VALUES = st.recursive(
+    st.sampled_from(EDGE_VALUES) | st.none() | st.booleans() | st.integers() | st.floats()
+    | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner,
+                                                                 max_size=3),
+    max_leaves=6,
+)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(kinds=objects_of_every_kind(), data=st.data(), value=JSON_VALUES)
+def test_config_from_json_takes_any_value_in_any_field(kinds, data, value):
+    """Any JSON value in any field or sub-field gives a config or a ConfigError."""
+    config = data.draw(valid_configs(*(data.draw(st.sampled_from(k)) for k in kinds)))
+    d = config_to_json_dict(config)
+    paths = [(d, key) for key in d]
+    paths += [(d[name], key) for name in KINDS for key in d[name]]
+    paths += [(d["decomposition_intervals"], k) for k in range(len(config.decomposition_intervals))]
+    node, key = data.draw(st.sampled_from(paths))
+    node[key] = value
+    try:
+        assert isinstance(config_from_json_dict(d), ExperimentConfig)
+    except ConfigError:
+        pass
 
 
 def test_load_config_from_file(tmp_path):
