@@ -15,7 +15,6 @@ import ctypes
 import hashlib
 import os
 import shutil
-import subprocess
 import tempfile
 import warnings
 from pathlib import Path
@@ -47,6 +46,8 @@ def library_name(source: bytes) -> str:
 
 def _build(cc: str, source: bytes, path: Path) -> None:
     """Compile ``source`` to ``path`` through a temporary file and os.replace."""
+    import subprocess  # only a build needs it
+
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(prefix=path.stem + ".", suffix=".tmp", dir=path.parent)
     os.close(fd)

@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, bounds, harness, verify
+from . import __version__, bounds, harness
 from .errors import ConfigError, InsufficientDataError, NumericalDriftError, ParameterError
 from .noise import DiscreteGeometric, Gaussian, Zero
 
@@ -183,6 +183,8 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from . import verify  # only this command needs it
+
     ok = verify.run_verification()
     print("verification PASSED" if ok else "verification FAILED")
     return 0 if ok else 1

@@ -15,7 +15,6 @@ import csv
 import dataclasses
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence, Union
@@ -410,6 +409,8 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1,
     """Run the whole ensemble; results are in run order regardless of ``jobs``."""
     config.validate()
     if jobs > 1 and config.runs > 1:
+        from concurrent.futures import ProcessPoolExecutor  # only a pool needs it
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             return list(
                 pool.map(

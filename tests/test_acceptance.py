@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import gossipavg as ga
-from gossipavg import harness
+from gossipavg import harness, verify
 
 
 def _report(num: int, desc: str, ok: bool, detail: str, t0: float, part: str = "") -> bool:
@@ -45,21 +45,7 @@ def test_c01_identity_suite():
 
 def test_c02_one_step_exactness():
     t0 = time.perf_counter()
-    rng = ga.make_rng(102)
-    worst = 0.0
-    for _ in range(100_000):
-        n = int(rng.integers(2, 33))
-        values = rng.uniform(-1e3, 1e3, n)
-        i, j = rng.choice(n, 2, replace=False)
-        n_i, n_j = rng.normal(0, 5, 2)
-        mean = float(values.mean())
-        before = float(np.sum((values - mean) ** 2))
-        predicted = ga.one_step_delta(values[i], values[j], n_i, n_j, mean, n)
-        s = values[i] + values[j]
-        values[i] = (s + n_j) / 2
-        values[j] = (s + n_i) / 2
-        after = float(np.sum((values - values.mean()) ** 2))
-        worst = max(worst, abs(predicted - (after - before)) / max(before, after, 1.0))
+    worst = float(verify._onestep_errors(ga.make_rng(102), 100_000, 1e3, 5.0).max())
     ok = worst <= 1e-9
     assert _report(2, "one-step exactness", ok, f"max rel err {worst:.2e}", t0)
 

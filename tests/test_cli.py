@@ -1,6 +1,10 @@
 """Command-line interface end to end."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -158,6 +162,18 @@ def test_replicate_fig_a_small(tmp_path):
 
 def test_verify_passes():
     assert main(["verify"]) == 0
+
+
+def test_cli_import_leaves_pool_and_build_modules_unloaded():
+    """Only `--jobs > 1`, a kernel build and `verify` need these; the other
+    commands do not pay for importing them."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    probe = ("import sys, gossipavg.cli; print(sorted(m for m in ('concurrent.futures', "
+             "'multiprocessing', 'subprocess', 'gossipavg.verify') if m in sys.modules))")
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, check=True)
+    assert done.stdout.strip() == "[]"
 
 
 @pytest.mark.parametrize(
