@@ -26,7 +26,6 @@ from .noise import (
     is_smooth_at,
     m_quantile,
     moments,
-    sample,
     sample_batch,
 )
 from .dynamics import (
@@ -37,7 +36,6 @@ from .dynamics import (
     Real,
     StepEvent,
     UpdateRule,
-    apply_rule,
     init_population,
     parallel_time,
     replay_event,

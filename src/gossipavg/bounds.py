@@ -51,8 +51,10 @@ def bound_inputs(
     """Assemble BoundInputs with quantiles computed at delta/quantile_divisor."""
     if not 0.0 < delta < 1.0:
         raise ParameterError(f"delta must be in (0, 1), got {delta}")
-    if phi0 < 0.0:
-        raise ParameterError(f"phi0 must be nonnegative, got {phi0}")
+    if n < 1:
+        raise ParameterError(f"n must be at least 1, got {n}")
+    if not 0.0 <= phi0 < math.inf:
+        raise ParameterError(f"phi0 must be finite and nonnegative, got {phi0}")
     sub = delta / quantile_divisor
     return BoundInputs(
         n=n,
@@ -124,6 +126,8 @@ def convergence_time(
     empirical desk calibration and is exposed as a parameter.  Returns 0
     when the potential already starts below the noise floor E[N'] n delta.
     """
+    if not 0.0 < c < math.inf:
+        raise ParameterError(f"c must be positive and finite, got {c}")
     if mom.e_nprime <= 0.0:
         raise UndefinedPredictionError("convergence time is undefined for a noiseless channel")
     if not 0.0 < delta < 1.0:
@@ -197,14 +201,14 @@ def evaluate_all(
     Quantile budgets follow each formula's definition: ``b_prime`` uses
     delta/2 quantiles, ``z``/``b_star`` use delta/4 quantiles.
     """
+    in_half = bound_inputs(model, n, t, delta, phi0, quantile_divisor=2)
+    in_quarter = bound_inputs(model, n, t, delta, phi0, quantile_divisor=4)
     mom = moments(model)
     if not standing_assumption_ok(n, mom):
         warnings.warn(
             f"n E[N^2] = {n * mom.variance:.3g} < 1; the bounds assume unit noise scale",
             stacklevel=2,
         )
-    in_half = bound_inputs(model, n, t, delta, phi0, quantile_divisor=2)
-    in_quarter = bound_inputs(model, n, t, delta, phi0, quantile_divisor=4)
     sigma = math.sqrt(mom.variance)
     out = {
         "n": n,

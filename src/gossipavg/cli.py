@@ -20,8 +20,6 @@ import secrets
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__, bounds, harness
 from .errors import ConfigError, InsufficientDataError, NumericalDriftError, ParameterError
 from .noise import DiscreteGeometric, Gaussian, Zero
@@ -75,13 +73,15 @@ def _resolve_config(args) -> harness.ExperimentConfig:
 
 def _noise_from_arg(spec: str):
     kind, _, param = spec.partition(":")
-    if kind == "gaussian":
-        return Gaussian(float(param or 1.0))
-    if kind == "discrete":
-        return DiscreteGeometric(float(param or 0.8))
     if kind == "zero":
         return Zero()
-    raise ConfigError(f"--noise: expected gaussian[:sigma2], discrete[:p] or zero, got {spec!r}")
+    if kind not in ("gaussian", "discrete"):
+        raise ConfigError(f"--noise: expected gaussian[:sigma2], discrete[:p] or zero, got {spec!r}")
+    try:
+        value = float(param or (1.0 if kind == "gaussian" else 0.8))
+    except ValueError:
+        raise ConfigError(f"--noise: {kind}: expected a number, got {param!r}") from None
+    return Gaussian(value) if kind == "gaussian" else DiscreteGeometric(value)
 
 
 def _emit_run_outputs(traces, config, out_dir: Path) -> Path:
@@ -116,15 +116,11 @@ def _cmd_replicate_fig_a(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     seed = args.seed if args.seed is not None else harness.FIG_A_SEED
-    trace, hist, (slope, r2) = harness.replicate_fig_a(n=args.n, master_seed=seed)
     config = harness.fig_a_config(n=args.n, master_seed=seed)
+    trace = harness.run_experiment(config, keep_final_values=True)[0]
     harness.emit_csv(trace, out_dir / "trace.csv")
-    _write_histogram_csv(hist, out_dir / "histogram.csv")
     harness.emit_json([trace], out_dir / "summary.json", config)
-    with open(out_dir / "fit.json", "w") as fh:
-        json.dump({"slope": slope, "r_squared": r2}, fh, indent=2)
-        fh.write("\n")
-    print(f"distance-tail fit: slope = {slope:.4g}, r^2 = {r2:.4f}")
+    _emit_distance_tail(trace, harness.FIG_A_BINS, out_dir)
     return 0
 
 
@@ -142,14 +138,26 @@ def _cmd_replicate_fig_b(args) -> int:
     return 0
 
 
-def _write_histogram_csv(hist: harness.Histogram, path: Path) -> None:
-    with open(path, "w") as fh:
+def _emit_distance_tail(trace: harness.TraceRecord, bins: int, out_dir: Path) -> None:
+    """Write histogram.csv of the final absolute distances and, where the tail
+    has the data for ``survival_fit``, fit.json; print the fit or why there is none."""
+    hist = harness.tail_histogram(trace.final_population, bins)
+    with open(out_dir / "histogram.csv", "w") as fh:
         fh.write("bin_left,bin_right,count\n")
         for k, count in enumerate(hist.counts):
             fh.write(
                 f"{format(hist.bin_edges[k], '.17g')},"
                 f"{format(hist.bin_edges[k + 1], '.17g')},{count}\n"
             )
+    try:
+        slope, r2 = harness.survival_fit(hist)
+    except InsufficientDataError as exc:
+        print(f"no tail fit: {exc}")
+        return
+    print(f"distance-tail fit: slope = {slope:.4g}, r^2 = {r2:.4f}")
+    with open(out_dir / "fit.json", "w") as fh:
+        json.dump({"slope": slope, "r_squared": r2}, fh, indent=2)
+        fh.write("\n")
 
 
 def _cmd_histogram(args) -> int:
@@ -157,18 +165,7 @@ def _cmd_histogram(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     trace = harness.run_experiment(config, jobs=args.jobs, keep_final_values=True)[0]
-    vals = trace.final_population
-    abs_dist = np.abs(vals - vals.mean())
-    hist = harness.histogram_of(abs_dist, args.bins)
-    _write_histogram_csv(hist, out_dir / "histogram.csv")
-    try:
-        slope, r2 = harness.survival_fit(hist)
-        print(f"distance-tail fit: slope = {slope:.4g}, r^2 = {r2:.4f}")
-        with open(out_dir / "fit.json", "w") as fh:
-            json.dump({"slope": slope, "r_squared": r2}, fh, indent=2)
-            fh.write("\n")
-    except InsufficientDataError as exc:
-        print(f"no tail fit: {exc}")
+    _emit_distance_tail(trace, args.bins, out_dir)
     print(f"histogram: {out_dir / 'histogram.csv'}")
     return 0
 

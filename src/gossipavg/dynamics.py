@@ -35,6 +35,10 @@ from .noise import NoiseModel, sample_batch
 #: deterministic function of the run configuration alone.
 CHUNK = 1 << 14
 
+#: ``refresh`` raises NumericalDriftError when a tracker is off its exact
+#: recomputation by more than this, relative to 1 + |exact value|.
+DRIFT_TOL = 1e-6
+
 
 # ---------------------------------------------------------------------------
 # update rules
@@ -202,24 +206,6 @@ def _apply_pair(xi, xj, ni, nj, ui, uj, flags):
     return vi, vj, ri, rj
 
 
-def apply_rule(value: float, rule: UpdateRule, rng: np.random.Generator) -> float:
-    """Post-average transform of one stored value under ``rule``.
-
-    Real is the identity; DiscreteRounding rounds a non-integral value up
-    or down with equal probability; Cutoff optionally rounds and then
-    clamps into [vmin, vmax].  Draws one uniform whenever the rule rounds.
-    """
-    do_round, do_clamp, vmin, vmax = _rule_flags(rule)
-    if do_round:
-        u = float(rng.random())
-        f = math.floor(value)
-        if value != f:
-            value = f + 1.0 if u < 0.5 else float(f)
-    if do_clamp:
-        value = min(max(value, vmin), vmax)
-    return value
-
-
 # ---------------------------------------------------------------------------
 # one-step operations
 # ---------------------------------------------------------------------------
@@ -316,16 +302,14 @@ def _exact(values: np.ndarray, with_phibar: bool = True,
     return mean, math.fsum((d * d).tolist())
 
 
-def _decomposition_step(xi, xj, vi, vj, mean, tracked, inv_n):
-    """Advance (phi_bar, S', S*, S^-) over one exchange xi, xj -> vi, vj.
+def _decomposition_step(xi, xj, a, c, mean, tracked, inv_n):
+    """Advance (phi_bar, S', S*, S^-) over one exchange xi, xj -> (xi+xj+a)/2, (xi+xj+c)/2.
 
-    The effective received offsets a = 2 vi - xi - xj and c = 2 vj - xi - xj
-    are the channel noise plus the rounding offset; phi_bar follows the exact
-    one-step change formula about the running mean.
+    The effective received offsets a and c are the channel noise plus the
+    rounding offset; phi_bar follows the exact one-step change formula about
+    the running mean.  ``pair_chunk`` in ``_kernel.c`` is its C twin.
     """
     phibar, sp, ss, sm = tracked
-    a = vi + vi - xi - xj
-    c = vj + vj - xi - xj
     d = xi - xj
     dsq = d * d
     nsum = a + c
@@ -358,7 +342,8 @@ def _pairs_reference(values, pairs, noise, coins, flags, decomp, state, offsets)
         vi, vj, ri, rj = _apply_pair(xi, xj, noise[k], noise[k + 1], coins[k], coins[k + 1],
                                      flags)
         if decomp:
-            tracked = _decomposition_step(xi, xj, vi, vj, mean, tracked, inv_n)
+            tracked = _decomposition_step(xi, xj, vi + vi - xi - xj, vj + vj - xi - xj, mean,
+                                          tracked, inv_n)
         mean += (vi - xi + vj - xj) * inv_n
         values[i] = vi
         values[j] = vj
@@ -459,9 +444,7 @@ class _Engine:
 
     def __init__(self, pop: Population, model: NoiseModel, rule: UpdateRule,
                  rng: np.random.Generator):
-        self.pop = pop
         self.model = model
-        self.rule = rule
         self.rng = rng
         self.flags = _rule_flags(rule)
         self.values = np.array(pop.values, dtype=np.float64)
@@ -472,31 +455,20 @@ class _Engine:
         self.phibar: Optional[float] = None
         self._since_resync = 0
 
-    def refresh(self, rel_tol: float = 1e-6) -> tuple[float, float]:
+    def refresh(self) -> tuple[float, float]:
         """Recompute mean and potential; verify and resync the trackers."""
         mean_full, phibar_full = _exact(self.values, True, self._view)
-        if abs(self.mean - mean_full) > rel_tol * (1.0 + abs(mean_full)):
-            raise NumericalDriftError(
-                f"running-mean tracker drifted: {self.mean} vs {mean_full} "
-                f"at {self._unit} {self.step}"
-            )
-        if self.phibar is not None and abs(self.phibar - phibar_full) > rel_tol * (
-            1.0 + phibar_full
-        ):
-            raise NumericalDriftError(
-                f"potential tracker drifted: {self.phibar} vs {phibar_full} "
-                f"at {self._unit} {self.step}"
-            )
+        for name, tracked, exact in (("running-mean", self.mean, mean_full),
+                                     ("potential", self.phibar, phibar_full)):
+            if tracked is not None and abs(tracked - exact) > DRIFT_TOL * (1.0 + abs(exact)):
+                raise NumericalDriftError(
+                    f"{name} tracker drifted: {tracked} vs {exact} at {self._unit} {self.step}"
+                )
         self.mean = mean_full
         if self.phibar is not None:
             self.phibar = phibar_full
         self._since_resync = 0
         return mean_full, phibar_full
-
-    def finish(self) -> None:
-        """Write the engine state back into the owned Population."""
-        self.pop.values = self.values.copy()
-        self.pop.step_count = self.step
 
 
 class SequentialEngine(_Engine):

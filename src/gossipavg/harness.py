@@ -31,6 +31,7 @@ from .dynamics import (
     SynchronousEngine,
     UpdateRule,
     init_population,
+    parallel_time,
 )
 from .errors import ConfigError, InsufficientDataError, ModelMismatchError, ParameterError
 from .noise import DiscreteGeometric, Gaussian, NoiseModel, Zero
@@ -39,6 +40,8 @@ from .potentials import (
     PotentialSnapshot,
     check_decomposition_bound,
 )
+# the snapshot builder of run_single, timed under this name by perfbench/tracer.py
+from .potentials import _snapshot_of as _snapshot_from_engine
 from .seeding import GENERATOR_NAME, make_rng
 
 # ---------------------------------------------------------------------------
@@ -319,21 +322,6 @@ def _initial_values(config: ExperimentConfig, rng) -> np.ndarray:
     return np.asarray(init.values, dtype=float)
 
 
-def _snapshot_from_engine(engine, step: int, initial_average: float,
-                          mean: float, phibar: float) -> PotentialSnapshot:
-    vals = engine.values
-    d0 = vals - initial_average
-    n = len(vals)
-    return PotentialSnapshot(
-        step=step,
-        tss=float(np.dot(d0, d0)),
-        phi_bar=phibar,
-        phi=2.0 * n * phibar,
-        running_avg=mean,
-        drift=mean - initial_average,
-    )
-
-
 def run_single(config: ExperimentConfig, run_index: int,
                keep_final_values: bool = False) -> TraceRecord:
     """Execute one run of the ensemble; deterministic in (config, run_index)."""
@@ -347,33 +335,21 @@ def run_single(config: ExperimentConfig, run_index: int,
     else:
         engine = SynchronousEngine(pop, config.noise, config.rule, rng)
 
+    ends = dict(config.decomposition_intervals)  # t0 -> t1
     record_set = set(range(0, config.steps + 1, config.record_every))
-    record_set.add(0)
     record_set.add(config.steps)
-    starts = {t0: (t0, t1) for t0, t1 in config.decomposition_intervals}
-    ends = {t1: (t0, t1) for t0, t1 in config.decomposition_intervals}
-    boundaries = sorted(record_set | set(starts) | set(ends))
+    boundaries = sorted(record_set | set(ends) | set(ends.values()))
 
     trace = TraceRecord(run_index=run_index, n=config.n, seed=seed)
-    open_phi0: Optional[float] = None
-    open_interval: Optional[tuple[int, int]] = None
-
-    mean, phibar = engine.refresh()
-    trace.snapshots.append(_snapshot_from_engine(engine, 0, x0, mean, phibar))
-    if 0 in starts:
-        engine.begin_decomposition()
-        open_interval = starts[0]
-        open_phi0 = phibar
-
+    open_t0: Optional[int] = None
+    open_phi0 = 0.0
     for b in boundaries:
-        if b == 0:
-            continue
         engine.advance(b - engine.step)
         mean, phibar = engine.refresh()
-        if open_interval is not None and b == open_interval[1]:
+        if open_t0 is not None and b == ends[open_t0]:
             s_prime, s_star, s_minus = engine.end_decomposition()
             acc = DecompositionAccumulator(
-                t0=open_interval[0], t1=open_interval[1],
+                t0=open_t0, t1=b,
                 s_prime=s_prime, s_star=s_star, s_minus=s_minus,
             )
             trace.decompositions.append(
@@ -384,15 +360,12 @@ def run_single(config: ExperimentConfig, run_index: int,
                     bound_holds=check_decomposition_bound(acc, open_phi0, phibar),
                 )
             )
-            open_interval = None
-            open_phi0 = None
-        trace.snapshots.append(_snapshot_from_engine(engine, b, x0, mean, phibar))
-        if b in starts:
+            open_t0 = None
+        trace.snapshots.append(_snapshot_from_engine(engine.values, b, x0, mean, phibar))
+        if b in ends:
             engine.begin_decomposition()
-            open_interval = starts[b]
-            open_phi0 = phibar
+            open_t0, open_phi0 = b, phibar
 
-    engine.finish()
     vals = engine.values
     trace.final_values = FinalSummary(
         minimum=float(vals.min()),
@@ -411,7 +384,7 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1,
     if jobs > 1 and config.runs > 1:
         from concurrent.futures import ProcessPoolExecutor  # only a pool needs it
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=min(jobs, config.runs)) as pool:
             return list(
                 pool.map(
                     run_single,
@@ -431,6 +404,11 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1,
 def distance_histogram(pop: Population, bins: Optional[int] = None) -> Histogram:
     """Histogram of the distances x_i - mean(x), by ``histogram_of``'s rules."""
     return histogram_of(pop.values - np.mean(pop.values), bins)
+
+
+def tail_histogram(values: np.ndarray, bins: Optional[int] = None) -> Histogram:
+    """Histogram of the absolute distances |x_i - mean(x)|, which ``survival_fit`` fits."""
+    return histogram_of(np.abs(values - values.mean()), bins)
 
 
 def histogram_of(values: Sequence[float], bins: Optional[int] = None) -> Histogram:
@@ -544,6 +522,7 @@ def monte_carlo_drift(config: ExperimentConfig, runs: int, delta: float = 0.1,
 # ---------------------------------------------------------------------------
 
 FIG_A_SEED = 1
+FIG_A_BINS = 60
 FIG_B_SEED = 12345
 
 
@@ -581,7 +560,7 @@ def fig_b_config(master_seed: int = FIG_B_SEED) -> ExperimentConfig:
 
 
 def replicate_fig_a(n: int = 10**4, master_seed: int = FIG_A_SEED,
-                    bins: int = 60) -> tuple[TraceRecord, Histogram, tuple[float, float]]:
+                    bins: int = FIG_A_BINS) -> tuple[TraceRecord, Histogram, tuple[float, float]]:
     """Run the distance-distribution experiment and fit the tail law.
 
     Returns the trace, the histogram of absolute distances to the running
@@ -589,11 +568,8 @@ def replicate_fig_a(n: int = 10**4, master_seed: int = FIG_A_SEED,
     """
     config = fig_a_config(n=n, master_seed=master_seed)
     trace = run_experiment(config, keep_final_values=True)[0]
-    vals = trace.final_population
-    abs_dist = np.abs(vals - vals.mean())
-    hist = histogram_of(abs_dist, bins)
-    fit = survival_fit(hist)
-    return trace, hist, fit
+    hist = tail_histogram(trace.final_population, bins)
+    return trace, hist, survival_fit(hist)
 
 
 def replicate_fig_b(master_seed: int = FIG_B_SEED) -> TraceRecord:
@@ -628,7 +604,7 @@ def emit_csv(trace: TraceRecord, path) -> None:
                     _fmt(s.phi),
                     _fmt(s.running_avg),
                     _fmt(s.drift),
-                    _fmt(s.step / trace.n),
+                    _fmt(parallel_time(s.step, trace.n)),
                 ]
             )
 
@@ -679,7 +655,7 @@ def summary_dict(traces: list[TraceRecord], config: ExperimentConfig,
             {
                 "run_index": t.run_index,
                 "final": {**dataclasses.asdict(t.snapshots[-1]),
-                          "parallel_time": t.snapshots[-1].step / t.n},
+                          "parallel_time": parallel_time(t.snapshots[-1].step, t.n)},
                 "final_values": {
                     "min": t.final_values.minimum,
                     "max": t.final_values.maximum,

@@ -81,8 +81,8 @@ def sample_batch(model: NoiseModel, rng: np.random.Generator, size: int) -> np.n
 
     The discrete model is sampled by inverse CDF from a single uniform per
     draw (sign from the uniform's half, magnitude from the folded
-    remainder), so the stream consumption is one value per sample and
-    identical for scalar and batched use.
+    remainder), so the stream consumption is one value per sample, whatever
+    the batch size.
     """
     if isinstance(model, Zero):
         return np.zeros(size)
@@ -98,11 +98,6 @@ def sample_batch(model: NoiseModel, rng: np.random.Generator, size: int) -> np.n
     # u == 0.0 folds to exactly 1.0 (probability 2^-53); keep the draw finite
     mag = np.where(np.isfinite(mag), mag, 0.0)
     return sign * mag
-
-
-def sample(model: NoiseModel, rng: np.random.Generator) -> float:
-    """One draw from ``model``."""
-    return float(sample_batch(model, rng, 1)[0])
 
 
 def _magnitude_pmf(p: float) -> np.ndarray:

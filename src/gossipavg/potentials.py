@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import Population, StepEvent
+from .dynamics import Population, StepEvent, _decomposition_step
 from .errors import ModelMismatchError, ParameterError
 
 
@@ -52,16 +52,20 @@ class DecompositionAccumulator:
         return self.t1 - self.t0
 
 
+def _sum_sq(values: np.ndarray, centre: float) -> float:
+    """Sum of (x_i - centre)^2, by numpy's dot product."""
+    d = values - centre
+    return float(np.dot(d, d))
+
+
 def tss(pop: Population) -> float:
     """Total sum of squares about the frozen initial average."""
-    d = pop.values - pop.initial_average
-    return float(np.dot(d, d))
+    return _sum_sq(pop.values, pop.initial_average)
 
 
 def phi_bar(pop: Population) -> float:
     """Sum of squared distances to the current running average."""
-    d = pop.values - np.mean(pop.values)
-    return float(np.dot(d, d))
+    return _sum_sq(pop.values, np.mean(pop.values))
 
 
 def phi(pop: Population) -> float:
@@ -69,18 +73,23 @@ def phi(pop: Population) -> float:
     return 2.0 * pop.n * phi_bar(pop)
 
 
+def _snapshot_of(values: np.ndarray, step: int, initial_average: float, mean: float,
+                 phibar: float) -> PotentialSnapshot:
+    """The snapshot of ``values`` at ``step``, given their mean and phi_bar."""
+    return PotentialSnapshot(
+        step=step,
+        tss=_sum_sq(values, initial_average),
+        phi_bar=phibar,
+        phi=2.0 * len(values) * phibar,
+        running_avg=mean,
+        drift=mean - initial_average,
+    )
+
+
 def snapshot(pop: Population) -> PotentialSnapshot:
     """Record all potentials of the population at its current step."""
-    avg = pop.running_average()
-    pb = phi_bar(pop)
-    return PotentialSnapshot(
-        step=pop.step_count,
-        tss=tss(pop),
-        phi_bar=pb,
-        phi=2.0 * pop.n * pb,
-        running_avg=avg,
-        drift=avg - pop.initial_average,
-    )
+    return _snapshot_of(pop.values, pop.step_count, pop.initial_average,
+                        pop.running_average(), phi_bar(pop))
 
 
 def one_step_delta(x_i: float, x_j: float, n_i: float, n_j: float, mean: float, n: int) -> float:
@@ -89,16 +98,10 @@ def one_step_delta(x_i: float, x_j: float, n_i: float, n_j: float, mean: float, 
     ``mean`` must be the exact pre-step running average.  The formula is an
     algebraic identity for the update pair ((x_i+x_j+n_j)/2, (x_i+x_j+n_i)/2),
     so it also applies to rounding rules when the offsets are folded into
-    the noises.
+    the noises.  It is the phi_bar change the engines' tracker applies, bit
+    for bit; numpy arrays of exchanges work too.
     """
-    d = x_i - x_j
-    nsum = n_i + n_j
-    return (
-        -0.5 * d * d
-        + 0.25 * (n_i * n_i + n_j * n_j)
-        - nsum * nsum / (4.0 * n)
-        + nsum * (0.5 * (x_i + x_j) - mean)
-    )
+    return _decomposition_step(x_i, x_j, n_j, n_i, mean, (0.0, 0.0, 0.0, 0.0), 1.0 / n)[0]
 
 
 def delta_fraction(pop: Population, i: int, j: int) -> float:
@@ -106,11 +109,8 @@ def delta_fraction(pop: Population, i: int, j: int) -> float:
 
     Falls back to 1/n for an exactly flat population; always in [0, 1].
     """
-    pb = phi_bar(pop)
-    if pb > 0.0:
-        d = float(pop.values[i] - pop.values[j])
-        return min(d * d / (2.0 * pb), 1.0)
-    return 1.0 / pop.n
+    return _decomposition_step(float(pop.values[i]), float(pop.values[j]), 0.0, 0.0, 0.0,
+                               (phi_bar(pop), 0.0, 0.0, 0.0), 1.0 / pop.n)[3]
 
 
 def accumulate_decomposition(
@@ -128,18 +128,13 @@ def accumulate_decomposition(
             f"got an event with {len(event.interactions)} interactions"
         )
     it = event.interactions[0]
-    eff_i = it.noise_j + it.round_i  # received by i
-    eff_j = it.noise_i + it.round_j  # received by j
-    x_i = float(pre_step_pop.values[it.i])
-    x_j = float(pre_step_pop.values[it.j])
-    z = 0.5 * (x_i + x_j) - pre_step_pop.running_average()
-    return dataclasses.replace(
-        acc,
-        t1=acc.t1 + 1,
-        s_prime=acc.s_prime + 0.25 * (eff_i * eff_i + eff_j * eff_j),
-        s_star=acc.s_star + (eff_i + eff_j) * z,
-        s_minus=acc.s_minus + delta_fraction(pre_step_pop, it.i, it.j),
-    )
+    tracked = (phi_bar(pre_step_pop), acc.s_prime, acc.s_star, acc.s_minus)
+    _, s_prime, s_star, s_minus = _decomposition_step(
+        float(pre_step_pop.values[it.i]), float(pre_step_pop.values[it.j]),
+        it.noise_j + it.round_i, it.noise_i + it.round_j,  # received by i and by j
+        pre_step_pop.running_average(), tracked, 1.0 / pre_step_pop.n)
+    return dataclasses.replace(acc, t1=acc.t1 + 1, s_prime=s_prime, s_star=s_star,
+                               s_minus=s_minus)
 
 
 def check_decomposition_bound(

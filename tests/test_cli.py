@@ -160,6 +160,34 @@ def test_replicate_fig_a_small(tmp_path):
     assert fit["slope"] < 0
 
 
+def test_replicate_fig_a_without_enough_tail_data_writes_no_fit(tmp_path, capsys):
+    out = tmp_path / "figa"
+    assert main(["replicate-fig-a", "--n", "10", "--out", str(out)]) == 0
+    assert sorted(p.name for p in out.iterdir()) == ["histogram.csv", "summary.json", "trace.csv"]
+    assert capsys.readouterr().out.startswith("no tail fit: ")
+
+
+@pytest.mark.parametrize(
+    "args,named",
+    [
+        (["--n", "0"], "n must"),
+        (["--n", "-5"], "n must"),
+        (["--noise", "gaussian:abc"], "--noise: "),
+        (["--noise", "discrete:x"], "--noise: "),
+        (["--phi0", "inf"], "phi0 must"),
+        (["--phi0", "nan"], "phi0 must"),
+        (["--c", "nan"], "c must"),
+        (["--c", "-1"], "c must"),
+        (["--c", "inf"], "c must"),
+    ],
+)
+def test_bounds_malformed_number_exits_2_naming_the_argument(capsys, args, named):
+    assert main(["bounds", "--n", "100", "--t", "1000", *args]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {named}")
+
+
 def test_verify_passes():
     assert main(["verify"]) == 0
 

@@ -21,7 +21,6 @@ from gossipavg import (
     Real,
     StepEvent,
     Zero,
-    apply_rule,
     init_population,
     make_rng,
     parallel_time,
@@ -114,27 +113,6 @@ def test_synchronous_covers_everyone_once():
     assert len(event.interactions) == 500
     touched = [it.i for it in event.interactions] + [it.j for it in event.interactions]
     assert sorted(touched) == list(range(1000))
-
-
-def test_apply_rule_real_identity():
-    assert apply_rule(2.5, Real(), make_rng(16)) == 2.5
-
-
-def test_apply_rule_rounding_integer_fixed():
-    rng = make_rng(17)
-    for _ in range(100):
-        assert apply_rule(3.0, DiscreteRounding(), rng) == 3.0
-
-
-def test_apply_rule_rounding_half_integer():
-    rng = make_rng(18)
-    results = {apply_rule(2.5, DiscreteRounding(), rng) for _ in range(200)}
-    assert results == {2.0, 3.0}
-
-
-def test_apply_rule_cutoff_clamps():
-    assert apply_rule(11.3, Cutoff(1.0, 10.0), make_rng(19)) == 10.0
-    assert apply_rule(-2.0, Cutoff(1.0, 10.0), make_rng(19)) == 1.0
 
 
 def test_cutoff_requires_ordered_range():
@@ -247,10 +225,9 @@ def test_engine_matches_event_replay(model, rule):
     engine = SequentialEngine(pop, model, rule, make_rng(30))
     events = []
     engine.advance(3000, collect=events)
-    engine.finish()
     for event in events:
         replay_event(ref, event, rule)
-    assert np.array_equal(pop.values, ref.values)
+    assert np.array_equal(engine.values, ref.values)
 
 
 @pytest.mark.parametrize(
@@ -268,11 +245,10 @@ def test_synchronous_engine_matches_event_replay(n, model, rule):
     engine = SynchronousEngine(pop, model, rule, make_rng(35))
     events = []
     engine.advance(60, collect=events)
-    engine.finish()
     assert len(events) == 60
     for event in events:
         replay_event(ref, event, rule)
-    assert np.array_equal(pop.values, ref.values)
+    assert np.array_equal(engine.values, ref.values)
 
 
 def test_synchronous_cutoff_and_rounding_invariants():
@@ -387,11 +363,10 @@ def _drive(scheduler, rule, model, start, seed, segments, decomp, collect):
             seen.append([_bits(x) for x in engine.refresh()])
     if decomp:
         seen.append([_bits(x) for x in engine.end_decomposition()])
-    engine.finish()
     if collect:
         seen.append([[(*it[:2], _bits(it[2]), _bits(it[3]), *it[4:]) for it in ev.interactions]
                      for ev in events])
-    return pop.values.tobytes(), seen
+    return engine.values.tobytes(), seen
 
 
 @needs_kernel
@@ -561,10 +536,9 @@ def test_reference_loop_matches_engine_and_replay(monkeypatch, scheduler, n, mod
     engine = engine_cls(pop, model, rule, make_rng(30))
     events = []
     engine.advance(length, collect=events)
-    engine.finish()
     for event in events:
         replay_event(ref, event, rule)
-    assert np.array_equal(pop.values, ref.values)
+    assert np.array_equal(engine.values, ref.values)
     assert _drive(scheduler, rule, model, start, 30, [(length, False)], False, True) == compiled
 
 

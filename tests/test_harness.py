@@ -260,6 +260,33 @@ def test_parallel_jobs_match_serial():
         assert ts.snapshots == tp.snapshots
 
 
+def test_pool_opens_no_more_workers_than_runs(monkeypatch):
+    """A pool forks its workers up front, so ``--jobs 64`` on two runs must
+    ask for two.  The stand-in pool runs ``map`` here and starts no process."""
+    import concurrent.futures
+
+    asked = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    config = small_config(runs=2, steps=300)
+    traces = run_experiment(config, jobs=64)
+    assert asked == [2]
+    assert [t.snapshots for t in traces] == [t.snapshots for t in run_experiment(config)]
+
+
 def test_synchronous_scheduler_runs():
     config = small_config(scheduler="synchronous", steps=20, record_every=5)
     traces = run_experiment(config)

@@ -14,7 +14,6 @@ from gossipavg import (
     m_quantile,
     make_rng,
     moments,
-    sample,
     sample_batch,
 )
 
@@ -23,7 +22,7 @@ ALL_MODELS = [Gaussian(1.0), Gaussian(0.3125), DiscreteGeometric(0.8), DiscreteG
 
 def test_zero_always_zero():
     rng = make_rng(1)
-    assert sample(Zero(), rng) == 0.0
+    assert sample_batch(Zero(), rng, 1)[0] == 0.0
     assert np.all(sample_batch(Zero(), rng, 1000) == 0.0)
 
 

@@ -6,7 +6,10 @@ import numpy as np
 import pytest
 
 from gossipavg import (
+    Cutoff,
     DecompositionAccumulator,
+    DiscreteGeometric,
+    DiscreteRounding,
     Gaussian,
     Interaction,
     ModelMismatchError,
@@ -26,6 +29,7 @@ from gossipavg import (
     snapshot,
     tss,
 )
+from gossipavg import dynamics
 
 
 def test_tss_examples():
@@ -230,3 +234,64 @@ def test_zero_length_interval_sums():
     acc = DecompositionAccumulator(t0=3, t1=3)
     assert (acc.s_prime, acc.s_star, acc.s_minus) == (0.0, 0.0, 0.0)
     assert acc.length == 0
+
+
+def test_one_step_delta_is_the_trackers_phi_bar_change():
+    """Bit for bit the change the engines' phi_bar tracker applies, compiled
+    and reference loop alike.  Integer values and noises keep each exchange
+    exact, so the tracker's effective offsets are the noises themselves; the
+    values are small next to the noises, so that the rounding of the
+    (n_i + n_j)^2 / (4n) term is not lost in the larger terms."""
+    rng = make_rng(48)
+    flags = dynamics._rule_flags(Real())
+    roundings_differ = 0
+    for _ in range(2000):
+        n = int(rng.integers(2, 200))
+        values = rng.integers(-3, 4, n).astype(float)
+        i, j = (int(k) for k in rng.choice(n, 2, replace=False))
+        n_i, n_j = (float(v) for v in rng.integers(-50, 51, 2))
+        mean = float(values.mean())
+        expected = one_step_delta(values[i], values[j], n_i, n_j, mean, n)
+        pairs, noise = np.array([i, j]), np.array([n_i, n_j])
+        for run in (dynamics._run_pairs, dynamics._pairs_reference):
+            state = run(values.copy(), pairs, noise, None, flags, True, [mean, 0.0, 0.0, 0.0, 0.0],
+                        None)
+            assert state[1].hex() == float(expected).hex()
+        k = (n_i + n_j) ** 2
+        roundings_differ += k / (4.0 * n) != k * (0.25 / n)
+    assert roundings_differ > 0  # the cases where the tracker's rounding of k/(4n) matters
+
+
+#: (s_prime, s_star, s_minus) after 300 accumulated steps, as float.hex.
+ACCUMULATED_SUMS = {
+    "real": ("0x1.38c8dcade71d2p+7", "0x1.0590361de4be9p+3", "0x1.fa9fefff78a0dp+2"),
+    "discrete_rounding": ("0x1.1800000000000p+7", "-0x1.b3f6dbecfc140p+1",
+                          "0x1.0acd38252c7b8p+3"),
+    "cutoff": ("0x1.38c8dcade71d2p+7", "0x1.cb932f3f06a67p+2", "0x1.fa08223c9d860p+2"),
+    "cutoff_rounding": ("0x1.b100000000000p+6", "-0x1.9333333333348p+1",
+                        "0x1.16ecbc36acec2p+3"),
+}
+
+
+@pytest.mark.parametrize(
+    "name, rule, model",
+    [
+        ("real", Real(), Gaussian(1.0)),
+        ("discrete_rounding", DiscreteRounding(), DiscreteGeometric(0.8)),
+        ("cutoff", Cutoff(1.0, 10.0), Gaussian(1.0)),
+        ("cutoff_rounding", Cutoff(1.0, 10.0, rounding=True), DiscreteGeometric(0.8)),
+    ],
+)
+def test_accumulate_decomposition_keeps_its_sums(name, rule, model):
+    """The sums are unchanged bit for bit from when accumulate_decomposition
+    had its own arithmetic; the cutoff-with-rounding run starts flat, so it
+    takes the 1/n branch of S^-."""
+    rng = make_rng(47)
+    flat = name == "cutoff_rounding"
+    pop = init_population(np.full(40, 10.0) if flat else rng.uniform(1.0, 10.0, 40))
+    acc = DecompositionAccumulator(0, 0)
+    for _ in range(300):
+        pre = pop.copy()
+        acc = accumulate_decomposition(acc, sequential_step(pop, model, rule, rng), pre)
+    assert acc.t1 == 300
+    assert (acc.s_prime.hex(), acc.s_star.hex(), acc.s_minus.hex()) == ACCUMULATED_SUMS[name]
