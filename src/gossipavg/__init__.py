@@ -15,6 +15,7 @@ from .errors import (
     ModelMismatchError,
     NumericalDriftError,
     ParameterError,
+    QuantileRangeError,
     UndefinedPredictionError,
 )
 from .noise import (

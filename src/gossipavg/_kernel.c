@@ -13,6 +13,7 @@
 
 #include <math.h>
 #include <stdint.h>
+#include <string.h>
 
 /* CPython's float floor division v // w for nonzero w (_float_div_mod in
  * Objects/floatobject.c): fmod, then snap the quotient to an integer.  It is
@@ -47,12 +48,45 @@ static double clamp(double v, double vmin, double vmax)
     return v;
 }
 
+/* a where c is nonzero, else b, selected bitwise: no branch to mispredict
+ * on the random parities and coins of the rounding rule. */
+static double pick(int c, double a, double b)
+{
+    const uint64_t m = -(uint64_t)(c != 0);
+    uint64_t ua, ub, r;
+    double out;
+
+    memcpy(&ua, &a, sizeof ua);
+    memcpy(&ub, &b, sizeof ub);
+    r = (ua & m) | (ub & ~m);
+    memcpy(&out, &r, sizeof out);
+    return out;
+}
+
 /* s / 2 rounded up (coin u < 0.5) or down when s is not even; the offset
- * records +1, -1, or 0 when s / 2 is stored as is. */
+ * records +1, -1, or 0 when s / 2 is stored as is.
+ *
+ * Python's s // 2.0 (py_floordiv) costs a libm fmod.  Where h = s * 0.5 is
+ * exact and |h| < 2^52 -- s is zero, or 2^-1021 <= |s| < 2^53 -- it equals
+ * floor(h), taken here from the truncation t of h through int64: s is even
+ * exactly when t == h, and floor(h) is t, less 1 where t > h.  Every other s
+ * takes py_floordiv: at s = -2^-1074, for one, s * 0.5 rounds to -0.0, whose
+ * floor is -0.0 where Python gives -1.0. */
 static double round_half(double s, double u, int8_t *offset)
 {
-    double f = py_floordiv(s, 2.0);
+    const double a = fabs(s);
+    double f;
 
+    if (a < 0x1p53 && (a >= 0x1p-1021 || s == 0.0)) {
+        const double h = s * 0.5;
+        const double t = (double)(int64_t)h;
+        const int odd = t != h;
+        const int up = odd & (u < 0.5);
+
+        *offset = (int8_t)(up + up - odd);
+        return pick(odd, t - (double)(t > h) + (double)up, h);
+    }
+    f = py_floordiv(s, 2.0);
     if (s != 2.0 * f) {
         if (u < 0.5) {
             *offset = 1;

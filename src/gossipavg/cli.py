@@ -18,10 +18,12 @@ import json
 import os
 import secrets
 import sys
+import warnings
 from pathlib import Path
 
 from . import __version__, bounds, harness
-from .errors import ConfigError, InsufficientDataError, NumericalDriftError, ParameterError
+from .errors import (ConfigError, InsufficientDataError, NumericalDriftError, ParameterError,
+                     QuantileRangeError)
 from .noise import DiscreteGeometric, Gaussian, Zero
 
 
@@ -84,6 +86,16 @@ def _noise_from_arg(spec: str):
     return Gaussian(value) if kind == "gaussian" else DiscreteGeometric(value)
 
 
+def _evaluate_bounds(*args, **kwargs) -> dict:
+    """``bounds.evaluate_all``, printing each warning it gives as one
+    ``warning: ...`` line on stderr."""
+    with warnings.catch_warnings(record=True) as caught:
+        values = bounds.evaluate_all(*args, **kwargs)
+    for w in caught:
+        print(f"warning: {w.message}", file=sys.stderr)
+    return values
+
+
 def _emit_run_outputs(traces, config, out_dir: Path) -> Path:
     out_dir.mkdir(parents=True, exist_ok=True)
     for trace in traces:
@@ -93,9 +105,7 @@ def _emit_run_outputs(traces, config, out_dir: Path) -> Path:
                 trace, out_dir / f"decomposition_run{trace.run_index:04d}.csv"
             )
     phi0 = traces[0].snapshots[0].phi_bar
-    bound_values = bounds.evaluate_all(
-        config.noise, config.n, config.steps, 0.1, phi0
-    )
+    bound_values = _evaluate_bounds(config.noise, config.n, config.steps, 0.1, phi0)
     summary_path = out_dir / "summary.json"
     harness.emit_json(traces, summary_path, config, bound_values)
     return summary_path
@@ -172,9 +182,19 @@ def _cmd_histogram(args) -> int:
 
 def _cmd_bounds(args) -> int:
     model = _noise_from_arg(args.noise)
-    values = bounds.evaluate_all(
-        model, args.n, args.t, args.delta, args.phi0, gamma=args.gamma, c=args.c
-    )
+    for name in ("n", "t"):
+        value = getattr(args, name)
+        try:
+            float(value)
+        except OverflowError:
+            raise ConfigError(f"--{name}: an integer of {len(str(abs(value)))} digits is "
+                              "beyond the float range") from None
+    try:
+        values = _evaluate_bounds(
+            model, args.n, args.t, args.delta, args.phi0, gamma=args.gamma, c=args.c
+        )
+    except QuantileRangeError as exc:
+        raise ConfigError(f"--noise: {exc}") from None
     print(json.dumps(values, indent=2))
     return 0
 

@@ -5,6 +5,10 @@ class ParameterError(ValueError):
     """An argument is outside its documented domain."""
 
 
+class QuantileRangeError(ParameterError):
+    """A noise quantile lies beyond the float range: the noise scale is too large."""
+
+
 class ConfigError(ValueError):
     """An experiment configuration field is invalid; message names the field."""
 

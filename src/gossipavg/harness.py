@@ -590,23 +590,19 @@ def _fmt(x: float) -> str:
 
 
 def emit_csv(trace: TraceRecord, path) -> None:
-    """Write the snapshot trace as CSV; floats carry 17 significant digits."""
-    path = Path(path)
+    """Write the snapshot trace as CSV; floats carry 17 significant digits.
+
+    The bytes are those of ``csv.writer`` with ``format(x, ".17g")`` cells:
+    no cell needs quoting, and rows end in ``\r\n``.
+    """
+    row = "%d" + ",%.17g" * (len(TRACE_COLUMNS) - 1) + "\r\n"
+    n = trace.n
+    text = ",".join(TRACE_COLUMNS) + "\r\n" + "".join(
+        row % (s.step, s.tss, s.phi_bar, s.phi, s.running_avg, s.drift,
+               parallel_time(s.step, n))
+        for s in trace.snapshots)
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(TRACE_COLUMNS)
-        for s in trace.snapshots:
-            writer.writerow(
-                [
-                    s.step,
-                    _fmt(s.tss),
-                    _fmt(s.phi_bar),
-                    _fmt(s.phi),
-                    _fmt(s.running_avg),
-                    _fmt(s.drift),
-                    _fmt(parallel_time(s.step, trace.n)),
-                ]
-            )
+        fh.write(text)
 
 
 def emit_decomposition_csv(trace: TraceRecord, path) -> None:

@@ -18,11 +18,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Union
+from typing import Optional, Union
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, QuantileRangeError
 
 #: Discrete pmfs are truncated once the remaining tail mass drops below this.
 TAIL_MASS = 1e-12
@@ -91,13 +91,22 @@ def sample_batch(model: NoiseModel, rng: np.random.Generator, size: int) -> np.n
     u = rng.random(size)
     if model.p >= 1.0:
         return np.zeros(size)
-    sign = np.where(u >= 0.5, 1.0, -1.0)
-    folded = np.abs(2.0 * u - 1.0)
+    # floor(log1p(-|2u - 1|) / log1p(-p)), signed by u - 0.5, worked in one
+    # buffer: the same ufuncs in the same order as out-of-place, so the same
+    # values, without a temporary per operation
+    mag = np.multiply(u, 2.0)
+    mag -= 1.0
+    np.abs(mag, out=mag)
+    np.negative(mag, out=mag)
     with np.errstate(divide="ignore"):
-        mag = np.floor(np.log1p(-folded) / math.log1p(-model.p))
+        np.log1p(mag, out=mag)
+    mag /= math.log1p(-model.p)
+    np.floor(mag, out=mag)
     # u == 0.0 folds to exactly 1.0 (probability 2^-53); keep the draw finite
-    mag = np.where(np.isfinite(mag), mag, 0.0)
-    return sign * mag
+    mag[~np.isfinite(mag)] = 0.0
+    # u - 0.5 is negative exactly when u < 0.5, so a zero magnitude takes
+    # the sign -0.0 there, as the product with a -1.0 sign would give
+    return np.copysign(mag, u - 0.5, out=mag)
 
 
 def _magnitude_pmf(p: float) -> np.ndarray:
@@ -182,31 +191,29 @@ def _cdf_nstar_gaussian(model: Gaussian, x: float) -> float:
     return 0.5 * math.erfc(-x / (2.0 * math.sqrt(model.sigma2)))
 
 
-def _bisect_quantile(cdf, target: float, scale: float) -> float:
-    """Smallest x with cdf(x) >= target, to absolute tolerance QUANTILE_TOL.
+def _bisect_quantile(cdf, target: float, scale: float) -> Optional[float]:
+    """Smallest x with cdf(x) >= target, to absolute tolerance QUANTILE_TOL
+    or to adjacent floats, whichever is coarser; None where an end of the
+    bracket passes the float range.
 
     The bracket starts at [0, scale] and each end is doubled outward until
     it straddles the target; only distributions with mass below zero ever
     extend the lower end.
     """
     hi = max(scale, 1.0)
-    for _ in range(200):
-        if cdf(hi) >= target:
-            break
+    while hi < math.inf and not cdf(hi) >= target:
         hi *= 2.0
-    else:
-        raise ParameterError("quantile bracket failed to expand")
     lo = 0.0
     if cdf(lo) >= target:
         lo = -max(scale, 1.0)
-        for _ in range(200):
-            if cdf(lo) < target:
-                break
+        while lo > -math.inf and not cdf(lo) < target:
             lo *= 2.0
-        else:
-            raise ParameterError("quantile bracket failed to expand")
+    if hi == math.inf or lo == -math.inf:
+        return None
     while hi - lo > QUANTILE_TOL:
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:  # no float between lo and hi
+            break
         if cdf(mid) >= target:
             hi = mid
         else:
@@ -250,10 +257,14 @@ def m_quantile(model: NoiseModel, t: int, delta: float, kind: str = "combined") 
     # per-sample target computed in log space to survive large t
     target = math.exp(math.log1p(-delta) / (t + 1))
     if isinstance(model, Gaussian):
-        scale = 2.0 * model.sigma2
-        if kind == "prime":
-            return _bisect_quantile(lambda x: _cdf_nprime_gaussian(model, x), target, scale)
-        return _bisect_quantile(lambda x: _cdf_nstar_gaussian(model, x), target, scale)
+        cdf = _cdf_nprime_gaussian if kind == "prime" else _cdf_nstar_gaussian
+        level = _bisect_quantile(lambda x: cdf(model, x), target, 2.0 * model.sigma2)
+        if level is None:
+            name = "N'" if kind == "prime" else "N*"
+            raise QuantileRangeError(f"gaussian variance {model.sigma2!r} is too large: "
+                                     f"bisecting the {name} quantile at t = {t} passes the "
+                                     "float range")
+        return level
     support, pmf = _nprime_pmf(model.p) if kind == "prime" else _nstar_pmf(model.p)
     return _discrete_quantile(support, pmf, target)
 

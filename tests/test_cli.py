@@ -179,6 +179,11 @@ def test_replicate_fig_a_without_enough_tail_data_writes_no_fit(tmp_path, capsys
         (["--c", "nan"], "c must"),
         (["--c", "-1"], "c must"),
         (["--c", "inf"], "c must"),
+        (["--n", "1" + "0" * 400], "--n: "),
+        (["--n", "-1" + "0" * 400], "--n: "),
+        (["--t", "1" + "0" * 400], "--t: "),
+        (["--noise", "gaussian:1e308"], "--noise: gaussian variance 1e+308 "),
+        (["--noise", "gaussian:1e307", "--t", "1000000"], "--noise: gaussian variance 1e+307 "),
     ],
 )
 def test_bounds_malformed_number_exits_2_naming_the_argument(capsys, args, named):
@@ -186,6 +191,24 @@ def test_bounds_malformed_number_exits_2_naming_the_argument(capsys, args, named
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(f"error: {named}")
+
+
+def test_bounds_small_noise_warning_is_one_line(capsys):
+    assert main(["bounds", "--noise", "zero", "--n", "100", "--t", "1000"]) == 0
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["standing_assumption_ok"] is False
+    assert captured.err == ("warning: n E[N^2] = 0 < 1; "
+                            "the bounds assume unit noise scale\n")
+
+
+def test_run_small_noise_warning_is_one_line(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({**BASE_CONFIG, "noise": {"kind": "zero"}, "runs": 1}))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(path), "--out", str(out), "--jobs", "1"]) == 0
+    assert capsys.readouterr().err == ("warning: n E[N^2] = 0 < 1; "
+                                       "the bounds assume unit noise scale\n")
+    assert (out / "summary.json").exists()
 
 
 def test_verify_passes():

@@ -1,5 +1,6 @@
 """Averaging dynamic: step semantics, rules, replay, determinism."""
 
+import itertools
 import math
 import shutil
 import struct
@@ -424,6 +425,72 @@ def test_kernel_floor_division_matches_python():
 def test_kernel_floor_division_matches_python_anywhere(v):
     got, want = dynamics._kernel.py_floordiv(v, 2.0), v // 2.0
     assert (math.isnan(got) and math.isnan(want)) or _bits(got) == _bits(want)
+
+
+#: Sums at the edges of the kernel's rounding fast path: signed zeros, the
+#: smallest subnormal (whose half rounds to zero), both sides of 2^-1021,
+#: even integers past 2^53, infinities and NaN.
+ROUNDING_EDGES = [0.0, -0.0, 2.0**-1074, -2.0**-1074, 2.0**-1022, -2.0**-1022, 2.0**-1021,
+                  -2.0**-1021, 2.0**53 + 2, 2.0**53 - 2, -(2.0**53 + 2), -(2.0**53 - 2),
+                  math.inf, -math.inf, math.nan]
+ROUNDING_RULES = [DiscreteRounding(), Cutoff(-math.inf, math.inf, rounding=True),
+                  Cutoff(-1.0, 1.0, rounding=True), Cutoff(1.0, 10.0, rounding=True)]
+
+
+def _bits_or_nan(x):
+    """``_bits(x)``, or "nan" for any NaN: IEEE arithmetic leaves the sign of
+    a NaN result open, and C may compute ``-d * 0.5`` as ``d * -0.5``."""
+    return "nan" if math.isnan(x) else _bits(x)
+
+
+def _rounding_outcomes(values, pairs, noise, coins, rule, decomp):
+    """Values, state and offsets after the compiled ``_run_pairs`` and after
+    ``_pairs_reference``, floats as their bytes."""
+    flags = dynamics._rule_flags(rule)
+    outcomes = []
+    for run in (dynamics._run_pairs, dynamics._pairs_reference):
+        x = np.array(values, dtype=float)
+        offsets = np.zeros(len(pairs), dtype=np.int8)
+        state = run(x, np.array(pairs, dtype=np.int64), np.array(noise, dtype=float),
+                    np.array(coins, dtype=float), flags, decomp, [0.5, 2.0, 0.0, 0.0, 0.0],
+                    offsets)
+        outcomes.append(([_bits_or_nan(v) for v in x.tolist()],
+                         [_bits_or_nan(v) for v in state], offsets.tobytes()))
+    return outcomes
+
+
+@needs_kernel
+@pytest.mark.parametrize("rule", ROUNDING_RULES)
+def test_kernel_rounding_matches_reference_at_the_edges(rule):
+    """Every ordered pair of edge values, exchanged with no noise (each sum is
+    then the edge itself) and with edge noise, one fresh pair per exchange."""
+    for k, (a, b) in enumerate(itertools.product(ROUNDING_EDGES, repeat=2)):
+        for noise in ([0.0, 0.0], [b, a], [-0.0, ROUNDING_EDGES[k % len(ROUNDING_EDGES)]]):
+            for coins in ([0.25, 0.75], [0.75, 0.25]):
+                compiled, reference = _rounding_outcomes([a, b], [0, 1], noise, coins, rule,
+                                                         k % 2 == 0)
+                assert compiled == reference, (a, b, noise, coins)
+
+
+ROUNDING_FLOATS = st.one_of(st.sampled_from(ROUNDING_EDGES), st.floats(),
+                            st.floats(-2.0**-1020, 2.0**-1020), st.integers(-12, 12).map(float))
+
+
+@needs_kernel
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(rule=st.sampled_from(ROUNDING_RULES), decomp=st.booleans(),
+       data=st.data(), n=st.integers(2, 6), npairs=st.integers(1, 12))
+def test_kernel_rounding_matches_reference_anywhere(rule, decomp, data, n, npairs):
+    """Bit for bit, offsets included, on sums anywhere in the float range."""
+    values = data.draw(st.lists(ROUNDING_FLOATS, min_size=n, max_size=n))
+    pairs = data.draw(st.lists(st.integers(0, n - 1), min_size=2 * npairs,
+                               max_size=2 * npairs))
+    noise = data.draw(st.lists(st.one_of(st.just(0.0), ROUNDING_FLOATS), min_size=2 * npairs,
+                               max_size=2 * npairs))
+    coins = data.draw(st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=2 * npairs,
+                               max_size=2 * npairs))
+    compiled, reference = _rounding_outcomes(values, pairs, noise, coins, rule, decomp)
+    assert compiled == reference
 
 
 #: Summands that cancel, sit at the ends of the float range or are signed zeros.

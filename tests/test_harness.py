@@ -1,5 +1,7 @@
 """Harness: config handling, trace recording, histograms, serialization."""
 
+import csv
+import io
 import itertools
 import json
 import math
@@ -37,7 +39,8 @@ from gossipavg import (
     survival_fit,
 )
 from gossipavg.dynamics import Cutoff
-from gossipavg.harness import KINDS, TraceRecord, summary_dict
+from gossipavg.harness import KINDS, TRACE_COLUMNS, TraceRecord, summary_dict
+from gossipavg.potentials import PotentialSnapshot
 
 
 def small_config(**overrides):
@@ -398,6 +401,25 @@ def test_empty_trace_header_only(tmp_path):
     path = tmp_path / "empty.csv"
     emit_csv(trace, path)
     assert path.read_text().strip() == "step,tss,phi_bar,phi,running_avg,drift,parallel_time"
+
+
+def test_csv_bytes_are_those_of_csv_writer(tmp_path):
+    """One format per row gives the bytes of csv.writer with ".17g" cells,
+    at the values whose text is special."""
+    specials = [math.inf, -math.inf, math.nan, -0.0, 5e-324, 1.7e308, 0.1, -1.0 / 3.0]
+    trace = TraceRecord(run_index=0, n=7, seed=1, snapshots=[
+        PotentialSnapshot(step, *(specials[(step + k) % len(specials)] for k in range(5)))
+        for step in (0, 1, 10, 7 * 10**12, 2**63)])
+    path = tmp_path / "trace.csv"
+    emit_csv(trace, path)
+    want = io.StringIO(newline="")
+    writer = csv.writer(want)
+    writer.writerow(TRACE_COLUMNS)
+    for s in trace.snapshots:
+        writer.writerow([s.step, *(format(x, ".17g") for x in
+                                   (s.tss, s.phi_bar, s.phi, s.running_avg, s.drift,
+                                    s.step / trace.n))])
+    assert path.read_bytes() == want.getvalue().encode()
 
 
 def test_decomposition_csv(tmp_path):

@@ -9,6 +9,7 @@ from gossipavg import (
     DiscreteGeometric,
     Gaussian,
     ParameterError,
+    QuantileRangeError,
     Zero,
     is_smooth_at,
     m_quantile,
@@ -186,6 +187,23 @@ def test_m_quantile_star_negative_branch():
     assert m_quantile(Gaussian(1.0), 1, 0.9, "combined") >= 0.0
 
 
+@pytest.mark.parametrize("sigma2", [1e6, 1e200, 1e306])
+def test_m_quantile_gaussian_prime_at_large_variance(sigma2):
+    """Far above 1 the float spacing exceeds QUANTILE_TOL: the bisection stops
+    at adjacent floats and still returns the closed form."""
+    t, delta = 100, 0.05
+    target = math.exp(math.log1p(-delta) / (t + 1))
+    exact = -2.0 * sigma2 * math.log1p(-target)
+    assert m_quantile(Gaussian(sigma2), t, delta, "prime") == pytest.approx(exact, rel=1e-12)
+
+
+def test_m_quantile_beyond_the_float_range_names_the_variance():
+    with pytest.raises(QuantileRangeError, match="variance 1e\\+308"):
+        m_quantile(Gaussian(1e308), 100, 0.05, "prime")
+    with pytest.raises(QuantileRangeError, match="N\\* quantile"):
+        m_quantile(Gaussian(1e308), 100, 0.05, "star")
+
+
 def test_m_quantile_rejects_bad_args():
     with pytest.raises(ParameterError):
         m_quantile(Gaussian(1.0), 10, 1.5)
@@ -214,3 +232,49 @@ def test_is_smooth_matches_definition():
         result = is_smooth_at(Gaussian(1.0), t, delta)
         assert result == expected
         print(f"is_smooth_at(gaussian, t={t}, delta={delta}) = {result}")
+
+
+def _discrete_sample_oracle(p, u):
+    """The discrete sampler as written out of place, one temporary per step."""
+    if p >= 1.0:
+        return np.zeros(len(u))
+    sign = np.where(u >= 0.5, 1.0, -1.0)
+    folded = np.abs(2.0 * u - 1.0)
+    with np.errstate(divide="ignore"):
+        mag = np.floor(np.log1p(-folded) / math.log1p(-p))
+    mag = np.where(np.isfinite(mag), mag, 0.0)
+    return sign * mag
+
+
+SAMPLER_SIZES = [*range(70), 127, 128, 129, 1000, 2048, 4097]
+
+
+@pytest.mark.parametrize("p", [0.8, 0.5, 0.01, 0.999, 1e-9])
+def test_discrete_sampler_matches_out_of_place_form(p):
+    """Byte for byte, signed zeros included, at sizes around the SIMD widths."""
+    for size in SAMPLER_SIZES:
+        for seed in range(3):
+            u = make_rng(seed).random(size)
+            got = sample_batch(DiscreteGeometric(p), make_rng(seed), size)
+            assert got.tobytes() == _discrete_sample_oracle(p, u).tobytes(), (size, seed)
+
+
+class _FixedUniforms:
+    """A generator stand-in whose ``random`` returns the given uniforms."""
+
+    def __init__(self, u):
+        self.u = np.array(u, dtype=float)
+
+    def random(self, size):
+        assert size == len(self.u)
+        return self.u.copy()
+
+
+def test_discrete_sampler_matches_out_of_place_form_at_edge_uniforms():
+    """u = 0 (folded to exactly 1), u = 1/2 and its neighbours, whose
+    magnitude is 0 with the sign of u - 1/2."""
+    u = [0.0, 0.5, np.nextafter(0.5, 0.0), np.nextafter(0.5, 1.0), 2.0**-53, 1.0 - 2.0**-53,
+         0.25, 0.75, 0.1, 0.9]
+    for p in (0.8, 0.5, 1e-9, 1.0):
+        got = sample_batch(DiscreteGeometric(p), _FixedUniforms(u), len(u))
+        assert got.tobytes() == _discrete_sample_oracle(p, np.array(u)).tobytes(), p
