@@ -74,8 +74,7 @@ def _bind(lib: ctypes.CDLL) -> ctypes.CDLL:
     lib.py_floordiv.restype = dbl
     # Called once per tracker check, often on few values: keeping the GIL
     # (PYFUNCTYPE) spares releasing and retaking it around a short call.
-    lib.exact_moments = ctypes.PYFUNCTYPE(c_int, ctypes.POINTER(dbl), i64, c_int, ptr)(
-        ("exact_moments", lib))
+    lib.exact_moments = ctypes.PYFUNCTYPE(c_int, ptr, i64, c_int, ptr)(("exact_moments", lib))
     return lib
 
 

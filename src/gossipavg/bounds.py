@@ -18,9 +18,9 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
-from .errors import ParameterError, UndefinedPredictionError
+from .errors import ParameterError, QuantileRangeError, UndefinedPredictionError
 from .noise import NoiseModel, NoiseMoments, is_smooth_at, m_quantile, moments
 
 DEFAULT_TIME_CONSTANT = 30.0
@@ -55,17 +55,17 @@ def bound_inputs(
         raise ParameterError(f"n must be at least 1, got {n}")
     if not 0.0 <= phi0 < math.inf:
         raise ParameterError(f"phi0 must be finite and nonnegative, got {phi0}")
-    sub = delta / quantile_divisor
-    return BoundInputs(
-        n=n,
-        t=t,
-        delta=delta,
-        phi0=phi0,
-        moments=moments(model),
-        m_prime=m_quantile(model, t, sub, "prime"),
-        m_star=m_quantile(model, t, sub, "star"),
-        m_combined=m_quantile(model, t, sub, "combined"),
-    )
+    return BoundInputs(n=n, t=t, delta=delta, phi0=phi0, moments=moments(model),
+                       **_quantiles(model, t, delta / quantile_divisor))
+
+
+def _quantiles(model: NoiseModel, t: int, sub: float) -> dict:
+    """The BoundInputs quantile fields at budget ``sub``, each N' and N*
+    envelope bisected once: ``m_combined`` is their max, as ``m_quantile``'s
+    ``"combined"`` defines it."""
+    m_prime = m_quantile(model, t, sub, "prime")
+    m_star = m_quantile(model, t, sub, "star")
+    return {"m_prime": m_prime, "m_star": m_star, "m_combined": max(m_prime, m_star)}
 
 
 def _b_prime_core(t: int, log_term: float, m_prime: float, mom: NoiseMoments) -> float:
@@ -91,10 +91,16 @@ def z_value(inputs: BoundInputs) -> float:
     if not 0.0 < inputs.delta < 1.0:
         raise ParameterError(f"delta must be in (0, 1), got {inputs.delta}")
     log_t = math.log(2.0 * inputs.t / inputs.delta)
+    try:
+        m_term = (2.0 * log_t * inputs.m_combined / 3.0) ** 2
+    except OverflowError:
+        raise QuantileRangeError(
+            f"variance {inputs.moments.variance!r} is too large: the squared quantile term "
+            f"of z at t = {inputs.t} passes the float range") from None
     return (
         inputs.phi0
         + 2.0 * log_t * inputs.t * inputs.moments.e_nstar_sq / inputs.n
-        + (2.0 * log_t * inputs.m_combined / 3.0) ** 2
+        + m_term
         + _b_prime_core(inputs.t, math.log(4.0 / inputs.delta), inputs.m_prime, inputs.moments)
         + 1.0
     )
@@ -202,8 +208,8 @@ def evaluate_all(
     delta/2 quantiles, ``z``/``b_star`` use delta/4 quantiles.
     """
     in_half = bound_inputs(model, n, t, delta, phi0, quantile_divisor=2)
-    in_quarter = bound_inputs(model, n, t, delta, phi0, quantile_divisor=4)
-    mom = moments(model)
+    in_quarter = replace(in_half, **_quantiles(model, t, delta / 4))
+    mom = in_half.moments
     if not standing_assumption_ok(n, mom):
         warnings.warn(
             f"n E[N^2] = {n * mom.variance:.3g} < 1; the bounds assume unit noise scale",

@@ -96,6 +96,10 @@ def _evaluate_bounds(*args, **kwargs) -> dict:
     return values
 
 
+#: Failure budget of the bounds in ``run``'s summary.json.
+_RUN_DELTA = 0.1
+
+
 def _emit_run_outputs(traces, config, out_dir: Path) -> Path:
     out_dir.mkdir(parents=True, exist_ok=True)
     for trace in traces:
@@ -105,7 +109,7 @@ def _emit_run_outputs(traces, config, out_dir: Path) -> Path:
                 trace, out_dir / f"decomposition_run{trace.run_index:04d}.csv"
             )
     phi0 = traces[0].snapshots[0].phi_bar
-    bound_values = _evaluate_bounds(config.noise, config.n, config.steps, 0.1, phi0)
+    bound_values = _evaluate_bounds(config.noise, config.n, config.steps, _RUN_DELTA, phi0)
     summary_path = out_dir / "summary.json"
     harness.emit_json(traces, summary_path, config, bound_values)
     return summary_path
@@ -113,6 +117,14 @@ def _emit_run_outputs(traces, config, out_dir: Path) -> Path:
 
 def _cmd_run(args) -> int:
     config = _resolve_config(args)
+    # The summary's bounds cannot be computed for too large a noise scale;
+    # find that out before the run, not after it.  Whether they can does not
+    # depend on phi0.
+    try:
+        bounds.z_value(bounds.bound_inputs(config.noise, config.n, config.steps, _RUN_DELTA,
+                                           0.0, quantile_divisor=4))
+    except QuantileRangeError as exc:
+        raise ConfigError(f"noise: {exc}") from None
     traces = harness.run_experiment(config, jobs=args.jobs)
     summary = _emit_run_outputs(traces, config, Path(args.out))
     final = traces[0].snapshots[-1]

@@ -217,7 +217,7 @@ def sequential_step(
     """One uniformly random interaction (i, j drawn with replacement)."""
     # the step API keeps no trackers, so the tracker state passed is discarded
     events: list = []
-    _sequential_chunk(pop.values, 1, model, rng, _rule_flags(rule), False, [0.0] * 5, events)
+    _sequential_chunk(pop.values, 1, model, rng, _rule_flags(rule), False, np.zeros(5), events)
     pop.step_count += 1
     return events[0]
 
@@ -229,7 +229,7 @@ def synchronous_step(
     updating from the pre-round values.  For odd n the leftover agent
     self-pairs and keeps its value."""
     events: list = []
-    _synchronous_round(pop.values, model, rng, _rule_flags(rule), [0.0] * 5, events)
+    _synchronous_round(pop.values, model, rng, _rule_flags(rule), np.zeros(5), events)
     pop.step_count += 1
     return events[0]
 
@@ -267,33 +267,31 @@ _F64, _I64, _I8 = np.dtype(np.float64), np.dtype(np.int64), np.dtype(np.int8)
 _MOMENTS = ctypes.c_double * 2
 
 
-def _kernel_view(values: np.ndarray) -> Optional[ctypes.c_double]:
-    """``values`` as the array argument of the kernel's ``exact_moments``, or
-    None where there is no kernel or it cannot take the array (not a writable,
-    C-contiguous, non-empty 1-d float64 array).  Making one costs about as
-    much as the call, so each engine keeps one for its values."""
-    if _kernel is None or values.ndim != 1 or values.dtype != _F64:
+def _address(arr: Optional[np.ndarray], dtype: np.dtype) -> Optional[int]:
+    """Address of a kernel buffer, the one way every array reaches the kernel;
+    None for no buffer or an empty one (``from_buffer`` rejects read-only,
+    non-contiguous and empty arrays, and is cheaper than ``arr.ctypes.data``)."""
+    if arr is None or not arr.size:
         return None
-    try:
-        return ctypes.c_double.from_buffer(values)
-    except (TypeError, ValueError):
-        return None
+    if arr.dtype != dtype:
+        raise TypeError(f"kernel buffer must be a {dtype} array, got {arr.dtype}")
+    return ctypes.addressof(ctypes.c_char.from_buffer(arr))
 
 
 def _exact(values: np.ndarray, with_phibar: bool = True,
-           view: Optional[ctypes.c_double] = None) -> tuple[float, Optional[float]]:
+           addr: Optional[int] = None) -> tuple[float, Optional[float]]:
     """Mean and (if asked) potential about it, each from one correctly rounded sum.
 
     The squares are rounded one by one, as ``(x - m) * (x - m)`` would be.
-    Given ``view = _kernel_view(values)``, the kernel's ``exact_moments``
+    Given ``addr = _address(values, _F64)``, the kernel's ``exact_moments``
     computes both sums in one call, bit for bit as ``math.fsum`` does.  The
-    fsum body below, the tests' oracle, runs without a view or a kernel and
+    fsum body below, the tests' oracle, runs without an address or a kernel and
     where the kernel declines (a non-finite summand or partial, more partials
     than it keeps), so it returns or raises what ``math.fsum`` does.
     """
-    if view is not None and _kernel is not None:
+    if addr is not None and _kernel is not None:
         out = _MOMENTS()
-        if not _kernel.exact_moments(view, len(values), with_phibar, out):
+        if not _kernel.exact_moments(addr, len(values), with_phibar, out):
             return out[0], (out[1] if with_phibar else None)
     mean = math.fsum(values.tolist()) / len(values)
     if not with_phibar:
@@ -326,10 +324,10 @@ def _decomposition_step(xi, xj, a, c, mean, tracked, inv_n):
     return phibar, sp, ss, sm
 
 
-def _pairs_reference(values, pairs, noise, coins, flags, decomp, state, offsets):
+def _pairs_reference(values, pairs, noise, coins, flags, decomp, state, offsets) -> None:
     """Python form of ``pair_chunk`` in ``_kernel.c``: the tests' oracle, and
     the engines' loop where the kernel is unavailable."""
-    mean, *tracked = state
+    mean, *tracked = state.tolist()
     inv_n = 1.0 / len(values)
     pairs = pairs.tolist()
     noise = noise.tolist()
@@ -350,42 +348,32 @@ def _pairs_reference(values, pairs, noise, coins, flags, decomp, state, offsets)
         if offsets is not None:
             offsets[k] = ri
             offsets[k + 1] = rj
-    return [mean, *tracked]
-
-
-def _address(arr: Optional[np.ndarray], dtype: np.dtype) -> Optional[int]:
-    """Address of a kernel buffer, or None for no buffer or an empty one
-    (``from_buffer`` rejects read-only, non-contiguous and empty arrays, and
-    is cheaper than ``arr.ctypes.data``)."""
-    if arr is None or not arr.size:
-        return None
-    if arr.dtype != dtype:
-        raise TypeError(f"kernel buffer must be a {dtype} array, got {arr.dtype}")
-    return ctypes.addressof(ctypes.c_char.from_buffer(arr))
+    state[:] = (mean, *tracked)
 
 
 def _run_pairs(values: np.ndarray, pairs: np.ndarray, noise: np.ndarray,
-               coins: Optional[np.ndarray], flags, decomp: bool, state: list,
-               offsets: Optional[np.ndarray]) -> list:
+               coins: Optional[np.ndarray], flags, decomp: bool, state: np.ndarray,
+               offsets: Optional[np.ndarray]) -> None:
     """Apply the exchanges (pairs[2k], pairs[2k+1]) to ``values`` in order.
 
-    ``state`` is [mean, phi_bar, S', S*, S^-]; the updated list is returned
-    (the last four move only when ``decomp``).  The rounding offsets go to
-    ``offsets`` when given.  The indices must lie in [0, len(values)), as
+    ``state`` is the float64 array [mean, phi_bar, S', S*, S^-], updated in
+    place (the last four move only when ``decomp``).  The rounding offsets go
+    to ``offsets`` when given.  The indices must lie in [0, len(values)), as
     the engines' draws do.
     """
+    if not isinstance(state, np.ndarray) or state.shape != (5,):
+        raise ValueError(f"state must be a float64 array of 5 trackers, got {state!r}")
+    state_addr = _address(state, _F64)  # raises on a wrong dtype, read-only or strided state
     if _kernel is None:
         return _pairs_reference(values, pairs, noise, coins, flags, decomp, state, offsets)
     do_round, do_clamp, vmin, vmax = flags
     if (do_round and coins is None) or any(
             a is not None and len(a) != len(pairs) for a in (noise, coins, offsets)):
         raise ValueError("kernel buffers must hold one entry per agent of each pair")
-    st = np.array(state, dtype=np.float64)
     _kernel.pair_chunk(_address(values, _F64), len(values), _address(pairs, _I64),
                        _address(noise, _F64), _address(coins, _F64),
                        len(pairs) // 2, do_round, do_clamp, vmin, vmax, decomp,
-                       _address(st, _F64), _address(offsets, _I8))
-    return st.tolist()
+                       state_addr, _address(offsets, _I8))
 
 
 def _interactions(pairs: np.ndarray, noise: np.ndarray, offsets: np.ndarray):
@@ -400,25 +388,24 @@ def _interactions(pairs: np.ndarray, noise: np.ndarray, offsets: np.ndarray):
 
 
 def _sequential_chunk(values: np.ndarray, b: int, model: NoiseModel, rng: np.random.Generator,
-                      flags, decomp: bool, state: list, collect: Optional[list]) -> list:
-    """Draw ``b`` steps (pairs, then noise, then coins) and apply them; returns
-    the updated ``state``.  With ``collect``, appends one StepEvent per step."""
+                      flags, decomp: bool, state: np.ndarray, collect: Optional[list]) -> None:
+    """Draw ``b`` steps (pairs, then noise, then coins) and apply them, updating
+    ``state`` in place.  With ``collect``, appends one StepEvent per step."""
     pairs = rng.integers(0, len(values), size=2 * b)
     noise = sample_batch(model, rng, 2 * b)
     coins = rng.random(2 * b) if flags[0] else None
     offsets = np.zeros(2 * b, np.int8) if collect is not None else None
-    state = _run_pairs(values, pairs, noise, coins, flags, decomp, state, offsets)
+    _run_pairs(values, pairs, noise, coins, flags, decomp, state, offsets)
     if collect is not None:
         collect.extend(StepEvent([it]) for it in _interactions(pairs, noise, offsets))
-    return state
 
 
 def _synchronous_round(values: np.ndarray, model: NoiseModel, rng: np.random.Generator,
-                       flags, state: list, collect: Optional[list]) -> list:
+                       flags, state: np.ndarray, collect: Optional[list]) -> None:
     """Draw one round (a permutation, then noise, then coins) and apply it in
-    place: the pairs are disjoint, so each reads the pre-round values.  Returns
-    the updated ``state``.  With ``collect``, appends the round's StepEvent,
-    ending in the leftover self-pair when n is odd."""
+    place: the pairs are disjoint, so each reads the pre-round values.  The
+    mean in ``state`` is updated in place.  With ``collect``, appends the
+    round's StepEvent, ending in the leftover self-pair when n is odd."""
     n = len(values)
     npairs = n // 2
     perm = rng.permutation(n)
@@ -426,19 +413,20 @@ def _synchronous_round(values: np.ndarray, model: NoiseModel, rng: np.random.Gen
     coins = rng.random(2 * npairs) if flags[0] else None
     offsets = np.zeros(2 * npairs, np.int8) if collect is not None else None
     pairs = perm[: 2 * npairs]
-    state = _run_pairs(values, pairs, noise, coins, flags, False, state, offsets)
+    _run_pairs(values, pairs, noise, coins, flags, False, state, offsets)
     if collect is not None:
         interactions = list(_interactions(pairs, noise, offsets))
         if n % 2 == 1:
             k = int(perm[-1])
             interactions.append(Interaction(k, k, 0.0, 0.0, 0, 0))
         collect.append(StepEvent(interactions))
-    return state
 
 
 class _Engine:
-    """What both engines share: the values, the running-mean tracker and the
-    exact recomputation that checks it."""
+    """What both engines share: the values, the trackers in ``state`` and the
+    exact recomputation that checks and resyncs them.  ``state`` is [mean,
+    phi_bar, S', S*, S^-] in ``pair_chunk``'s layout; phi_bar and the sums are
+    live only while a decomposition window is open (``_decomp``)."""
 
     _unit = "step"
 
@@ -448,87 +436,69 @@ class _Engine:
         self.rng = rng
         self.flags = _rule_flags(rule)
         self.values = np.array(pop.values, dtype=np.float64)
-        self._view = _kernel_view(self.values)
+        self._addr = _address(self.values, _F64)
         self.n = len(self.values)
-        self.mean = _exact(self.values, False, self._view)[0]
+        self.state = np.zeros(5)
+        self.state[0] = _exact(self.values, False, self._addr)[0]
         self.step = pop.step_count
-        self.phibar: Optional[float] = None
+        self._decomp = False
         self._since_resync = 0
+
+    def _resync(self, check: bool) -> tuple[float, Optional[float]]:
+        """Write the exact mean, and while ``_decomp`` the exact potential, into
+        ``state``.  With ``check`` the potential is always computed, and a live
+        tracker off its exact value by more than DRIFT_TOL raises
+        NumericalDriftError first."""
+        mean, phibar = _exact(self.values, check or self._decomp, self._addr)
+        live = 2 if self._decomp else 1
+        if check:
+            for name, tracked, exact in zip(("running-mean", "potential"),
+                                            self.state[:live].tolist(), (mean, phibar)):
+                if abs(tracked - exact) > DRIFT_TOL * (1.0 + abs(exact)):
+                    raise NumericalDriftError(f"{name} tracker drifted: {tracked} vs {exact} "
+                                              f"at {self._unit} {self.step}")
+        self.state[:live] = (mean, phibar)[:live]
+        self._since_resync = 0
+        return mean, phibar
 
     def refresh(self) -> tuple[float, float]:
         """Recompute mean and potential; verify and resync the trackers."""
-        mean_full, phibar_full = _exact(self.values, True, self._view)
-        for name, tracked, exact in (("running-mean", self.mean, mean_full),
-                                     ("potential", self.phibar, phibar_full)):
-            if tracked is not None and abs(tracked - exact) > DRIFT_TOL * (1.0 + abs(exact)):
-                raise NumericalDriftError(
-                    f"{name} tracker drifted: {tracked} vs {exact} at {self._unit} {self.step}"
-                )
-        self.mean = mean_full
-        if self.phibar is not None:
-            self.phibar = phibar_full
-        self._since_resync = 0
-        return mean_full, phibar_full
+        return self._resync(True)
 
 
 class SequentialEngine(_Engine):
-    """Drives one sequential run with incremental mean/potential tracking.
+    """Drives one sequential run.  The mean tracker follows the value deltas
+    and is resynced every ``_resync_every`` steps; while a decomposition window
+    is open, phi_bar follows the exact one-step change formula about it."""
 
-    The running mean is maintained incrementally from the value deltas and
-    periodically recomputed (``resync``); while a decomposition window is
-    open the potential about the running mean is additionally tracked via
-    the exact one-step change formula.  ``refresh`` recomputes both from
-    scratch, raises ``NumericalDriftError`` if the trackers wandered, and
-    adopts the exact values.
-    """
-
-    def __init__(self, pop: Population, model: NoiseModel, rule: UpdateRule,
-                 rng: np.random.Generator):
-        super().__init__(pop, model, rule, rng)
-        self.s_prime = 0.0
-        self.s_star = 0.0
-        self.s_minus = 0.0
-        self._decomp = False
-        self._resync_every = max(self.n, 1024)
+    @property
+    def _resync_every(self) -> int:
+        return max(self.n, 1024)
 
     # -- tracking control ---------------------------------------------------
 
     def begin_decomposition(self) -> None:
-        self.phibar = _exact(self.values, True, self._view)[1]
-        self.s_prime = 0.0
-        self.s_star = 0.0
-        self.s_minus = 0.0
+        self.state[1:] = (_exact(self.values, True, self._addr)[1], 0.0, 0.0, 0.0)
         self._decomp = True
 
     def end_decomposition(self) -> tuple[float, float, float]:
-        sums = (self.s_prime, self.s_star, self.s_minus)
         self._decomp = False
-        self.phibar = None
-        return sums
+        return tuple(self.state[2:].tolist())
 
     # -- main loop -----------------------------------------------------------
 
     def advance(self, steps: int, collect: Optional[list] = None) -> None:
         if steps <= 0:
             return
-        decomp = self._decomp
-        state = [self.mean, self.phibar if decomp else 0.0,
-                 self.s_prime, self.s_star, self.s_minus]
         done = 0
         while done < steps:
             b = min(CHUNK, steps - done, self._resync_every - self._since_resync)
-            state = _sequential_chunk(self.values, b, self.model, self.rng, self.flags, decomp,
-                                      state, collect)
+            _sequential_chunk(self.values, b, self.model, self.rng, self.flags, self._decomp,
+                              self.state, collect)
             done += b
             self._since_resync += b
             if self._since_resync >= self._resync_every:
-                state[0], phibar = _exact(self.values, decomp, self._view)
-                if decomp:
-                    state[1] = phibar
-                self._since_resync = 0
-        self.mean = state[0]
-        if decomp:
-            self.phibar, self.s_prime, self.s_star, self.s_minus = state[1:]
+                self._resync(False)
         self.step += steps
 
 
@@ -542,21 +512,17 @@ class SynchronousEngine(_Engine):
 
     _unit = "round"
 
-    def __init__(self, pop: Population, model: NoiseModel, rule: UpdateRule,
-                 rng: np.random.Generator):
-        super().__init__(pop, model, rule, rng)
-        self._resync_every = max(1, 4096 // max(self.n, 1))
+    @property
+    def _resync_every(self) -> int:
+        return max(1, 4096 // max(self.n, 1))
 
     def advance(self, rounds: int, collect: Optional[list] = None) -> None:
         if rounds <= 0:
             return
-        state = [self.mean, 0.0, 0.0, 0.0, 0.0]
         for _ in range(rounds):
             if self._since_resync >= self._resync_every:
-                state[0] = _exact(self.values, False, self._view)[0]
-                self._since_resync = 0
-            state = _synchronous_round(self.values, self.model, self.rng, self.flags, state,
-                                       collect)
+                self._resync(False)
+            _synchronous_round(self.values, self.model, self.rng, self.flags, self.state,
+                               collect)
             self._since_resync += 1
-        self.mean = state[0]
         self.step += rounds

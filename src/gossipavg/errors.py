@@ -6,7 +6,8 @@ class ParameterError(ValueError):
 
 
 class QuantileRangeError(ParameterError):
-    """A noise quantile lies beyond the float range: the noise scale is too large."""
+    """A noise quantile or a bound built on it lies beyond the float range, or
+    needs a discrete pmf tabulated past its limit: the noise scale is too large."""
 
 
 class ConfigError(ValueError):

@@ -30,6 +30,10 @@ TAIL_MASS = 1e-12
 #: Absolute tolerance of the quantile bisection for continuous CDFs.
 QUANTILE_TOL = 1e-9
 
+#: Largest magnitude K to which a discrete pmf is tabulated: ``_nprime_pmf``
+#: works on K x K tables (about 0.5 GB at K = 3000), and p = 0.01 needs K = 2750.
+_MAX_MAGNITUDE = 3000
+
 
 @dataclass(frozen=True)
 class Gaussian:
@@ -118,7 +122,12 @@ def _magnitude_pmf(p: float) -> np.ndarray:
     if p >= 1.0:
         return np.array([1.0])
     q = 1.0 - p
-    k_max = max(1, math.ceil(math.log(TAIL_MASS) / math.log(q)))
+    # below p of about 1.1e-16, q rounds to 1.0 and no K reaches the tail mass
+    k_max = max(1, math.ceil(math.log(TAIL_MASS) / math.log(q))) if q < 1.0 else math.inf
+    if k_max > _MAX_MAGNITUDE:
+        raise QuantileRangeError(f"discrete p = {p!r} is too small: its pmf needs more than "
+                                 f"the limit of {_MAX_MAGNITUDE} magnitudes to reach tail mass "
+                                 f"{TAIL_MASS}")
     k = np.arange(k_max + 1)
     return p * q**k
 

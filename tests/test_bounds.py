@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from gossipavg import bounds, noise
 from gossipavg import (
     Gaussian,
     ParameterError,
@@ -227,6 +228,28 @@ def test_tss_identity_op():
 def test_standing_assumption():
     assert standing_assumption_ok(100, moments(Gaussian(1.0)))
     assert not standing_assumption_ok(2, moments(Gaussian(0.01)))
+
+
+def test_evaluate_all_bisects_each_quantile_once(monkeypatch):
+    """Each N' and N* envelope is bisected once per budget (m_combined is the
+    max of the two at delta/2 and delta/4), and the moments are computed once."""
+    calls, moment_calls = [], []
+
+    def logged(fn, log):
+        def wrapper(*args):
+            log.append(args)
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(noise, "m_quantile", logged(noise.m_quantile, calls))
+    monkeypatch.setattr(bounds, "m_quantile", logged(noise.m_quantile, []))
+    monkeypatch.setattr(bounds, "moments", logged(bounds.moments, moment_calls))
+    values = evaluate_all(Gaussian(1.0), 100, 10**4, 0.1, 50.0)
+    bisected = [args for args in calls if args[3] != "combined"]
+    assert len(bisected) == len(set(bisected)) == 8
+    assert len(moment_calls) == 1
+    assert values["m_combined"] == max(values["m_prime"], values["m_star"])
 
 
 def test_evaluate_all_keys_and_zero_noise():

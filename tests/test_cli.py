@@ -1,5 +1,6 @@
 """Command-line interface end to end."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -8,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from gossipavg import dynamics
+from gossipavg import dynamics, harness
 from gossipavg.cli import main
 
 BASE_CONFIG = {
@@ -184,6 +185,9 @@ def test_replicate_fig_a_without_enough_tail_data_writes_no_fit(tmp_path, capsys
         (["--t", "1" + "0" * 400], "--t: "),
         (["--noise", "gaussian:1e308"], "--noise: gaussian variance 1e+308 "),
         (["--noise", "gaussian:1e307", "--t", "1000000"], "--noise: gaussian variance 1e+307 "),
+        (["--noise", "gaussian:1e160"], "--noise: variance 1e+160 is too large: "),
+        (["--noise", "discrete:1e-20"], "--noise: discrete p = 1e-20 is too small: "),
+        (["--noise", "discrete:1e-5"], "--noise: discrete p = 1e-05 is too small: "),
     ],
 )
 def test_bounds_malformed_number_exits_2_naming_the_argument(capsys, args, named):
@@ -191,6 +195,22 @@ def test_bounds_malformed_number_exits_2_naming_the_argument(capsys, args, named
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(f"error: {named}")
+
+
+@pytest.mark.parametrize("noise", [
+    {"kind": "gaussian", "sigma2": 1e200},  # the bounds' z squares past the float range
+    {"kind": "gaussian", "sigma2": 1e307},  # and so do the potentials' sums of squares
+    {"kind": "discrete_geometric", "p": 1e-5},  # the N' table would take terabytes
+])
+def test_run_refuses_a_noise_scale_the_bounds_cannot_take_before_any_step(
+        tmp_path, config_path, capsys, monkeypatch, noise):
+    monkeypatch.setattr(harness, "run_experiment", lambda *a, **k: pytest.fail("the run began"))
+    out = tmp_path / "x"
+    assert main(["run", "--config", str(config_path), "--out", str(out), "--jobs", "1",
+                 "--set", f"noise={json.dumps(noise)}"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: noise: ") and err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_bounds_small_noise_warning_is_one_line(capsys):
@@ -337,3 +357,61 @@ def test_tracker_drift_exits_2_with_one_line(tmp_path, capsys):
     assert err == ("error: potential tracker drifted: 38.23122319355599 vs "
                    "38.24231190979481 at step 5000\n")
     assert not out.exists()
+
+
+#: Small ``run`` configs (BASE_CONFIG with these fields replaced): both
+#: schedulers; Real, DiscreteRounding and Cutoff with rounding; Gaussian and
+#: Zero noise only, since DiscreteGeometric draws go through numpy's SIMD
+#: ``log1p``; sequential runs past the 1024-step resync, with a decomposition
+#: window across one, and synchronous runs past the ``4096 // n`` round resync.
+GOLDEN_CONFIGS = {
+    "seq-real-gaussian": {"steps": 3000, "record_every": 1500,
+                          "decomposition_intervals": [[0, 3000]]},
+    "seq-rounding-gaussian": {"rule": {"kind": "discrete_rounding"},
+                              "noise": {"kind": "gaussian", "sigma2": 2.0}, "steps": 2500,
+                              "record_every": 2500, "decomposition_intervals": [[0, 1500]]},
+    "seq-cutoff-zero": {"rule": {"kind": "cutoff", "vmin": 1.0, "vmax": 9.0, "rounding": True},
+                        "noise": {"kind": "zero"}, "steps": 1500, "record_every": 1500,
+                        "decomposition_intervals": [[200, 1400]]},
+    "sync-real-gaussian": {"scheduler": "synchronous", "n": 41, "steps": 250,
+                           "record_every": 30, "decomposition_intervals": []},
+    "sync-cutoff-gaussian": {"scheduler": "synchronous", "n": 40, "steps": 240,
+                             "record_every": 40, "decomposition_intervals": [],
+                             "rule": {"kind": "cutoff", "vmin": 1.0, "vmax": 9.0,
+                                      "rounding": True},
+                             "noise": {"kind": "gaussian", "sigma2": 4.0}},
+    "sync-rounding-zero": {"scheduler": "synchronous", "n": 4100, "steps": 6,
+                           "record_every": 2, "decomposition_intervals": [],
+                           "rule": {"kind": "discrete_rounding"}, "noise": {"kind": "zero"}},
+}
+
+#: sha256 over the sorted (file name, bytes) of each config's output directory.
+GOLDEN_DIGESTS = {
+    "seq-cutoff-zero":
+        "45f9fde4d6a29b2c471e27480e2330829a288a73dfb63c2171bd8366fe548a32",
+    "seq-real-gaussian":
+        "58b1df7e78730f75cbf8aa1bb280a0eff344668c0abd1f145377ed057ba8f617",
+    "seq-rounding-gaussian":
+        "d999cd052223644ec8f58bba5e28d338daaa0b699cd6c9eb466e4eb7e5fe2826",
+    "sync-cutoff-gaussian":
+        "e92b9eaed713ccdc6caafcddf6b51b8584ac3f9ba8f6a0ba894d062ed9ff9a4d",
+    "sync-real-gaussian":
+        "f48594626684d89eff85f8fb7f4182f4c6461ab1bf36357bc5fe4943a7057654",
+    "sync-rounding-zero":
+        "2481476086dbc2bbdb02fdddccb25ec025d46a698a6dc4d63bb4ac3ea57123ce",
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_CONFIGS))
+def test_run_outputs_keep_their_bytes(tmp_path, name):
+    """``run`` writes the same trace, decomposition and summary bytes as when
+    these digests were recorded: a refactor of the engines or the bounds that
+    claims "same bytes out" is held to it here."""
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({**BASE_CONFIG, **GOLDEN_CONFIGS[name]}))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(path), "--out", str(out), "--jobs", "1"]) == 0
+    digest = hashlib.sha256()
+    for p in sorted(out.iterdir()):
+        digest.update(p.name.encode() + b"\0" + p.read_bytes())
+    assert digest.hexdigest() == GOLDEN_DIGESTS.get(name)

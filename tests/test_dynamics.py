@@ -268,7 +268,7 @@ def test_engine_mean_tracker_verified():
     engine = SequentialEngine(pop, Gaussian(1.0), Real(), make_rng(32))
     engine.advance(5000)
     engine.refresh()  # passes on an honest tracker
-    engine.mean += 1.0
+    engine.state[0] += 1.0
     with pytest.raises(NumericalDriftError):
         engine.refresh()
 
@@ -281,7 +281,7 @@ def test_synchronous_engine_mean_tracker_verified():
     assert engine._resync_every == 1
     engine.advance(3)
     engine.refresh()  # passes on an honest tracker
-    engine.mean += 1.0
+    engine.state[0] += 1.0
     engine.advance(1)
     with pytest.raises(NumericalDriftError):
         engine.refresh()
@@ -302,12 +302,12 @@ def test_synchronous_advance_resyncs_every_interval(monkeypatch):
     seen = []
     exact = dynamics._exact
 
-    def spy(values, with_phibar, view):
-        assert view is engine._view  # the compiled sums, where there is a kernel
+    def spy(values, with_phibar, addr):
+        assert addr == engine._addr  # the compiled sums, where there is a kernel
         seen.append(values.copy())
-        return exact(values, with_phibar, view)
+        return exact(values, with_phibar, addr)
 
-    assert (engine._view is None) == (dynamics._kernel is None)
+    assert engine._addr == engine.values.ctypes.data
     monkeypatch.setattr(dynamics, "_exact", spy)
     engine.advance(3 * every + 8)
     monkeypatch.undo()
@@ -316,7 +316,7 @@ def test_synchronous_advance_resyncs_every_interval(monkeypatch):
     assert engine._since_resync == 8
     twin.advance(8)
     assert engine.values.tobytes() == twin.values.tobytes()
-    assert _bits(engine.mean) == _bits(twin.mean)
+    assert engine.state.tobytes() == twin.state.tobytes()
 
 
 def test_same_seed_same_trajectory():
@@ -356,10 +356,7 @@ def _drive(scheduler, rule, model, start, seed, segments, decomp, collect):
         engine.begin_decomposition()
     for length, refresh in segments:
         engine.advance(length, collect=events)
-        trackers = [engine.mean, engine.phibar]
-        if decomp:
-            trackers += [engine.s_prime, engine.s_star, engine.s_minus]
-        seen.append([_bits(x) for x in trackers])
+        seen.append([_bits(x) for x in engine.state.tolist()])
         if refresh:
             seen.append([_bits(x) for x in engine.refresh()])
     if decomp:
@@ -451,11 +448,11 @@ def _rounding_outcomes(values, pairs, noise, coins, rule, decomp):
     for run in (dynamics._run_pairs, dynamics._pairs_reference):
         x = np.array(values, dtype=float)
         offsets = np.zeros(len(pairs), dtype=np.int8)
-        state = run(x, np.array(pairs, dtype=np.int64), np.array(noise, dtype=float),
-                    np.array(coins, dtype=float), flags, decomp, [0.5, 2.0, 0.0, 0.0, 0.0],
-                    offsets)
+        state = np.array([0.5, 2.0, 0.0, 0.0, 0.0])
+        run(x, np.array(pairs, dtype=np.int64), np.array(noise, dtype=float),
+            np.array(coins, dtype=float), flags, decomp, state, offsets)
         outcomes.append(([_bits_or_nan(v) for v in x.tolist()],
-                         [_bits_or_nan(v) for v in state], offsets.tobytes()))
+                         [_bits_or_nan(v) for v in state.tolist()], offsets.tobytes()))
     return outcomes
 
 
@@ -501,21 +498,21 @@ EXACT_FINITE = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
                          st.floats(-1e6, 1e6), st.sampled_from(EXACT_EDGE_FLOATS))
 
 
-def _exact_outcome(values, with_phibar, view=None):
+def _exact_outcome(values, with_phibar, addr=None):
     """float.hex of what ``_exact`` returns, or the type of what it raises."""
     try:
         with np.errstate(over="ignore", invalid="ignore"):
-            mean, phibar = dynamics._exact(values, with_phibar, view)
+            mean, phibar = dynamics._exact(values, with_phibar, addr)
     except (OverflowError, ValueError) as exc:
         return type(exc)
     return mean.hex(), None if phibar is None else phibar.hex()
 
 
 def _assert_exact_matches_fsum(values, with_phibar):
-    """The compiled sums (through a kernel view) against the fsum body."""
-    view = dynamics._kernel_view(values)
-    assert view is not None
-    assert _exact_outcome(values, with_phibar, view) == _exact_outcome(values, with_phibar)
+    """The compiled sums (given the values' address) against the fsum body."""
+    addr = dynamics._address(values, dynamics._F64)
+    assert addr is not None
+    assert _exact_outcome(values, with_phibar, addr) == _exact_outcome(values, with_phibar)
 
 
 @needs_kernel
@@ -543,8 +540,8 @@ def test_compiled_exact_sums_itself_and_declines_what_fsum_must_do():
     an intermediate overflow and more partials than it keeps, where ``_exact``
     then gives fsum's answer."""
     def code(values):
-        return dynamics._kernel.exact_moments(dynamics._kernel_view(values), len(values), 1,
-                                              dynamics._MOMENTS())
+        return dynamics._kernel.exact_moments(dynamics._address(values, dynamics._F64),
+                                              len(values), 1, dynamics._MOMENTS())
 
     assert code(np.array([1e16, 1.0, -1e16, 1e-16])) == 0
     assert code(make_rng(1).uniform(1e12, 1e12 + 10, 300)) == 0
@@ -560,19 +557,43 @@ def test_compiled_exact_sums_itself_and_declines_what_fsum_must_do():
 
 
 @needs_kernel
-def test_kernel_view_only_of_arrays_the_kernel_can_take(monkeypatch):
-    """Other arrays, and every array without a kernel, get the fsum body."""
+def test_kernel_address_only_of_arrays_the_kernel_can_take(monkeypatch):
+    """Arrays the kernel cannot take have no address; an empty one, and every
+    array without a kernel, get the fsum body."""
     frozen = np.arange(4.0)
     frozen.flags.writeable = False
-    assert dynamics._kernel_view(np.arange(4.0)) is not None
-    for values in (frozen, np.arange(8.0)[::2], np.arange(6.0).reshape(2, 3),
-                   np.arange(4, dtype=np.float32), np.arange(4.0).astype(">f8"), np.zeros(0)):
-        assert dynamics._kernel_view(values) is None
     values = np.arange(4.0)
-    view = dynamics._kernel_view(values)
+    assert dynamics._address(values, dynamics._F64) == values.ctypes.data
+    for bad in (frozen, np.arange(8.0)[::2], np.arange(4, dtype=np.float32),
+                np.arange(4.0).astype(">f8")):
+        with pytest.raises(TypeError):
+            dynamics._address(bad, dynamics._F64)
+    assert dynamics._address(np.zeros(0), dynamics._F64) is None
+    addr = dynamics._address(values, dynamics._F64)
     monkeypatch.setattr(dynamics, "_kernel", None)
-    assert dynamics._kernel_view(values) is None
-    assert dynamics._exact(values, True, view) == (1.5, 5.0)
+    assert dynamics._exact(values, True, addr) == (1.5, 5.0)
+
+
+class _NoKernelCall:
+    def pair_chunk(self, *args):
+        pytest.fail("the kernel was called")
+
+
+@pytest.mark.parametrize("state", [
+    [0.0] * 5, np.zeros(5, dtype=np.float32), np.zeros(4), np.zeros(6), np.zeros((1, 5)),
+    np.zeros(10)[::2], np.zeros(5).astype(">f8"), np.zeros(5).view(np.int64),
+    np.lib.stride_tricks.as_strided(np.zeros(5), writeable=False),
+], ids=["list", "float32", "short", "long", "2-d", "strided", "big-endian", "int64", "read-only"])
+def test_run_pairs_rejects_a_state_the_kernel_cannot_write(monkeypatch, state):
+    """The caller owns the tracker buffer and the kernel writes to it, so a
+    state that is not a writable float64 array of 5 values raises before the
+    kernel (or the reference loop) touches anything."""
+    monkeypatch.setattr(dynamics, "_kernel", _NoKernelCall())
+    values = np.arange(4.0)
+    with pytest.raises((TypeError, ValueError)):
+        dynamics._run_pairs(values, np.array([0, 1]), np.zeros(2), None,
+                            dynamics._rule_flags(Real()), False, state, None)
+    assert values.tolist() == [0.0, 1.0, 2.0, 3.0]
 
 
 def test_kernel_is_built_where_a_compiler_exists():

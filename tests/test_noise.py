@@ -1,10 +1,12 @@
 """Noise models: sampling laws, moments, max-quantiles, smoothness."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 
+from gossipavg import noise
 from gossipavg import (
     DiscreteGeometric,
     Gaussian,
@@ -202,6 +204,22 @@ def test_m_quantile_beyond_the_float_range_names_the_variance():
         m_quantile(Gaussian(1e308), 100, 0.05, "prime")
     with pytest.raises(QuantileRangeError, match="N\\* quantile"):
         m_quantile(Gaussian(1e308), 100, 0.05, "star")
+
+
+def test_discrete_pmf_past_the_magnitude_limit_is_refused_before_any_table():
+    """K = ceil(ln TAIL_MASS / ln(1 - p)) grows like 1/p and the N' table like
+    K^2: the first p whose K passes the limit, and far smaller ones (p = 1e-20
+    leaves 1 - p = 1.0, no finite K), are refused naming p and the limit."""
+    limit = noise._MAX_MAGNITUDE
+    first = -math.expm1(math.log(noise.TAIL_MASS) / (limit + 0.5))
+    assert math.ceil(math.log(noise.TAIL_MASS) / math.log(1.0 - first)) == limit + 1
+    for p in (first, 1e-5, 1e-20):
+        message = f"p = {re.escape(repr(p))} .* limit of {limit} "
+        with pytest.raises(QuantileRangeError, match=message):
+            moments(DiscreteGeometric(p))
+        for kind in ("prime", "star"):
+            with pytest.raises(QuantileRangeError, match=message):
+                m_quantile(DiscreteGeometric(p), 100, 0.05, kind)
 
 
 def test_m_quantile_rejects_bad_args():

@@ -254,8 +254,8 @@ def test_one_step_delta_is_the_trackers_phi_bar_change():
         expected = one_step_delta(values[i], values[j], n_i, n_j, mean, n)
         pairs, noise = np.array([i, j]), np.array([n_i, n_j])
         for run in (dynamics._run_pairs, dynamics._pairs_reference):
-            state = run(values.copy(), pairs, noise, None, flags, True, [mean, 0.0, 0.0, 0.0, 0.0],
-                        None)
+            state = np.array([mean, 0.0, 0.0, 0.0, 0.0])
+            run(values.copy(), pairs, noise, None, flags, True, state, None)
             assert state[1].hex() == float(expected).hex()
         k = (n_i + n_j) ** 2
         roundings_differ += k / (4.0 * n) != k * (0.25 / n)
