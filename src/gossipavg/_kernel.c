@@ -2,7 +2,8 @@
  *
  * pair_chunk() applies a batch of pairwise exchanges to the agent values in
  * place, exactly as the Python reference loop in dynamics.py does
- * (_pairs_reference, which calls _apply_pair and _decomposition_step).
+ * (_pairs_reference, which calls _receive once for each agent of a pair,
+ * then _decomposition_step).
  * exact_moments() computes the mean and the potential about it from
  * correctly rounded sums, exactly as the math.fsum body of dynamics._exact.
  * Every floating-point operation is written in the same order as there, so

@@ -164,13 +164,9 @@ def _emit_distance_tail(trace: harness.TraceRecord, bins: int, out_dir: Path) ->
     """Write histogram.csv of the final absolute distances and, where the tail
     has the data for ``survival_fit``, fit.json; print the fit or why there is none."""
     hist = harness.tail_histogram(trace.final_population, bins)
-    with open(out_dir / "histogram.csv", "w") as fh:
-        fh.write("bin_left,bin_right,count\n")
-        for k, count in enumerate(hist.counts):
-            fh.write(
-                f"{format(hist.bin_edges[k], '.17g')},"
-                f"{format(hist.bin_edges[k + 1], '.17g')},{count}\n"
-            )
+    harness._write_csv(out_dir / "histogram.csv", ("bin_left", "bin_right", "count"),
+                       "%.17g,%.17g,%d", zip(hist.bin_edges, hist.bin_edges[1:], hist.counts),
+                       eol="\n")
     try:
         slope, r2 = harness.survival_fit(hist)
     except InsufficientDataError as exc:

@@ -145,65 +145,33 @@ def parallel_time(t_sequential: int, n: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# single-interaction arithmetic (the Python oracle: replay and reference loop)
+# one agent's update (the Python oracle: replay and reference loop)
 # ---------------------------------------------------------------------------
 
 
-def _apply_pair(xi, xj, ni, nj, ui, uj, flags):
-    """New values and rounding offsets for one i != j exchange.
+def _receive(x, w, u, flags):
+    """New value and rounding offset of an agent holding ``x`` that receives ``w``.
 
-    ``ui``/``uj`` are the rounding coins (uniform in [0,1)); they are
-    ignored unless the rule rounds and the sum is not exactly even.
+    The coin ``u`` (uniform in [0,1)) is read only where the rule rounds and
+    x + w, after the clamp of ``w``, is not exactly even.
     """
     do_round, do_clamp, vmin, vmax = flags
-    wi = xj + nj
-    wj = xi + ni
     if do_clamp:
-        if wi > vmax:
-            wi = vmax
-        elif wi < vmin:
-            wi = vmin
-        if wj > vmax:
-            wj = vmax
-        elif wj < vmin:
-            wj = vmin
-    si = xi + wi
-    sj = xj + wj
-    ri = rj = 0
-    if do_round:
-        fi = si // 2.0
-        if si != 2.0 * fi:
-            if ui < 0.5:
-                vi = fi + 1.0
-                ri = 1
-            else:
-                vi = fi
-                ri = -1
-        else:
-            vi = si * 0.5
-        fj = sj // 2.0
-        if sj != 2.0 * fj:
-            if uj < 0.5:
-                vj = fj + 1.0
-                rj = 1
-            else:
-                vj = fj
-                rj = -1
-        else:
-            vj = sj * 0.5
+        if w > vmax:
+            w = vmax
+        elif w < vmin:
+            w = vmin
+    s = x + w
+    if do_round and s != 2.0 * (f := s // 2.0):
+        v, r = (f + 1.0, 1) if u < 0.5 else (f, -1)
     else:
-        vi = si * 0.5
-        vj = sj * 0.5
+        v, r = s * 0.5, 0
     if do_clamp:
-        if vi > vmax:
-            vi = vmax
-        elif vi < vmin:
-            vi = vmin
-        if vj > vmax:
-            vj = vmax
-        elif vj < vmin:
-            vj = vmin
-    return vi, vj, ri, rj
+        if v > vmax:
+            v = vmax
+        elif v < vmin:
+            v = vmin
+    return v, r
 
 
 # ---------------------------------------------------------------------------
@@ -237,20 +205,19 @@ def synchronous_step(
 def replay_event(pop: Population, event: StepEvent, rule: UpdateRule) -> None:
     """Re-apply a recorded event; bit-for-bit identical to the original step.
 
-    A recorded offset of +1 replays as a coin below 1/2 (round up), any other
-    as one above; ``_apply_pair`` reads a coin only where the rule rounds and
-    the sum is not exactly even, where the step recorded a nonzero offset.
+    The event runs through ``_pairs_reference``; its pairs are disjoint, so
+    each reads the pre-step values.  A recorded offset of +1 replays as a
+    coin below 1/2 (round up), any other as one above; ``_receive`` reads a
+    coin only where the rule rounds and the sum is not exactly even, where
+    the step recorded a nonzero offset.
     """
-    flags = _rule_flags(rule)
-    pre = pop.values if len(event.interactions) == 1 else pop.values.copy()
-    for it in event.interactions:
-        if it.i == it.j:
-            continue
-        vi, vj, _, _ = _apply_pair(pre[it.i], pre[it.j], it.noise_i, it.noise_j,
-                                   0.0 if it.round_i > 0 else 1.0,
-                                   0.0 if it.round_j > 0 else 1.0, flags)
-        pop.values[it.i] = vi
-        pop.values[it.j] = vj
+    its = event.interactions
+    pairs = np.array([(it.i, it.j) for it in its], np.int64).reshape(-1)
+    noise = np.array([(it.noise_i, it.noise_j) for it in its], np.float64).reshape(-1)
+    coins = np.array([(0.0 if it.round_i > 0 else 1.0, 0.0 if it.round_j > 0 else 1.0)
+                      for it in its]).reshape(-1)
+    _pairs_reference(pop.values, pairs, noise, coins, _rule_flags(rule), False, np.zeros(5),
+                     None)
     pop.step_count += 1
 
 
@@ -325,8 +292,9 @@ def _decomposition_step(xi, xj, a, c, mean, tracked, inv_n):
 
 
 def _pairs_reference(values, pairs, noise, coins, flags, decomp, state, offsets) -> None:
-    """Python form of ``pair_chunk`` in ``_kernel.c``: the tests' oracle, and
-    the engines' loop where the kernel is unavailable."""
+    """Python form of ``pair_chunk`` in ``_kernel.c``: the tests' oracle,
+    ``replay_event``'s loop, and the engines' loop where the kernel is
+    unavailable."""
     mean, *tracked = state.tolist()
     inv_n = 1.0 / len(values)
     pairs = pairs.tolist()
@@ -337,8 +305,8 @@ def _pairs_reference(values, pairs, noise, coins, flags, decomp, state, offsets)
         if i == j:
             continue
         xi, xj = values.item(i), values.item(j)
-        vi, vj, ri, rj = _apply_pair(xi, xj, noise[k], noise[k + 1], coins[k], coins[k + 1],
-                                     flags)
+        vi, ri = _receive(xi, xj + noise[k + 1], coins[k], flags)
+        vj, rj = _receive(xj, xi + noise[k], coins[k + 1], flags)
         if decomp:
             tracked = _decomposition_step(xi, xj, vi + vi - xi - xj, vj + vj - xi - xj, mean,
                                           tracked, inv_n)
@@ -376,15 +344,27 @@ def _run_pairs(values: np.ndarray, pairs: np.ndarray, noise: np.ndarray,
                        state_addr, _address(offsets, _I8))
 
 
-def _interactions(pairs: np.ndarray, noise: np.ndarray, offsets: np.ndarray):
-    """The Interaction of each pair of a chunk; a self-pair records no exchange."""
-    p, z, r = pairs.tolist(), noise.tolist(), offsets.tolist()
-    for k in range(0, len(p), 2):
-        i, j = p[k], p[k + 1]
-        if i == j:
-            yield Interaction(i, i, 0.0, 0.0, 0, 0)
-        else:
-            yield Interaction(i, j, z[k], z[k + 1], r[k], r[k + 1])
+def _draw_and_apply(values: np.ndarray, agents: np.ndarray, model: NoiseModel,
+                    rng: np.random.Generator, flags, decomp: bool, state: np.ndarray,
+                    collect: bool) -> list:
+    """Draw the noise, then the coins, of the exchanges (agents[2k], agents[2k+1])
+    and apply them, updating ``state`` in place.  An odd last agent is left
+    out and self-pairs.  With ``collect``, returns each pair's Interaction;
+    a self-pair records no exchange."""
+    m = len(agents) - len(agents) % 2
+    pairs = agents[:m]
+    noise = sample_batch(model, rng, m)
+    coins = rng.random(m) if flags[0] else None
+    offsets = np.zeros(m, np.int8) if collect else None
+    _run_pairs(values, pairs, noise, coins, flags, decomp, state, offsets)
+    if not collect:
+        return []
+    p, z, r = agents.tolist(), noise.tolist(), offsets.tolist()
+    if m < len(p):
+        p.append(p[-1])
+    return [Interaction(p[k], p[k], 0.0, 0.0, 0, 0) if p[k] == p[k + 1]
+            else Interaction(p[k], p[k + 1], z[k], z[k + 1], r[k], r[k + 1])
+            for k in range(0, len(p), 2)]
 
 
 def _sequential_chunk(values: np.ndarray, b: int, model: NoiseModel, rng: np.random.Generator,
@@ -392,12 +372,10 @@ def _sequential_chunk(values: np.ndarray, b: int, model: NoiseModel, rng: np.ran
     """Draw ``b`` steps (pairs, then noise, then coins) and apply them, updating
     ``state`` in place.  With ``collect``, appends one StepEvent per step."""
     pairs = rng.integers(0, len(values), size=2 * b)
-    noise = sample_batch(model, rng, 2 * b)
-    coins = rng.random(2 * b) if flags[0] else None
-    offsets = np.zeros(2 * b, np.int8) if collect is not None else None
-    _run_pairs(values, pairs, noise, coins, flags, decomp, state, offsets)
+    interactions = _draw_and_apply(values, pairs, model, rng, flags, decomp, state,
+                                   collect is not None)
     if collect is not None:
-        collect.extend(StepEvent([it]) for it in _interactions(pairs, noise, offsets))
+        collect.extend(StepEvent([it]) for it in interactions)
 
 
 def _synchronous_round(values: np.ndarray, model: NoiseModel, rng: np.random.Generator,
@@ -406,19 +384,10 @@ def _synchronous_round(values: np.ndarray, model: NoiseModel, rng: np.random.Gen
     place: the pairs are disjoint, so each reads the pre-round values.  The
     mean in ``state`` is updated in place.  With ``collect``, appends the
     round's StepEvent, ending in the leftover self-pair when n is odd."""
-    n = len(values)
-    npairs = n // 2
-    perm = rng.permutation(n)
-    noise = sample_batch(model, rng, 2 * npairs)
-    coins = rng.random(2 * npairs) if flags[0] else None
-    offsets = np.zeros(2 * npairs, np.int8) if collect is not None else None
-    pairs = perm[: 2 * npairs]
-    _run_pairs(values, pairs, noise, coins, flags, False, state, offsets)
+    perm = rng.permutation(len(values))
+    interactions = _draw_and_apply(values, perm, model, rng, flags, False, state,
+                                   collect is not None)
     if collect is not None:
-        interactions = list(_interactions(pairs, noise, offsets))
-        if n % 2 == 1:
-            k = int(perm[-1])
-            interactions.append(Interaction(k, k, 0.0, 0.0, 0, 0))
         collect.append(StepEvent(interactions))
 
 

@@ -585,43 +585,30 @@ TRACE_COLUMNS = ("step", "tss", "phi_bar", "phi", "running_avg", "drift", "paral
 DECOMP_COLUMNS = ("t0", "t1", "s_prime", "s_star", "s_minus", "bound_holds")
 
 
-def _fmt(x: float) -> str:
-    return format(x, ".17g")
+def _write_csv(path, columns: Sequence[str], row: str, rows, eol: str = "\r\n") -> None:
+    """Write a header of ``columns`` and one ``row % values`` line per values
+    of ``rows``, each ended by ``eol``, in one write.
 
-
-def emit_csv(trace: TraceRecord, path) -> None:
-    """Write the snapshot trace as CSV; floats carry 17 significant digits.
-
-    The bytes are those of ``csv.writer`` with ``format(x, ".17g")`` cells:
-    no cell needs quoting, and rows end in ``\r\n``.
+    With ``%.17g`` float cells and the default ``eol`` the bytes are those of
+    ``csv.writer`` with ``format(x, ".17g")`` cells: no cell needs quoting.
     """
-    row = "%d" + ",%.17g" * (len(TRACE_COLUMNS) - 1) + "\r\n"
-    n = trace.n
-    text = ",".join(TRACE_COLUMNS) + "\r\n" + "".join(
-        row % (s.step, s.tss, s.phi_bar, s.phi, s.running_avg, s.drift,
-               parallel_time(s.step, n))
-        for s in trace.snapshots)
+    text = eol.join([",".join(columns), *(row % values for values in rows)]) + eol
     with open(path, "w", newline="") as fh:
         fh.write(text)
 
 
+def emit_csv(trace: TraceRecord, path) -> None:
+    """Write the snapshot trace as CSV; floats carry 17 significant digits."""
+    n = trace.n
+    _write_csv(path, TRACE_COLUMNS, "%d" + ",%.17g" * (len(TRACE_COLUMNS) - 1),
+               ((s.step, s.tss, s.phi_bar, s.phi, s.running_avg, s.drift,
+                 parallel_time(s.step, n)) for s in trace.snapshots))
+
+
 def emit_decomposition_csv(trace: TraceRecord, path) -> None:
-    path = Path(path)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(DECOMP_COLUMNS)
-        for rec in trace.decompositions:
-            acc = rec.accumulator
-            writer.writerow(
-                [
-                    acc.t0,
-                    acc.t1,
-                    _fmt(acc.s_prime),
-                    _fmt(acc.s_star),
-                    _fmt(acc.s_minus),
-                    str(rec.bound_holds).lower(),
-                ]
-            )
+    _write_csv(path, DECOMP_COLUMNS, "%d,%d,%.17g,%.17g,%.17g,%s",
+               ((*dataclasses.astuple(rec.accumulator), str(rec.bound_holds).lower())
+                for rec in trace.decompositions))
 
 
 def read_trace_csv(path) -> list[PotentialSnapshot]:

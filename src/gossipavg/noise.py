@@ -31,7 +31,8 @@ TAIL_MASS = 1e-12
 QUANTILE_TOL = 1e-9
 
 #: Largest magnitude K to which a discrete pmf is tabulated: ``_nprime_pmf``
-#: works on K x K tables (about 0.5 GB at K = 3000), and p = 0.01 needs K = 2750.
+#: accumulates into a table of 2K^2 + 1 bins (about 0.15 GB at K = 3000), and
+#: p = 0.01 needs K = 2750.
 _MAX_MAGNITUDE = 3000
 
 
@@ -155,14 +156,14 @@ def _nstar_pmf(p: float) -> tuple[np.ndarray, np.ndarray]:
 def _nprime_pmf(p: float) -> tuple[np.ndarray, np.ndarray]:
     """(support, pmf) of N' = N1^2 + N2^2 over its integer support."""
     mag = _magnitude_pmf(p)
-    k = np.arange(len(mag))
-    sq = k * k
-    values = (sq[:, None] + sq[None, :]).ravel()
-    probs = (mag[:, None] * mag[None, :]).ravel()
-    support, inverse = np.unique(values, return_inverse=True)
-    pmf = np.zeros(len(support))
-    np.add.at(pmf, inverse, probs)
-    return support, pmf
+    sq = np.arange(len(mag)) ** 2
+    # row k adds P{|N1| = k} P{|N2| = l} to bin k^2 + l^2, one term per bin,
+    # so each bin sums its terms in (k, l) order
+    acc = np.zeros(2 * int(sq[-1]) + 1)
+    for k, mk in enumerate(mag.tolist()):
+        acc[sq[k] + sq] += mk * mag
+    support = np.flatnonzero(acc)
+    return support, acc[support]
 
 
 def moments(model: NoiseModel) -> NoiseMoments:
@@ -230,17 +231,6 @@ def _bisect_quantile(cdf, target: float, scale: float) -> Optional[float]:
     return hi
 
 
-def _discrete_quantile(support: np.ndarray, pmf: np.ndarray, target: float) -> float:
-    cdf = np.cumsum(pmf)
-    idx = int(np.searchsorted(cdf, target, side="left"))
-    if idx >= len(support):
-        raise ParameterError(
-            "requested quantile exceeds the truncated pmf mass; "
-            "t is too large for the configured tail truncation"
-        )
-    return float(support[idx])
-
-
 def m_quantile(model: NoiseModel, t: int, delta: float, kind: str = "combined") -> float:
     """Envelope of the running maximum of N' and/or N* over t+1 steps.
 
@@ -265,17 +255,22 @@ def m_quantile(model: NoiseModel, t: int, delta: float, kind: str = "combined") 
         return 0.0
     # per-sample target computed in log space to survive large t
     target = math.exp(math.log1p(-delta) / (t + 1))
+    name = "N'" if kind == "prime" else "N*"
     if isinstance(model, Gaussian):
         cdf = _cdf_nprime_gaussian if kind == "prime" else _cdf_nstar_gaussian
         level = _bisect_quantile(lambda x: cdf(model, x), target, 2.0 * model.sigma2)
         if level is None:
-            name = "N'" if kind == "prime" else "N*"
             raise QuantileRangeError(f"gaussian variance {model.sigma2!r} is too large: "
                                      f"bisecting the {name} quantile at t = {t} passes the "
                                      "float range")
         return level
     support, pmf = _nprime_pmf(model.p) if kind == "prime" else _nstar_pmf(model.p)
-    return _discrete_quantile(support, pmf, target)
+    idx = int(np.searchsorted(np.cumsum(pmf), target, side="left"))
+    if idx >= len(support):
+        raise QuantileRangeError(f"discrete p = {model.p!r} at t = {t}: the {name} quantile "
+                                 f"lies in the tail of mass {TAIL_MASS} beyond the "
+                                 "tabulated pmf")
+    return float(support[idx])
 
 
 def is_smooth_at(model: NoiseModel, t: int, delta: float) -> bool:

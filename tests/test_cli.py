@@ -188,6 +188,9 @@ def test_replicate_fig_a_without_enough_tail_data_writes_no_fit(tmp_path, capsys
         (["--noise", "gaussian:1e160"], "--noise: variance 1e+160 is too large: "),
         (["--noise", "discrete:1e-20"], "--noise: discrete p = 1e-20 is too small: "),
         (["--noise", "discrete:1e-5"], "--noise: discrete p = 1e-05 is too small: "),
+        (["--noise", "discrete:0.8", "--t", "1000000000000"],
+         "--noise: discrete p = 0.8 at t = 1000000000000: the N' quantile lies in the tail "
+         "of mass 1e-12 "),
     ],
 )
 def test_bounds_malformed_number_exits_2_naming_the_argument(capsys, args, named):
@@ -210,6 +213,21 @@ def test_run_refuses_a_noise_scale_the_bounds_cannot_take_before_any_step(
                  "--set", f"noise={json.dumps(noise)}"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: noise: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_run_refuses_a_time_the_discrete_pmf_cannot_resolve_before_any_step(
+        tmp_path, config_path, capsys, monkeypatch):
+    """At p = 0.8 the tabulated pmf of N' ends at tail mass 1e-12, short of
+    the quantile that the bounds need at t = 10^12."""
+    monkeypatch.setattr(harness, "run_experiment", lambda *a, **k: pytest.fail("the run began"))
+    out = tmp_path / "x"
+    assert main(["run", "--config", str(config_path), "--out", str(out), "--jobs", "1",
+                 "--set", 'noise={"kind": "discrete_geometric", "p": 0.8}',
+                 "--set", "steps=1000000000000"]) == 2
+    assert capsys.readouterr().err == (
+        "error: noise: discrete p = 0.8 at t = 1000000000000: the N' quantile lies in the "
+        "tail of mass 1e-12 beyond the tabulated pmf\n")
     assert not out.exists()
 
 
@@ -402,11 +420,17 @@ GOLDEN_DIGESTS = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(GOLDEN_CONFIGS))
-def test_run_outputs_keep_their_bytes(tmp_path, name):
+@pytest.mark.parametrize("name,compiled", [
+    *(pytest.param(name, True, id=name) for name in sorted(GOLDEN_CONFIGS)),
+    *(pytest.param(name, False, id=f"{name}-python") for name in sorted(GOLDEN_CONFIGS)),
+])
+def test_run_outputs_keep_their_bytes(tmp_path, monkeypatch, name, compiled):
     """``run`` writes the same trace, decomposition and summary bytes as when
-    these digests were recorded: a refactor of the engines or the bounds that
-    claims "same bytes out" is held to it here."""
+    these digests were recorded, with the compiled kernel and with the Python
+    loop and sums: a refactor of the engines or the bounds that claims "same
+    bytes out" is held to it here."""
+    if not compiled:
+        monkeypatch.setattr(dynamics, "_kernel", None)
     path = tmp_path / "config.json"
     path.write_text(json.dumps({**BASE_CONFIG, **GOLDEN_CONFIGS[name]}))
     out = tmp_path / "out"

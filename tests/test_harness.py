@@ -39,8 +39,9 @@ from gossipavg import (
     survival_fit,
 )
 from gossipavg.dynamics import Cutoff
-from gossipavg.harness import KINDS, TRACE_COLUMNS, TraceRecord, summary_dict
-from gossipavg.potentials import PotentialSnapshot
+from gossipavg.harness import (DECOMP_COLUMNS, KINDS, TRACE_COLUMNS, DecompositionRecord,
+                               TraceRecord, summary_dict)
+from gossipavg.potentials import DecompositionAccumulator, PotentialSnapshot
 
 
 def small_config(**overrides):
@@ -405,7 +406,7 @@ def test_empty_trace_header_only(tmp_path):
 
 def test_csv_bytes_are_those_of_csv_writer(tmp_path):
     """One format per row gives the bytes of csv.writer with ".17g" cells,
-    at the values whose text is special."""
+    at the values whose text is special, in trace and decomposition rows."""
     specials = [math.inf, -math.inf, math.nan, -0.0, 5e-324, 1.7e308, 0.1, -1.0 / 3.0]
     trace = TraceRecord(run_index=0, n=7, seed=1, snapshots=[
         PotentialSnapshot(step, *(specials[(step + k) % len(specials)] for k in range(5)))
@@ -419,6 +420,21 @@ def test_csv_bytes_are_those_of_csv_writer(tmp_path):
         writer.writerow([s.step, *(format(x, ".17g") for x in
                                    (s.tss, s.phi_bar, s.phi, s.running_avg, s.drift,
                                     s.step / trace.n))])
+    assert path.read_bytes() == want.getvalue().encode()
+
+    trace.decompositions.extend(
+        DecompositionRecord(DecompositionAccumulator(t0, t0 + 10**k, *(
+            specials[(k + m) % len(specials)] for m in range(3))), 0.0, 1.0, k % 2 == 0)
+        for k, t0 in enumerate((0, 5, 7 * 10**12, 2**63, 1, 2, 3, 4)))
+    emit_decomposition_csv(trace, path)
+    want = io.StringIO(newline="")
+    writer = csv.writer(want)
+    writer.writerow(DECOMP_COLUMNS)
+    for rec in trace.decompositions:
+        acc = rec.accumulator
+        writer.writerow([acc.t0, acc.t1, *(format(x, ".17g") for x in
+                                           (acc.s_prime, acc.s_star, acc.s_minus)),
+                         str(rec.bound_holds).lower()])
     assert path.read_bytes() == want.getvalue().encode()
 
 

@@ -2,6 +2,7 @@
 
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -296,3 +297,31 @@ def test_discrete_sampler_matches_out_of_place_form_at_edge_uniforms():
     for p in (0.8, 0.5, 1e-9, 1.0):
         got = sample_batch(DiscreteGeometric(p), _FixedUniforms(u), len(u))
         assert got.tobytes() == _discrete_sample_oracle(p, np.array(u)).tobytes(), p
+
+
+@pytest.mark.parametrize("p", [0.8, 0.5, 0.05, 0.01])
+def test_nprime_pmf_matches_the_outer_product_form(p):
+    """The row-by-row table equals the K x K outer products summed per
+    distinct value, byte for byte."""
+    mag = noise._magnitude_pmf(p)
+    sq = np.arange(len(mag)) ** 2
+    support, inverse = np.unique((sq[:, None] + sq[None, :]).ravel(), return_inverse=True)
+    pmf = np.zeros(len(support))
+    np.add.at(pmf, inverse, (mag[:, None] * mag[None, :]).ravel())
+    got_support, got_pmf = noise._nprime_pmf(p)
+    assert got_support.tobytes() == support.tobytes()
+    assert got_pmf.tobytes() == pmf.tobytes()
+
+
+def test_nprime_pmf_at_the_smallest_tabulated_p_stays_small():
+    """p = 0.01 needs 2750 magnitudes; building its N' table allocates at
+    most 250 MiB at its peak (148 MiB; the K x K outer products took 428).
+    Traced allocations, not RSS: a child process's peak RSS starts from its
+    parent's, so it would read the test run's memory rather than the table's."""
+    tracemalloc.start()
+    try:
+        noise._nprime_pmf.__wrapped__(0.01)  # uncached
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 250 * 2**20
