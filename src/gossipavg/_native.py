@@ -1,5 +1,13 @@
 """Build and load the compiled kernel ``_kernel.c`` (pair loop, exact sums) through ctypes.
 
+The exact sums are a superaccumulator in portable C99 (``int64_t`` and
+``uint64_t`` bins, no ``__int128``): each summand's mantissa goes exactly
+into a bin per sign and exponent, the bins are carried into 32-bit chunks,
+and the chunks are rounded half-even once, giving ``math.fsum``'s result
+bit for bit at a few ns per value.  They hand over to ``math.fsum`` only
+where it could raise (a value or square that is not finite or large enough
+to overflow).
+
 The shared library is built once with the system C compiler and cached as
 ``$XDG_CACHE_HOME/gossipavg/kernel-<sha256>.so`` (``~/.cache`` when the
 variable is unset; the temporary directory if neither can be written).

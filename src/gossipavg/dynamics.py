@@ -211,12 +211,12 @@ def replay_event(pop: Population, event: StepEvent, rule: UpdateRule) -> None:
     coin only where the rule rounds and the sum is not exactly even, where
     the step recorded a nonzero offset.
     """
-    its = event.interactions
-    pairs = np.array([(it.i, it.j) for it in its], np.int64).reshape(-1)
-    noise = np.array([(it.noise_i, it.noise_j) for it in its], np.float64).reshape(-1)
-    coins = np.array([(0.0 if it.round_i > 0 else 1.0, 0.0 if it.round_j > 0 else 1.0)
-                      for it in its]).reshape(-1)
-    _pairs_reference(pop.values, pairs, noise, coins, _rule_flags(rule), False, np.zeros(5),
+    pairs, noise, coins = [], [], []
+    for i, j, noise_i, noise_j, round_i, round_j in event.interactions:
+        pairs += (int(i), int(j))
+        noise += (float(noise_i), float(noise_j))
+        coins += (0.0 if round_i > 0 else 1.0, 0.0 if round_j > 0 else 1.0)
+    _pairs_reference(pop.values, pairs, noise, coins, _rule_flags(rule), False, [0.0] * 5,
                      None)
     pop.step_count += 1
 
@@ -251,10 +251,14 @@ def _exact(values: np.ndarray, with_phibar: bool = True,
 
     The squares are rounded one by one, as ``(x - m) * (x - m)`` would be.
     Given ``addr = _address(values, _F64)``, the kernel's ``exact_moments``
-    computes both sums in one call, bit for bit as ``math.fsum`` does.  The
-    fsum body below, the tests' oracle, runs without an address or a kernel and
-    where the kernel declines (a non-finite summand or partial, more partials
-    than it keeps), so it returns or raises what ``math.fsum`` does.
+    computes both sums in one call with a superaccumulator (exact integer
+    bins, rounded half-even once: a few ns per value), bit for bit as
+    ``math.fsum`` does, since a correctly rounded sum is unique.  The fsum
+    body below, the tests' oracle, runs without an address or a kernel and
+    where the kernel declines: only where fsum could raise, on a value or
+    square that is not finite or whose largest biased exponent plus the bit
+    length of n plus 2 exceeds 2046.  So ``_exact`` returns or raises what
+    ``math.fsum`` does.
     """
     if addr is not None and _kernel is not None:
         out = _MOMENTS()
@@ -291,15 +295,21 @@ def _decomposition_step(xi, xj, a, c, mean, tracked, inv_n):
     return phibar, sp, ss, sm
 
 
+def _as_list(buffer):
+    """A kernel buffer's entries as Python scalars; a list passes as it is."""
+    return buffer.tolist() if isinstance(buffer, np.ndarray) else buffer
+
+
 def _pairs_reference(values, pairs, noise, coins, flags, decomp, state, offsets) -> None:
     """Python form of ``pair_chunk`` in ``_kernel.c``: the tests' oracle,
     ``replay_event``'s loop, and the engines' loop where the kernel is
-    unavailable."""
-    mean, *tracked = state.tolist()
+    unavailable.  ``pairs``, ``noise``, ``coins`` and ``state`` may be
+    arrays or lists of Python scalars."""
+    mean, *tracked = _as_list(state)
     inv_n = 1.0 / len(values)
-    pairs = pairs.tolist()
-    noise = noise.tolist()
-    coins = coins.tolist() if coins is not None else [0.0] * len(pairs)
+    pairs = _as_list(pairs)
+    noise = _as_list(noise)
+    coins = _as_list(coins) if coins is not None else [0.0] * len(pairs)
     for k in range(0, len(pairs), 2):
         i, j = pairs[k], pairs[k + 1]
         if i == j:

@@ -11,7 +11,6 @@ against full recomputations.
 from __future__ import annotations
 
 import contextlib
-import csv
 import dataclasses
 import json
 import math
@@ -613,6 +612,8 @@ def emit_decomposition_csv(trace: TraceRecord, path) -> None:
 
 def read_trace_csv(path) -> list[PotentialSnapshot]:
     """Parse a trace CSV back into snapshots (exact round-trip)."""
+    import csv  # only this reader needs it
+
     with open(path, newline="") as fh:
         return [PotentialSnapshot(int(row["step"]), *(float(row[c]) for c in TRACE_COLUMNS[1:6]))
                 for row in csv.DictReader(fh)]

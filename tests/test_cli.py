@@ -254,12 +254,12 @@ def test_verify_passes():
 
 
 def test_cli_import_leaves_pool_and_build_modules_unloaded():
-    """Only `--jobs > 1`, a kernel build and `verify` need these; the other
-    commands do not pay for importing them."""
+    """Only `--jobs > 1`, a kernel build, `verify` and reading a trace CSV
+    need these; the other commands do not pay for importing them."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=src)
     probe = ("import sys, gossipavg.cli; print(sorted(m for m in ('concurrent.futures', "
-             "'multiprocessing', 'subprocess', 'gossipavg.verify') if m in sys.modules))")
+             "'multiprocessing', 'subprocess', 'gossipavg.verify', 'csv') if m in sys.modules))")
     done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                           text=True, check=True)
     assert done.stdout.strip() == "[]"

@@ -1,9 +1,11 @@
 """Averaging dynamic: step semantics, rules, replay, determinism."""
 
+import functools
 import itertools
 import math
 import shutil
 import struct
+import subprocess
 import tempfile
 from unittest import mock
 
@@ -534,14 +536,19 @@ def test_compiled_exact_matches_fsum_on_non_finite_values(values, with_phibar):
     _assert_exact_matches_fsum(np.array(values), with_phibar)
 
 
+def _exact_code(values):
+    """What ``exact_moments`` returns on ``values`` with the potential asked
+    for: 0 where it summed them itself."""
+    return dynamics._kernel.exact_moments(dynamics._address(values, dynamics._F64),
+                                          len(values), 1, dynamics._MOMENTS())
+
+
 @needs_kernel
 def test_compiled_exact_sums_itself_and_declines_what_fsum_must_do():
-    """The kernel sums ordinary values itself; it declines non-finite values,
-    an intermediate overflow and more partials than it keeps, where ``_exact``
-    then gives fsum's answer."""
-    def code(values):
-        return dynamics._kernel.exact_moments(dynamics._address(values, dynamics._F64),
-                                              len(values), 1, dynamics._MOMENTS())
+    """The kernel sums ordinary values itself; it declines non-finite values
+    and sums or squares large enough to overflow, where ``_exact`` then gives
+    fsum's answer."""
+    code = _exact_code
 
     assert code(np.array([1e16, 1.0, -1e16, 1e-16])) == 0
     assert code(make_rng(1).uniform(1e12, 1e12 + 10, 300)) == 0
@@ -554,6 +561,57 @@ def test_compiled_exact_sums_itself_and_declines_what_fsum_must_do():
             _assert_exact_matches_fsum(np.array(values), with_phibar)
     assert _exact_outcome(np.array([1.7e308, 1.7e308, -1.7e308]), False) is OverflowError
     assert _exact_outcome(np.array([math.inf, -math.inf]), True) is ValueError
+
+
+@functools.lru_cache(maxsize=1)
+def _adversarial_sums():
+    rng = make_rng(41)
+    huge = rng.uniform(-1.0, 1.0, 500) * 2.0 ** rng.integers(990, 1001, 500)
+    wide = rng.uniform(1.0, 2.0, 2000) * 2.0 ** rng.integers(-1000, 1001, 2000)
+    wide[::2] *= -1.0
+    tiny = rng.integers(-2 ** 52, 2 ** 52, 3000) * 2.0 ** -1074
+    zeros = np.zeros(700)
+    zeros[::3] = -0.0
+    zeros[350] = 0.1
+    near = 1e12 + rng.uniform(0.0, 10.0, 3000)
+    near[::7] = -1e12 + rng.uniform(-1e-3, 1e-3, 429)
+    return {
+        "cancelling-huge": rng.permutation(np.concatenate([huge, -huge, [1.0, 2.0 ** -1074]])),
+        "cancelling-large": rng.permutation(np.concatenate([huge, -huge]) * 2.0 ** -500),
+        "subnormals": np.concatenate([tiny, [5e-324, -5e-324, 5e-324, 2.0 ** -1022]]),
+        "smallest-subnormal": np.array([5e-324] * 3 + [-5e-324] * 2),
+        "mixed-exponents": wide,
+        "mixed-with-cancellation": rng.permutation(np.concatenate([wide, -wide[:1000], tiny])),
+        "zero-runs": zeros,
+        "all-zeros": np.array([0.0, -0.0] * 40),
+        "near-1e12": near,
+        "million": rng.uniform(0.0, 100.0, 10 ** 6) - 50.0,
+    }
+
+
+@needs_kernel
+@pytest.mark.parametrize("case", list(_adversarial_sums()))
+@pytest.mark.parametrize("with_phibar", [True, False])
+def test_compiled_exact_matches_fsum_on_adversarial_sums(case, with_phibar):
+    """Cancelling huge pairs, subnormals, exponents from 2^-1000 to 2^1000,
+    runs of zeros, values near 1e12 and 10^6 values: the compiled sums equal
+    the fsum body by float.hex (where the squares overflow, both are fsum's)."""
+    _assert_exact_matches_fsum(_adversarial_sums()[case], with_phibar)
+
+
+@needs_kernel
+def test_compiled_exact_sums_every_finite_input_it_can():
+    """The kernel does not hand over to math.fsum, which is many times slower,
+    on inputs where fsum cannot overflow: sync-trace's values, 10^6 values,
+    and squares spread over more than 32 exponents (the partials' cap of
+    Shewchuk's algorithm, which exact_moments once used)."""
+    rng = make_rng(43)
+    spread = rng.uniform(1.0, 2.0, 80) * 2.0 ** np.arange(-530, 500, 13)
+    spread = np.concatenate([spread, -spread])  # mean 0, so the squares keep the spread
+    assert len(set(np.frexp(spread * spread)[1])) > 32
+    for values in (rng.uniform(0.0, 100.0, 10 ** 4), rng.uniform(0.0, 100.0, 10 ** 6), spread):
+        assert _exact_code(values) == 0
+        _assert_exact_matches_fsum(values, True)
 
 
 @needs_kernel
@@ -643,6 +701,16 @@ def test_kernel_library_is_built_once_and_cached(tmp_path, monkeypatch):
     monkeypatch.setattr(_native, "_build", lambda *args: pytest.fail("rebuilt a cached library"))
     assert _native.load() is not None
     assert path.stat().st_mtime_ns == stamp
+
+
+@needs_compiler
+def test_kernel_compiles_without_warnings(tmp_path):
+    """The kernel's integer and float code stays clean under -Wall -Wextra."""
+    cc = shutil.which("cc")
+    done = subprocess.run([cc, *_native.FLAGS, "-Wall", "-Wextra", "-Werror", "-x", "c",
+                           str(_native.SOURCE), "-o", str(tmp_path / "kernel.so"),
+                           *_native.LIBS], capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
 
 
 def test_kernel_falls_back_with_one_warning(tmp_path, monkeypatch):
