@@ -1,5 +1,10 @@
-/* Compiled pair loop and exact sums of the gossipavg engines.
+/* The gossipavg engines' compiled kernel: a CPython extension module.
  *
+ * draw_pairs() and draw_matching() draw one chunk's randomness from a numpy
+ * Generator's bitgen_t with numpy's own C samplers (libnpyrandom.a), in the
+ * order and with the calls the numpy methods make, so the values and the
+ * generator state afterwards are those of rng.integers or rng.permutation,
+ * then rng.normal or rng.random, then rng.random.
  * pair_chunk() applies a batch of pairwise exchanges to the agent values in
  * place, exactly as the Python reference loop in dynamics.py does
  * (_pairs_reference, which calls _receive once for each agent of a pair,
@@ -15,17 +20,30 @@
  * the results are bit-identical provided the compiler neither fuses
  * multiply-adds nor reassociates: build with -ffp-contract=off and never
  * with -ffast-math.  The loader (_native.py) does so.
+ *
+ * Each entry is METH_FASTCALL and takes arrays through the buffer protocol;
+ * it checks every buffer (format, dimension, contiguity, length, writability
+ * where it writes) and every pair index, and raises TypeError, ValueError or
+ * IndexError before it touches any.
+ * None of them releases the GIL: the calls are short, and the generator is
+ * not locked against other threads, as the engines never share one.
  */
 
+#define PY_SSIZE_T_CLEAN
+#include <Python.h>
+
 #include <math.h>
+#include <stdbool.h>
 #include <stdint.h>
 #include <string.h>
+
+#include "numpy/random/distributions.h"
 
 /* CPython's float floor division v // w for nonzero w (_float_div_mod in
  * Objects/floatobject.c): fmod, then snap the quotient to an integer.  It is
  * not floor(v / w): the two differ for NaN, infinities and near-integral
  * quotients. */
-double py_floordiv(double v, double w)
+static double py_floordiv(double v, double w)
 {
     double mod = fmod(v, w);
     double div = (v - mod) / w;
@@ -112,10 +130,10 @@ static double round_half(double s, double u, int8_t *offset)
  * state holds {mean, phibar, s_prime, s_star, s_minus} and is updated in
  * place; the last four only when decomp is set.  If offsets is not NULL, the
  * rounding offset of each agent is written to it (0 for a self-pair). */
-void pair_chunk(double *x, int64_t n, const int64_t *idx, const double *noise,
-                const double *coins, int64_t npairs, int do_round, int do_clamp,
-                double vmin, double vmax, int decomp, double *state,
-                int8_t *offsets)
+static void apply_pairs(double *x, int64_t n, const int64_t *idx, const double *noise,
+                        const double *coins, int64_t npairs, int do_round, int do_clamp,
+                        double vmin, double vmax, int decomp, double *state,
+                        int8_t *offsets)
 {
     double mean = state[0], phibar = state[1];
     double sp = state[2], ss = state[3], sm = state[4];
@@ -360,7 +378,7 @@ static int exact_sum(const double *x, int64_t n, int squares, double mean, doubl
  * unique.  Returns 0 on success; nonzero, with out untouched, on n < 1 and
  * where exact_sum() declines, where the caller recomputes with math.fsum
  * (which then returns or raises what it does). */
-int exact_moments(const double *x, int64_t n, int with_phibar, double *out)
+static int moments(const double *x, int64_t n, int with_phibar, double *out)
 {
     double sum, phibar = 0.0, mean;
 
@@ -373,4 +391,292 @@ int exact_moments(const double *x, int64_t n, int with_phibar, double *out)
     if (with_phibar)
         out[1] = phibar;
     return 0;
+}
+
+/* ------------------------------------------------------------------------
+ * The Python entries
+ * ------------------------------------------------------------------------ */
+
+/* Take obj's buffer into *view: one-dimensional and C-contiguous, of items
+ * of kind 'd' (float64), 'q' (int64) or 'b' (int8), at least min_len of
+ * them, and writable if asked.  Returns -1, holding no buffer, with an
+ * error raised where it cannot: TypeError for an object that is no buffer
+ * or of another format, ValueError for other shapes and, from numpy, for a
+ * read-only or strided array. */
+static int get_buffer(PyObject *obj, Py_buffer *view, const char *name, char kind,
+                      int writable, Py_ssize_t min_len)
+{
+    const Py_ssize_t itemsize = kind == 'b' ? 1 : 8;
+    const char *f;
+
+    view->obj = NULL; /* stays NULL where obj exports no buffer at all */
+    if (PyObject_GetBuffer(obj, view,
+                           PyBUF_C_CONTIGUOUS | PyBUF_FORMAT | (writable ? PyBUF_WRITABLE : 0)))
+        return -1;
+    f = view->format ? view->format : "B"; /* NULL means unsigned bytes */
+    if (!(view->itemsize == itemsize && f[0] != '\0' && f[1] == '\0' &&
+          (f[0] == kind || (kind == 'q' && f[0] == 'l')))) {
+        PyErr_Format(PyExc_TypeError, "%s must be a native %s array, got format '%s'", name,
+                     kind == 'd' ? "float64" : kind == 'q' ? "int64" : "int8", f);
+    } else if (view->ndim != 1) {
+        PyErr_Format(PyExc_ValueError, "%s must be one-dimensional, got %d dimensions", name,
+                     view->ndim);
+    } else if (view->shape[0] < min_len) {
+        PyErr_Format(PyExc_ValueError, "%s holds %zd entries, needs %zd", name, view->shape[0],
+                     min_len);
+    } else {
+        return 0;
+    }
+    PyBuffer_Release(view);
+    return -1;
+}
+
+/* get_buffer() for an optional buffer: None leaves view->buf NULL. */
+static int get_optional(PyObject *obj, Py_buffer *view, const char *name, char kind,
+                        Py_ssize_t min_len)
+{
+    view->buf = NULL;
+    view->obj = NULL;
+    return obj == Py_None ? 0 : get_buffer(obj, view, name, kind, 1, min_len);
+}
+
+/* Release the first `taken` views, skipping those that hold no buffer. */
+static void release(Py_buffer *views, int taken)
+{
+    while (taken-- > 0)
+        if (views[taken].obj)
+            PyBuffer_Release(&views[taken]);
+}
+
+static int check_nargs(const char *fn, Py_ssize_t nargs, Py_ssize_t want)
+{
+    if (nargs == want)
+        return 0;
+    PyErr_Format(PyExc_TypeError, "%s() takes %zd arguments (%zd given)", fn, want, nargs);
+    return -1;
+}
+
+/* A Python int that must not be negative. */
+static int get_count(PyObject *obj, const char *name, Py_ssize_t *out)
+{
+    *out = PyLong_AsSsize_t(obj);
+    if (*out >= 0)
+        return 0;
+    if (!PyErr_Occurred())
+        PyErr_Format(PyExc_ValueError, "%s must not be negative", name);
+    return -1;
+}
+
+enum { NOISE_ZERO, NOISE_GAUSSIAN, NOISE_UNIFORMS };
+
+/* Fill noise[0..m) by noise code (zeros; normal(0, scale) per value, as
+ * rng.normal(0.0, scale, m); or uniforms, as rng.random(m), for Python to map
+ * to the discrete model), then, where coins is not NULL, coins[0..m) with
+ * uniforms, as rng.random(m). */
+static void draw_noise_and_coins(bitgen_t *bg, Py_ssize_t m, int code, double scale,
+                                 double *noise, double *coins)
+{
+    if (code == NOISE_GAUSSIAN) {
+        for (Py_ssize_t k = 0; k < m; k++)
+            noise[k] = random_normal(bg, 0.0, scale);
+    } else if (code == NOISE_UNIFORMS) {
+        random_standard_uniform_fill(bg, m, noise);
+    } else {
+        memset(noise, 0, (size_t)m * sizeof *noise);
+    }
+    if (coins)
+        random_standard_uniform_fill(bg, m, coins);
+}
+
+/* draw_pairs and draw_matching share their arguments: (capsule, n, count,
+ * noise code, scale, pairs, noise, coins or None).  The pairs buffer takes
+ * count agents, the noise and coins buffers one value per agent of each
+ * whole pair. */
+static PyObject *draw(const char *fn, PyObject *const *args, Py_ssize_t nargs, int matching)
+{
+    bitgen_t *bg;
+    Py_ssize_t n, count, m;
+    int code;
+    double scale;
+    Py_buffer views[3];
+    int held = 0;
+
+    if (check_nargs(fn, nargs, 8))
+        return NULL;
+    bg = PyCapsule_GetPointer(args[0], "BitGenerator");
+    if (!bg || get_count(args[1], "n", &n) || get_count(args[2], "count", &count))
+        return NULL;
+    code = PyLong_AsLong(args[3]);
+    scale = PyFloat_AsDouble(args[4]);
+    if (PyErr_Occurred())
+        return NULL;
+    if (n < 1 || (matching && count != n) || code < NOISE_ZERO || code > NOISE_UNIFORMS) {
+        PyErr_Format(PyExc_ValueError, "%s(): bad n %zd, count %zd or noise code %d", fn, n,
+                     count, code);
+        return NULL;
+    }
+    m = count - count % 2;
+    if (get_buffer(args[5], &views[held++], "pairs", 'q', 1, count) ||
+        get_buffer(args[6], &views[held++], "noise", 'd', 1, m) ||
+        get_optional(args[7], &views[held++], "coins", 'd', m)) {
+        release(views, held);
+        return NULL;
+    }
+    if (matching) {
+        /* rng.permutation(n): arange, then numpy's Fisher-Yates from the top */
+        int64_t *perm = views[0].buf;
+
+        for (Py_ssize_t i = 0; i < n; i++)
+            perm[i] = i;
+        for (Py_ssize_t i = n - 1; i > 0; i--) {
+            const int64_t j = (int64_t)random_interval(bg, (uint64_t)i);
+            const int64_t t = perm[i];
+
+            perm[i] = perm[j];
+            perm[j] = t;
+        }
+    } else {
+        /* rng.integers(0, n, count) */
+        random_bounded_uint64_fill(bg, 0, (uint64_t)n - 1, count, false, views[0].buf);
+    }
+    draw_noise_and_coins(bg, m, code, scale, views[1].buf, views[2].buf);
+    release(views, held);
+    Py_RETURN_NONE;
+}
+
+static PyObject *draw_pairs(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    (void)self;
+    return draw("draw_pairs", args, nargs, 0);
+}
+
+static PyObject *draw_matching(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    (void)self;
+    return draw("draw_matching", args, nargs, 1);
+}
+
+/* pair_chunk(values, pairs, noise, coins, m, flags, decomp, state, offsets):
+ * apply the exchanges (pairs[2k], pairs[2k+1]) for 2k + 1 < m.  flags is
+ * (do_round, do_clamp, vmin, vmax); coins and offsets may be None, coins
+ * only where the rule does not round.  Every index is checked against
+ * len(values) before any exchange. */
+static PyObject *pair_chunk(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    Py_buffer views[6];
+    int held = 0, do_round, do_clamp, decomp;
+    Py_ssize_t m, n;
+    double vmin, vmax;
+    PyObject *flags;
+    const int64_t *idx;
+
+    (void)self;
+    if (check_nargs("pair_chunk", nargs, 9) || get_count(args[4], "m", &m))
+        return NULL;
+    flags = args[5];
+    if (!PyTuple_Check(flags) || PyTuple_GET_SIZE(flags) != 4) {
+        PyErr_SetString(PyExc_TypeError, "flags must be (do_round, do_clamp, vmin, vmax)");
+        return NULL;
+    }
+    do_round = PyObject_IsTrue(PyTuple_GET_ITEM(flags, 0));
+    do_clamp = PyObject_IsTrue(PyTuple_GET_ITEM(flags, 1));
+    vmin = PyFloat_AsDouble(PyTuple_GET_ITEM(flags, 2));
+    vmax = PyFloat_AsDouble(PyTuple_GET_ITEM(flags, 3));
+    decomp = PyObject_IsTrue(args[6]);
+    if (PyErr_Occurred())
+        return NULL;
+    if (get_buffer(args[7], &views[held++], "state", 'd', 1, 5) ||
+        get_buffer(args[0], &views[held++], "values", 'd', 1, 0) ||
+        get_buffer(args[1], &views[held++], "pairs", 'q', 0, m) ||
+        get_buffer(args[2], &views[held++], "noise", 'd', 0, m) ||
+        get_optional(args[3], &views[held++], "coins", 'd', m) ||
+        get_optional(args[8], &views[held++], "offsets", 'b', m))
+        goto fail;
+    if (views[0].shape[0] != 5) {
+        PyErr_Format(PyExc_ValueError, "state must hold the 5 trackers, got %zd",
+                     views[0].shape[0]);
+        goto fail;
+    }
+    if (do_round && !views[4].buf) {
+        PyErr_SetString(PyExc_ValueError, "a rounding rule needs coins");
+        goto fail;
+    }
+    n = views[1].shape[0];
+    idx = views[2].buf;
+    for (Py_ssize_t k = 0; k < m - m % 2; k++) {
+        if (idx[k] < 0 || idx[k] >= n) {
+            PyErr_Format(PyExc_IndexError, "pair index %lld out of range for %zd agents",
+                         (long long)idx[k], n);
+            goto fail;
+        }
+    }
+    apply_pairs(views[1].buf, n, idx, views[3].buf, views[4].buf, m / 2, do_round, do_clamp,
+                vmin, vmax, decomp, views[0].buf, views[5].buf);
+    release(views, held);
+    Py_RETURN_NONE;
+fail:
+    release(views, held);
+    return NULL;
+}
+
+/* exact_moments(values, with_phibar): (mean, phibar), phibar None unless
+ * asked for; None where moments() declines, for the caller's math.fsum. */
+static PyObject *exact_moments(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    Py_buffer view;
+    int with_phibar, declined;
+    double out[2];
+
+    (void)self;
+    if (check_nargs("exact_moments", nargs, 2))
+        return NULL;
+    with_phibar = PyObject_IsTrue(args[1]);
+    if (with_phibar < 0 || get_buffer(args[0], &view, "values", 'd', 0, 0))
+        return NULL;
+    declined = moments(view.buf, view.shape[0], with_phibar, out);
+    PyBuffer_Release(&view);
+    if (declined)
+        Py_RETURN_NONE;
+    if (with_phibar)
+        return Py_BuildValue("(dd)", out[0], out[1]);
+    return Py_BuildValue("(dO)", out[0], Py_None);
+}
+
+/* py_floordiv(v, w): the C port of v // w, for the tests. */
+static PyObject *floordiv(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    double v, w;
+
+    (void)self;
+    if (check_nargs("py_floordiv", nargs, 2))
+        return NULL;
+    v = PyFloat_AsDouble(args[0]);
+    w = PyFloat_AsDouble(args[1]);
+    if (PyErr_Occurred())
+        return NULL;
+    return PyFloat_FromDouble(py_floordiv(v, w));
+}
+
+#define FASTCALL(fn) (PyCFunction)(void (*)(void))(fn), METH_FASTCALL
+
+static PyMethodDef methods[] = {
+    {"draw_pairs", FASTCALL(draw_pairs), "One sequential chunk's pairs, noise and coins."},
+    {"draw_matching", FASTCALL(draw_matching), "One round's permutation, noise and coins."},
+    {"pair_chunk", FASTCALL(pair_chunk), "Apply a batch of exchanges in place."},
+    {"exact_moments", FASTCALL(exact_moments), "Correctly rounded mean and potential."},
+    {"py_floordiv", FASTCALL(floordiv), "Python's float floor division."},
+    {NULL, NULL, 0, NULL},
+};
+
+static struct PyModuleDef module = {
+    .m_base = PyModuleDef_HEAD_INIT,
+    .m_name = "_kernel",
+    .m_doc = "The gossipavg engines' draws, pair loop and exact sums.",
+    .m_size = -1,
+    .m_methods = methods,
+};
+
+PyMODINIT_FUNC PyInit__kernel(void)
+{
+    return PyModule_Create(&module);
 }

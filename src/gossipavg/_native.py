@@ -1,36 +1,41 @@
-"""Build and load the compiled kernel ``_kernel.c`` (pair loop, exact sums) through ctypes.
+"""Build and load the compiled kernel ``_kernel.c``, a CPython extension module.
 
-The exact sums are a superaccumulator in portable C99 (``int64_t`` and
-``uint64_t`` bins, no ``__int128``): each summand's mantissa goes exactly
-into a bin per sign and exponent, the bins are carried into 32-bit chunks,
-and the chunks are rounded half-even once, giving ``math.fsum``'s result
-bit for bit at a few ns per value.  They hand over to ``math.fsum`` only
-where it could raise (a value or square that is not finite or large enough
-to overflow).
+Its ``METH_FASTCALL`` entries take arrays through the buffer protocol: the
+draws of a chunk, with numpy's C samplers (``libnpyrandom.a``, linked) on
+the ``bitgen_t`` of ``rng.bit_generator.capsule``; the pair loop; and the
+exact sums, a superaccumulator in portable C99 (no ``__int128``).
 
-The shared library is built once with the system C compiler and cached as
-``$XDG_CACHE_HOME/gossipavg/kernel-<sha256>.so`` (``~/.cache`` when the
-variable is unset; the temporary directory if neither can be written).
-The name hashes the source and the compiler flags, so an edited source is
-rebuilt.  The flags keep IEEE double semantics (no fused multiply-add, no
-fast-math), which the kernel needs to match the Python reference loop bit
-for bit.
+It is built once with the system C compiler, ``Python.h`` and numpy's
+headers, and cached as ``$XDG_CACHE_HOME/gossipavg/kernel-<sha256><EXT_SUFFIX>``
+(``~/.cache`` when the variable is unset; the temporary directory if neither
+can be written).  The name hashes the source, the flags, ``EXT_SUFFIX``,
+``numpy.__version__`` and the bytes of ``libnpyrandom.a``, so an edited
+source or another numpy is rebuilt, never a stale sampler loaded.  The flags
+keep IEEE double semantics (no fused multiply-add, no fast-math), which the
+kernel needs to match the Python reference loop bit for bit.
 """
 
 from __future__ import annotations
 
-import ctypes
 import hashlib
 import os
 import shutil
+import sysconfig
 import tempfile
 import warnings
+from importlib.machinery import ExtensionFileLoader
+from importlib.util import module_from_spec, spec_from_loader
 from pathlib import Path
+from types import ModuleType
 from typing import Iterator, Optional
+
+import numpy
 
 SOURCE = Path(__file__).with_name("_kernel.c")
 FLAGS = ("-O2", "-shared", "-fPIC", "-ffp-contract=off")
-LIBS = ("-lm",)
+#: What a build reads besides the source and numpy's headers.
+PYTHON_H = Path(sysconfig.get_paths()["include"], "Python.h")
+SAMPLERS = Path(numpy.__file__).parent / "random" / "lib" / "libnpyrandom.a"
 
 
 def _cache_dirs() -> Iterator[Path]:
@@ -46,10 +51,20 @@ def _cache_dirs() -> Iterator[Path]:
     yield Path(tempfile.gettempdir(), "gossipavg")
 
 
-def library_name(source: bytes) -> str:
-    """File name of the library built from ``source`` with FLAGS and LIBS."""
-    key = hashlib.sha256(source + " ".join(FLAGS + LIBS).encode()).hexdigest()
-    return f"kernel-{key}.so"
+def library_name(source: bytes, samplers: bytes, numpy_version: str) -> str:
+    """File name of the module built from ``source``, linked against the
+    ``samplers`` archive of numpy ``numpy_version``."""
+    key = hashlib.sha256(b"\0".join([
+        source, " ".join(FLAGS).encode(), sysconfig.get_config_var("EXT_SUFFIX").encode(),
+        numpy_version.encode(), samplers]))
+    return f"kernel-{key.hexdigest()}{sysconfig.get_config_var('EXT_SUFFIX')}"
+
+
+def compiler_command(cc: str, output: str, *extra: str) -> list[str]:
+    """The command that compiles the source, given on stdin, into the
+    module ``output``; ``extra`` flags (warnings, say) go after FLAGS."""
+    return [cc, *FLAGS, *extra, f"-I{PYTHON_H.parent}", f"-I{numpy.get_include()}", "-x", "c",
+            "-", "-x", "none", str(SAMPLERS), "-o", output, "-lm"]
 
 
 def _build(cc: str, source: bytes, path: Path) -> None:
@@ -57,11 +72,11 @@ def _build(cc: str, source: bytes, path: Path) -> None:
     import subprocess  # only a build needs it
 
     path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(prefix=path.stem + ".", suffix=".tmp", dir=path.parent)
+    fd, tmp = tempfile.mkstemp(prefix=path.name + ".", suffix=".tmp", dir=path.parent)
     os.close(fd)
     try:
-        subprocess.run([cc, *FLAGS, "-x", "c", "-", "-o", tmp, *LIBS], input=source,
-                       check=True, capture_output=True, timeout=300)
+        subprocess.run(compiler_command(cc, tmp), input=source, check=True,
+                       capture_output=True, timeout=300)
         os.replace(tmp, path)
     except subprocess.CalledProcessError as exc:
         raise OSError(f"{cc} exited {exc.returncode}: "
@@ -73,40 +88,36 @@ def _build(cc: str, source: bytes, path: Path) -> None:
             os.unlink(tmp)
 
 
-def _bind(lib: ctypes.CDLL) -> ctypes.CDLL:
-    ptr, i64, c_int, dbl = ctypes.c_void_p, ctypes.c_int64, ctypes.c_int, ctypes.c_double
-    lib.pair_chunk.argtypes = [ptr, i64, ptr, ptr, ptr, i64, c_int, c_int, dbl, dbl, c_int,
-                               ptr, ptr]
-    lib.pair_chunk.restype = None
-    lib.py_floordiv.argtypes = [dbl, dbl]
-    lib.py_floordiv.restype = dbl
-    # Called once per tracker check, often on few values: keeping the GIL
-    # (PYFUNCTYPE) spares releasing and retaking it around a short call.
-    lib.exact_moments = ctypes.PYFUNCTYPE(c_int, ptr, i64, c_int, ptr)(("exact_moments", lib))
-    return lib
+def _import(path: Path) -> ModuleType:
+    # the init function, PyInit__kernel, follows the name, not the file's
+    loader = ExtensionFileLoader(f"{__package__}._kernel", str(path))
+    module = module_from_spec(spec_from_loader(loader.name, loader))
+    loader.exec_module(module)
+    return module
 
 
-def load() -> Optional[ctypes.CDLL]:
-    """The kernel library, built first if no cached copy exists.
+def load() -> Optional[ModuleType]:
+    """The kernel module, built first if no cached copy exists.
 
-    Returns None, with one RuntimeWarning, when it can neither be found nor
-    built; the engines then run their Python reference loop.
+    Returns None, with one RuntimeWarning naming what is missing, when it
+    can neither be found nor built; the engines then run numpy's draws and
+    their Python reference loop.
     """
     source = SOURCE.read_bytes()
-    name = library_name(source)
-    problem = "no C compiler 'cc' on PATH"
+    cc = shutil.which("cc")
+    missing = ("no C compiler 'cc' on PATH" if cc is None else
+               None if PYTHON_H.is_file() else f"no Python.h at {PYTHON_H}")
+    problem = missing
     for cache in _cache_dirs():
-        path = cache / name
-        try:
+        try:  # a missing libnpyrandom.a fails here, in every cache
+            path = cache / library_name(source, SAMPLERS.read_bytes(), numpy.__version__)
             if not path.exists():
-                cc = shutil.which("cc")
-                if cc is None:
+                if missing:
                     continue
                 _build(cc, source, path)
-            return _bind(ctypes.CDLL(str(path)))
-        except (OSError, AttributeError) as exc:  # AttributeError: a symbol is missing
+            return _import(path)
+        except (OSError, ImportError) as exc:
             problem = f"{type(exc).__name__}: {exc}"
-    warnings.warn(f"gossipavg: compiled kernel unavailable ({problem}); "
-                  "using the slower pure-Python loop and math.fsum", RuntimeWarning,
-                  stacklevel=2)
+    warnings.warn(f"gossipavg: compiled kernel unavailable ({problem}); using numpy's draws, "
+                  "the slower pure-Python loop and math.fsum", RuntimeWarning, stacklevel=2)
     return None

@@ -20,7 +20,6 @@ interaction.
 
 from __future__ import annotations
 
-import ctypes
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional, Union
@@ -29,7 +28,7 @@ import numpy as np
 
 from . import _native
 from .errors import NumericalDriftError, ParameterError
-from .noise import NoiseModel, sample_batch
+from .noise import Gaussian, NoiseModel, Zero, sample_batch
 
 #: Randomness is drawn in fixed-size chunks so that stream consumption is a
 #: deterministic function of the run configuration alone.
@@ -184,10 +183,10 @@ def sequential_step(
 ) -> StepEvent:
     """One uniformly random interaction (i, j drawn with replacement)."""
     # the step API keeps no trackers, so the tracker state passed is discarded
-    events: list = []
-    _sequential_chunk(pop.values, 1, model, rng, _rule_flags(rule), False, np.zeros(5), events)
+    event = StepEvent(_draw_and_apply(pop.values, 2, False, model, rng, _rule_flags(rule), False,
+                                      np.zeros(5), _buffers(2), True))
     pop.step_count += 1
-    return events[0]
+    return event
 
 
 def synchronous_step(
@@ -196,10 +195,11 @@ def synchronous_step(
     """One synchronous round: a uniform random perfect matching, all pairs
     updating from the pre-round values.  For odd n the leftover agent
     self-pairs and keeps its value."""
-    events: list = []
-    _synchronous_round(pop.values, model, rng, _rule_flags(rule), np.zeros(5), events)
+    n = len(pop.values)
+    event = StepEvent(_draw_and_apply(pop.values, n, True, model, rng, _rule_flags(rule), False,
+                                      np.zeros(5), _buffers(n), True))
     pop.step_count += 1
-    return events[0]
+    return event
 
 
 def replay_event(pop: Population, event: StepEvent, rule: UpdateRule) -> None:
@@ -225,45 +225,30 @@ def replay_event(pop: Population, event: StepEvent, rule: UpdateRule) -> None:
 # batched engines
 # ---------------------------------------------------------------------------
 
-#: The compiled pair loop and exact sums (``_kernel.c``), or None where they
-#: could not be built; the engines then run ``_pairs_reference`` and ``_exact``
-#: its ``math.fsum`` body.
+#: The compiled draws, pair loop and exact sums (``_kernel.c``), or None
+#: where they could not be built; the engines then draw with numpy, run
+#: ``_pairs_reference`` and ``_exact`` its ``math.fsum`` body.
 _kernel = _native.load()
 
-_F64, _I64, _I8 = np.dtype(np.float64), np.dtype(np.int64), np.dtype(np.int8)
-_MOMENTS = ctypes.c_double * 2
+#: The kernel's noise draws (``NOISE_*`` in ``_kernel.c``): none, normal(0,
+#: scale) per value, or uniforms that ``sample_batch`` maps to the discrete model.
+_ZERO, _GAUSSIAN, _UNIFORMS = range(3)
 
 
-def _address(arr: Optional[np.ndarray], dtype: np.dtype) -> Optional[int]:
-    """Address of a kernel buffer, the one way every array reaches the kernel;
-    None for no buffer or an empty one (``from_buffer`` rejects read-only,
-    non-contiguous and empty arrays, and is cheaper than ``arr.ctypes.data``)."""
-    if arr is None or not arr.size:
-        return None
-    if arr.dtype != dtype:
-        raise TypeError(f"kernel buffer must be a {dtype} array, got {arr.dtype}")
-    return ctypes.addressof(ctypes.c_char.from_buffer(arr))
-
-
-def _exact(values: np.ndarray, with_phibar: bool = True,
-           addr: Optional[int] = None) -> tuple[float, Optional[float]]:
+def _exact(values: np.ndarray, with_phibar: bool = True) -> tuple[float, Optional[float]]:
     """Mean and (if asked) potential about it, each from one correctly rounded sum.
 
     The squares are rounded one by one, as ``(x - m) * (x - m)`` would be.
-    Given ``addr = _address(values, _F64)``, the kernel's ``exact_moments``
-    computes both sums in one call with a superaccumulator (exact integer
-    bins, rounded half-even once: a few ns per value), bit for bit as
-    ``math.fsum`` does, since a correctly rounded sum is unique.  The fsum
-    body below, the tests' oracle, runs without an address or a kernel and
-    where the kernel declines: only where fsum could raise, on a value or
-    square that is not finite or whose largest biased exponent plus the bit
-    length of n plus 2 exceeds 2046.  So ``_exact`` returns or raises what
-    ``math.fsum`` does.
+    The kernel's ``exact_moments`` (a superaccumulator) gives ``math.fsum``'s
+    sums bit for bit, a correctly rounded sum being unique.  The fsum body,
+    the tests' oracle, runs without a kernel and where it declines (None):
+    only where fsum could raise, on a value or square that is not finite or
+    whose biased exponent plus the bit length of n plus 2 exceeds 2046.
     """
-    if addr is not None and _kernel is not None:
-        out = _MOMENTS()
-        if not _kernel.exact_moments(addr, len(values), with_phibar, out):
-            return out[0], (out[1] if with_phibar else None)
+    if _kernel is not None:
+        out = _kernel.exact_moments(values, with_phibar)
+        if out is not None:
+            return out
     mean = math.fsum(values.tolist()) / len(values)
     if not with_phibar:
         return mean, None
@@ -331,81 +316,74 @@ def _pairs_reference(values, pairs, noise, coins, flags, decomp, state, offsets)
 
 def _run_pairs(values: np.ndarray, pairs: np.ndarray, noise: np.ndarray,
                coins: Optional[np.ndarray], flags, decomp: bool, state: np.ndarray,
-               offsets: Optional[np.ndarray]) -> None:
-    """Apply the exchanges (pairs[2k], pairs[2k+1]) to ``values`` in order.
-
-    ``state`` is the float64 array [mean, phi_bar, S', S*, S^-], updated in
-    place (the last four move only when ``decomp``).  The rounding offsets go
-    to ``offsets`` when given.  The indices must lie in [0, len(values)), as
-    the engines' draws do.
-    """
-    if not isinstance(state, np.ndarray) or state.shape != (5,):
-        raise ValueError(f"state must be a float64 array of 5 trackers, got {state!r}")
-    state_addr = _address(state, _F64)  # raises on a wrong dtype, read-only or strided state
-    if _kernel is None:
-        return _pairs_reference(values, pairs, noise, coins, flags, decomp, state, offsets)
-    do_round, do_clamp, vmin, vmax = flags
-    if (do_round and coins is None) or any(
-            a is not None and len(a) != len(pairs) for a in (noise, coins, offsets)):
-        raise ValueError("kernel buffers must hold one entry per agent of each pair")
-    _kernel.pair_chunk(_address(values, _F64), len(values), _address(pairs, _I64),
-                       _address(noise, _F64), _address(coins, _F64),
-                       len(pairs) // 2, do_round, do_clamp, vmin, vmax, decomp,
-                       state_addr, _address(offsets, _I8))
+               offsets: Optional[np.ndarray], m: Optional[int] = None) -> None:
+    """Apply the exchanges (pairs[2k], pairs[2k+1]), 2k + 1 < m (by default
+    len(pairs)), to ``values`` in order.  ``state`` is the float64 array
+    [mean, phi_bar, S', S*, S^-], updated in place (the last four only when
+    ``decomp``); the rounding offsets go to ``offsets`` when given.  The
+    kernel checks each array and index, the reference loop ``state``, before
+    either changes anything."""
+    if m is None:
+        m = len(pairs)
+    if _kernel is not None:
+        return _kernel.pair_chunk(values, pairs, noise, coins, m, flags, decomp, state, offsets)
+    if not (isinstance(state, np.ndarray) and state.dtype == np.float64 and state.shape == (5,)
+            and state.flags.writeable and state.flags.c_contiguous):
+        raise ValueError(f"state must be a writable float64 array of 5 trackers, got {state!r}")
+    _pairs_reference(values, pairs[:m], noise[:m], None if coins is None else coins[:m], flags,
+                     decomp, state, offsets)
 
 
-def _draw_and_apply(values: np.ndarray, agents: np.ndarray, model: NoiseModel,
+def _buffers(size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The agents, noise, coins and offsets buffers of a chunk of up to ``size`` agents."""
+    return np.zeros(size, np.int64), np.zeros(size), np.zeros(size), np.zeros(size, np.int8)
+
+
+def _draw_and_apply(values: np.ndarray, count: int, matching: bool, model: NoiseModel,
                     rng: np.random.Generator, flags, decomp: bool, state: np.ndarray,
-                    collect: bool) -> list:
-    """Draw the noise, then the coins, of the exchanges (agents[2k], agents[2k+1])
-    and apply them, updating ``state`` in place.  An odd last agent is left
-    out and self-pairs.  With ``collect``, returns each pair's Interaction;
-    a self-pair records no exchange."""
-    m = len(agents) - len(agents) % 2
-    pairs = agents[:m]
-    noise = sample_batch(model, rng, m)
-    coins = rng.random(m) if flags[0] else None
-    offsets = np.zeros(m, np.int8) if collect else None
-    _run_pairs(values, pairs, noise, coins, flags, decomp, state, offsets)
+                    buffers, collect: bool) -> list:
+    """Draw ``count`` agents into ``buffers`` (uniform picks with replacement
+    or, ``matching``, a permutation of all n), then the noise, then the coins
+    of the exchanges (agents[2k], agents[2k+1]), and apply them.  An odd last
+    agent self-pairs.  With ``collect``, returns each pair's Interaction.  The
+    kernel's draws, on ``rng.bit_generator.capsule`` with numpy's C samplers,
+    are the numpy calls' values, leaving the same generator state."""
+    n = len(values)
+    m = count - count % 2
+    agents, noise, coins, offsets = buffers
+    do_round = flags[0]
+    if _kernel is not None:
+        code = (_GAUSSIAN if isinstance(model, Gaussian) else
+                _ZERO if isinstance(model, Zero) else _UNIFORMS)
+        scale = math.sqrt(model.sigma2) if code == _GAUSSIAN else 0.0
+        draw = _kernel.draw_matching if matching else _kernel.draw_pairs
+        draw(rng.bit_generator.capsule, n, count, code, scale, agents, noise,
+             coins if do_round else None)
+        if code == _UNIFORMS:
+            sample_batch(model, rng, m, noise[:m])
+    else:
+        agents[:count] = rng.permutation(n) if matching else rng.integers(0, n, size=count)
+        noise[:m] = sample_batch(model, rng, m)
+        if do_round:
+            coins[:m] = rng.random(m)
+    _run_pairs(values, agents, noise, coins if do_round else None, flags, decomp, state,
+               offsets if collect else None, m)
     if not collect:
         return []
-    p, z, r = agents.tolist(), noise.tolist(), offsets.tolist()
-    if m < len(p):
+    p, z, r = agents[:count].tolist(), noise[:m].tolist(), offsets[:m].tolist()
+    if m < count:
         p.append(p[-1])
     return [Interaction(p[k], p[k], 0.0, 0.0, 0, 0) if p[k] == p[k + 1]
             else Interaction(p[k], p[k + 1], z[k], z[k + 1], r[k], r[k + 1])
             for k in range(0, len(p), 2)]
 
 
-def _sequential_chunk(values: np.ndarray, b: int, model: NoiseModel, rng: np.random.Generator,
-                      flags, decomp: bool, state: np.ndarray, collect: Optional[list]) -> None:
-    """Draw ``b`` steps (pairs, then noise, then coins) and apply them, updating
-    ``state`` in place.  With ``collect``, appends one StepEvent per step."""
-    pairs = rng.integers(0, len(values), size=2 * b)
-    interactions = _draw_and_apply(values, pairs, model, rng, flags, decomp, state,
-                                   collect is not None)
-    if collect is not None:
-        collect.extend(StepEvent([it]) for it in interactions)
-
-
-def _synchronous_round(values: np.ndarray, model: NoiseModel, rng: np.random.Generator,
-                       flags, state: np.ndarray, collect: Optional[list]) -> None:
-    """Draw one round (a permutation, then noise, then coins) and apply it in
-    place: the pairs are disjoint, so each reads the pre-round values.  The
-    mean in ``state`` is updated in place.  With ``collect``, appends the
-    round's StepEvent, ending in the leftover self-pair when n is odd."""
-    perm = rng.permutation(len(values))
-    interactions = _draw_and_apply(values, perm, model, rng, flags, False, state,
-                                   collect is not None)
-    if collect is not None:
-        collect.append(StepEvent(interactions))
-
-
 class _Engine:
-    """What both engines share: the values, the trackers in ``state`` and the
-    exact recomputation that checks and resyncs them.  ``state`` is [mean,
-    phi_bar, S', S*, S^-] in ``pair_chunk``'s layout; phi_bar and the sums are
-    live only while a decomposition window is open (``_decomp``)."""
+    """What both engines share: the values, the trackers in ``state``, the
+    exact recomputation that checks and resyncs them, and the buffers each
+    chunk's draws fill.  ``state`` is [mean, phi_bar, S', S*, S^-] in
+    ``pair_chunk``'s layout; phi_bar and the sums are live only while a
+    decomposition window is open (``_decomp``)."""
 
     _unit = "step"
 
@@ -415,28 +393,31 @@ class _Engine:
         self.rng = rng
         self.flags = _rule_flags(rule)
         self.values = np.array(pop.values, dtype=np.float64)
-        self._addr = _address(self.values, _F64)
         self.n = len(self.values)
         self.state = np.zeros(5)
-        self.state[0] = _exact(self.values, False, self._addr)[0]
+        self.state[0] = _exact(self.values, False)[0]
         self.step = pop.step_count
         self._decomp = False
         self._since_resync = 0
+        self._resync_every, size = self._schedule(self.n)
+        self._buffers = _buffers(size)
 
     def _resync(self, check: bool) -> tuple[float, Optional[float]]:
         """Write the exact mean, and while ``_decomp`` the exact potential, into
         ``state``.  With ``check`` the potential is always computed, and a live
         tracker off its exact value by more than DRIFT_TOL raises
         NumericalDriftError first."""
-        mean, phibar = _exact(self.values, check or self._decomp, self._addr)
-        live = 2 if self._decomp else 1
+        mean, phibar = _exact(self.values, check or self._decomp)
+        live = (mean, phibar) if self._decomp else (mean,)
         if check:
-            for name, tracked, exact in zip(("running-mean", "potential"),
-                                            self.state[:live].tolist(), (mean, phibar)):
+            for name, tracked, exact in zip(("running-mean", "potential"), self.state.tolist(),
+                                            live):
                 if abs(tracked - exact) > DRIFT_TOL * (1.0 + abs(exact)):
                     raise NumericalDriftError(f"{name} tracker drifted: {tracked} vs {exact} "
                                               f"at {self._unit} {self.step}")
-        self.state[:live] = (mean, phibar)[:live]
+        self.state[0] = mean  # item by item: a slice assignment costs 4 times as much
+        if self._decomp:
+            self.state[1] = phibar
         self._since_resync = 0
         return mean, phibar
 
@@ -450,14 +431,15 @@ class SequentialEngine(_Engine):
     and is resynced every ``_resync_every`` steps; while a decomposition window
     is open, phi_bar follows the exact one-step change formula about it."""
 
-    @property
-    def _resync_every(self) -> int:
-        return max(self.n, 1024)
+    @staticmethod
+    def _schedule(n: int) -> tuple[int, int]:
+        """The resync interval and the agents drawn by the longest chunk."""
+        return max(n, 1024), 2 * min(CHUNK, max(n, 1024))
 
     # -- tracking control ---------------------------------------------------
 
     def begin_decomposition(self) -> None:
-        self.state[1:] = (_exact(self.values, True, self._addr)[1], 0.0, 0.0, 0.0)
+        self.state[1:] = (_exact(self.values, True)[1], 0.0, 0.0, 0.0)
         self._decomp = True
 
     def end_decomposition(self) -> tuple[float, float, float]:
@@ -472,8 +454,11 @@ class SequentialEngine(_Engine):
         done = 0
         while done < steps:
             b = min(CHUNK, steps - done, self._resync_every - self._since_resync)
-            _sequential_chunk(self.values, b, self.model, self.rng, self.flags, self._decomp,
-                              self.state, collect)
+            interactions = _draw_and_apply(self.values, 2 * b, False, self.model, self.rng,
+                                           self.flags, self._decomp, self.state, self._buffers,
+                                           collect is not None)
+            if collect is not None:
+                collect.extend(StepEvent([it]) for it in interactions)
             done += b
             self._since_resync += b
             if self._since_resync >= self._resync_every:
@@ -491,9 +476,9 @@ class SynchronousEngine(_Engine):
 
     _unit = "round"
 
-    @property
-    def _resync_every(self) -> int:
-        return max(1, 4096 // max(self.n, 1))
+    @staticmethod
+    def _schedule(n: int) -> tuple[int, int]:
+        return max(1, 4096 // max(n, 1)), n
 
     def advance(self, rounds: int, collect: Optional[list] = None) -> None:
         if rounds <= 0:
@@ -501,7 +486,10 @@ class SynchronousEngine(_Engine):
         for _ in range(rounds):
             if self._since_resync >= self._resync_every:
                 self._resync(False)
-            _synchronous_round(self.values, self.model, self.rng, self.flags, self.state,
-                               collect)
+            interactions = _draw_and_apply(self.values, self.n, True, self.model, self.rng,
+                                           self.flags, False, self.state, self._buffers,
+                                           collect is not None)
+            if collect is not None:
+                collect.append(StepEvent(interactions))
             self._since_resync += 1
         self.step += rounds

@@ -81,21 +81,25 @@ class NoiseMoments:
     var_nprime: float
 
 
-def sample_batch(model: NoiseModel, rng: np.random.Generator, size: int) -> np.ndarray:
+def sample_batch(model: NoiseModel, rng: np.random.Generator, size: int,
+                 uniforms: Optional[np.ndarray] = None) -> np.ndarray:
     """Draw ``size`` independent samples from ``model``.
 
     The discrete model is sampled by inverse CDF from a single uniform per
     draw (sign from the uniform's half, magnitude from the folded
     remainder), so the stream consumption is one value per sample, whatever
-    the batch size.
+    the batch size.  Given ``uniforms``, ``size`` values already drawn from
+    ``rng`` as ``rng.random(size)`` would (the compiled kernel's draw of the
+    discrete model), it maps those instead and returns them, overwritten.
     """
     if isinstance(model, Zero):
         return np.zeros(size)
     if isinstance(model, Gaussian):
         return rng.normal(0.0, math.sqrt(model.sigma2), size=size)
-    u = rng.random(size)
+    u = rng.random(size) if uniforms is None else uniforms
     if model.p >= 1.0:
-        return np.zeros(size)
+        u.fill(0.0)
+        return u
     # floor(log1p(-|2u - 1|) / log1p(-p)), signed by u - 0.5, worked in one
     # buffer: the same ufuncs in the same order as out-of-place, so the same
     # values, without a temporary per operation
@@ -111,7 +115,8 @@ def sample_batch(model: NoiseModel, rng: np.random.Generator, size: int) -> np.n
     mag[~np.isfinite(mag)] = 0.0
     # u - 0.5 is negative exactly when u < 0.5, so a zero magnitude takes
     # the sign -0.0 there, as the product with a -1.0 sign would give
-    return np.copysign(mag, u - 0.5, out=mag)
+    u -= 0.5
+    return np.copysign(mag, u, out=u)
 
 
 def _magnitude_pmf(p: float) -> np.ndarray:

@@ -6,6 +6,7 @@ import math
 import shutil
 import struct
 import subprocess
+import sysconfig
 import tempfile
 from unittest import mock
 
@@ -304,12 +305,11 @@ def test_synchronous_advance_resyncs_every_interval(monkeypatch):
     seen = []
     exact = dynamics._exact
 
-    def spy(values, with_phibar, addr):
-        assert addr == engine._addr  # the compiled sums, where there is a kernel
+    def spy(values, with_phibar):
+        assert values is engine.values
         seen.append(values.copy())
-        return exact(values, with_phibar, addr)
+        return exact(values, with_phibar)
 
-    assert engine._addr == engine.values.ctypes.data
     monkeypatch.setattr(dynamics, "_exact", spy)
     engine.advance(3 * every + 8)
     monkeypatch.undo()
@@ -346,9 +346,14 @@ def _bits(x):
     return None if x is None else struct.pack("<d", x)
 
 
+def _event_bits(event):
+    return [(*it[:2], _bits(it[2]), _bits(it[3]), *it[4:]) for it in event.interactions]
+
+
 def _drive(scheduler, rule, model, start, seed, segments, decomp, collect):
     """Run one engine over ``segments`` of (length, refresh after it) and
-    record everything observable, floats as their bytes."""
+    record everything observable, floats as their bytes, and the generator's
+    state at the end."""
     pop = init_population(start)
     engine_cls = SequentialEngine if scheduler == "sequential" else SynchronousEngine
     engine = engine_cls(pop, model, rule, make_rng(seed))
@@ -364,9 +369,8 @@ def _drive(scheduler, rule, model, start, seed, segments, decomp, collect):
     if decomp:
         seen.append([_bits(x) for x in engine.end_decomposition()])
     if collect:
-        seen.append([[(*it[:2], _bits(it[2]), _bits(it[3]), *it[4:]) for it in ev.interactions]
-                     for ev in events])
-    return engine.values.tobytes(), seen
+        seen.append([_event_bits(ev) for ev in events])
+    return engine.values.tobytes(), seen, engine.rng.bit_generator.state
 
 
 @needs_kernel
@@ -384,7 +388,8 @@ def _drive(scheduler, rule, model, start, seed, segments, decomp, collect):
 )
 def test_kernel_matches_reference_loop(scheduler, rule, model, n, integral, decomp, collect,
                                        seed, segments):
-    """Bit-for-bit: values, trackers, interval sums, refreshes and events.
+    """Bit-for-bit: values, trackers, interval sums, refreshes and events,
+    and the generator state, so the kernel's draws are numpy's.
 
     Sequential segments reach past the 1024-step resync and synchronous
     ones (about as many pairs) past the 4096 // n round resync; the
@@ -401,6 +406,25 @@ def test_kernel_matches_reference_loop(scheduler, rule, model, n, integral, deco
     with mock.patch.object(dynamics, "_kernel", None):
         reference = _drive(*args)
     assert compiled == reference
+
+
+@needs_kernel
+@pytest.mark.parametrize("model", ORACLE_NOISES)
+@pytest.mark.parametrize("rule", ORACLE_RULES)
+def test_step_apis_draw_with_the_kernel_as_numpy_does(rule, model):
+    """``sequential_step`` and ``synchronous_step`` (odd n, so a leftover
+    self-pairs) give the same events, values and generator state with the
+    kernel's draws and pair loop as with numpy's draws and the Python loop."""
+    start = make_rng(50).uniform(0.0, 12.0, 9)
+    outcomes = []
+    for kernel in (dynamics._kernel, None):
+        with mock.patch.object(dynamics, "_kernel", kernel):
+            pop, rng = init_population(start), make_rng(51)
+            events = [step(pop, model, rule, rng) for step in (sequential_step, synchronous_step)
+                      for _ in range(40)]
+            outcomes.append((pop.values.tobytes(), [_event_bits(ev) for ev in events],
+                             rng.bit_generator.state))
+    assert outcomes[0] == outcomes[1]
 
 
 FLOORDIV_CASES = [
@@ -500,21 +524,23 @@ EXACT_FINITE = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
                          st.floats(-1e6, 1e6), st.sampled_from(EXACT_EDGE_FLOATS))
 
 
-def _exact_outcome(values, with_phibar, addr=None):
-    """float.hex of what ``_exact`` returns, or the type of what it raises."""
+def _exact_outcome(values, with_phibar, kernel):
+    """float.hex of what ``_exact`` returns with ``kernel`` (None for the
+    fsum body alone), or the type of what it raises."""
     try:
-        with np.errstate(over="ignore", invalid="ignore"):
-            mean, phibar = dynamics._exact(values, with_phibar, addr)
+        with np.errstate(over="ignore", invalid="ignore"), \
+                mock.patch.object(dynamics, "_kernel", kernel):
+            mean, phibar = dynamics._exact(values, with_phibar)
     except (OverflowError, ValueError) as exc:
         return type(exc)
     return mean.hex(), None if phibar is None else phibar.hex()
 
 
 def _assert_exact_matches_fsum(values, with_phibar):
-    """The compiled sums (given the values' address) against the fsum body."""
-    addr = dynamics._address(values, dynamics._F64)
-    assert addr is not None
-    assert _exact_outcome(values, with_phibar, addr) == _exact_outcome(values, with_phibar)
+    """The compiled sums against the fsum body."""
+    assert dynamics._kernel is not None
+    assert (_exact_outcome(values, with_phibar, dynamics._kernel)
+            == _exact_outcome(values, with_phibar, None))
 
 
 @needs_kernel
@@ -537,10 +563,9 @@ def test_compiled_exact_matches_fsum_on_non_finite_values(values, with_phibar):
 
 
 def _exact_code(values):
-    """What ``exact_moments`` returns on ``values`` with the potential asked
-    for: 0 where it summed them itself."""
-    return dynamics._kernel.exact_moments(dynamics._address(values, dynamics._F64),
-                                          len(values), 1, dynamics._MOMENTS())
+    """0 where ``exact_moments``, asked for the potential too, sums ``values``
+    itself; 1 where it declines (returns None)."""
+    return int(dynamics._kernel.exact_moments(values, True) is None)
 
 
 @needs_kernel
@@ -559,8 +584,9 @@ def test_compiled_exact_sums_itself_and_declines_what_fsum_must_do():
         assert code(np.array(values)) != 0
         for with_phibar in (True, False):
             _assert_exact_matches_fsum(np.array(values), with_phibar)
-    assert _exact_outcome(np.array([1.7e308, 1.7e308, -1.7e308]), False) is OverflowError
-    assert _exact_outcome(np.array([math.inf, -math.inf]), True) is ValueError
+    kernel = dynamics._kernel
+    assert _exact_outcome(np.array([1.7e308, 1.7e308, -1.7e308]), False, kernel) is OverflowError
+    assert _exact_outcome(np.array([math.inf, -math.inf]), True, kernel) is ValueError
 
 
 @functools.lru_cache(maxsize=1)
@@ -615,26 +641,32 @@ def test_compiled_exact_sums_every_finite_input_it_can():
 
 
 @needs_kernel
-def test_kernel_address_only_of_arrays_the_kernel_can_take(monkeypatch):
-    """Arrays the kernel cannot take have no address; an empty one, and every
-    array without a kernel, get the fsum body."""
+def test_kernel_takes_only_arrays_it_can_take(monkeypatch):
+    """The kernel refuses, through the buffer protocol, strided, float32 and
+    big-endian arrays, and for the values it writes a read-only one; it
+    declines an empty array, which the fsum body then gets, as every array
+    does without a kernel."""
     frozen = np.arange(4.0)
     frozen.flags.writeable = False
-    values = np.arange(4.0)
-    assert dynamics._address(values, dynamics._F64) == values.ctypes.data
+    assert dynamics._exact(frozen, True) == (1.5, 5.0)  # only read
+    state, pairs, noise = np.zeros(5), np.array([0, 1]), np.zeros(2)
+    flags = dynamics._rule_flags(Real())
     for bad in (frozen, np.arange(8.0)[::2], np.arange(4, dtype=np.float32),
                 np.arange(4.0).astype(">f8")):
-        with pytest.raises(TypeError):
-            dynamics._address(bad, dynamics._F64)
-    assert dynamics._address(np.zeros(0), dynamics._F64) is None
-    addr = dynamics._address(values, dynamics._F64)
+        before = bad.tobytes()
+        with pytest.raises((TypeError, ValueError)):
+            dynamics._kernel.pair_chunk(bad, pairs, noise, None, 2, flags, False, state, None)
+        if bad is not frozen:
+            with pytest.raises((TypeError, ValueError)):
+                dynamics._kernel.exact_moments(bad, True)
+        assert bad.tobytes() == before and state.tolist() == [0.0] * 5
+    for bad_pairs in (np.array([0, 4]), np.array([-1, 0]), np.array([0, 1], dtype=np.int32)):
+        with pytest.raises((TypeError, IndexError)):
+            dynamics._kernel.pair_chunk(np.arange(4.0), bad_pairs, noise, None, 2, flags, False,
+                                        state, None)
+    assert dynamics._kernel.exact_moments(np.zeros(0), True) is None
     monkeypatch.setattr(dynamics, "_kernel", None)
-    assert dynamics._exact(values, True, addr) == (1.5, 5.0)
-
-
-class _NoKernelCall:
-    def pair_chunk(self, *args):
-        pytest.fail("the kernel was called")
+    assert dynamics._exact(np.arange(4.0), True) == (1.5, 5.0)
 
 
 @pytest.mark.parametrize("state", [
@@ -646,12 +678,13 @@ def test_run_pairs_rejects_a_state_the_kernel_cannot_write(monkeypatch, state):
     """The caller owns the tracker buffer and the kernel writes to it, so a
     state that is not a writable float64 array of 5 values raises before the
     kernel (or the reference loop) touches anything."""
-    monkeypatch.setattr(dynamics, "_kernel", _NoKernelCall())
-    values = np.arange(4.0)
-    with pytest.raises((TypeError, ValueError)):
-        dynamics._run_pairs(values, np.array([0, 1]), np.zeros(2), None,
-                            dynamics._rule_flags(Real()), False, state, None)
-    assert values.tolist() == [0.0, 1.0, 2.0, 3.0]
+    for kernel in (dynamics._kernel, None):
+        monkeypatch.setattr(dynamics, "_kernel", kernel)
+        values = np.arange(4.0)
+        with pytest.raises((TypeError, ValueError)):
+            dynamics._run_pairs(values, np.array([0, 1]), np.zeros(2), None,
+                                dynamics._rule_flags(Real()), False, state, None)
+        assert values.tolist() == [0.0, 1.0, 2.0, 3.0]
 
 
 def test_kernel_is_built_where_a_compiler_exists():
@@ -691,11 +724,22 @@ def test_reference_loop_matches_engine_and_replay(monkeypatch, scheduler, n, mod
 needs_compiler = pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
 
 
+def test_kernel_library_name_follows_numpy():
+    """Another numpy (its version or its samplers' bytes) never loads a
+    module built against this one."""
+    source, samplers = _native.SOURCE.read_bytes(), _native.SAMPLERS.read_bytes()
+    name = _native.library_name(source, samplers, "2.4.6")
+    assert name != _native.library_name(source, samplers, "2.4.7")
+    assert name != _native.library_name(source, samplers + b"\0", "2.4.6")
+    assert name.endswith(sysconfig.get_config_var("EXT_SUFFIX"))
+
+
 @needs_compiler
 def test_kernel_library_is_built_once_and_cached(tmp_path, monkeypatch):
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
     assert _native.load() is not None
-    path = tmp_path / "gossipavg" / _native.library_name(_native.SOURCE.read_bytes())
+    path = tmp_path / "gossipavg" / _native.library_name(
+        _native.SOURCE.read_bytes(), _native.SAMPLERS.read_bytes(), np.__version__)
     assert [p.name for p in path.parent.iterdir()] == [path.name]  # no temporary file left
     stamp = path.stat().st_mtime_ns
     monkeypatch.setattr(_native, "_build", lambda *args: pytest.fail("rebuilt a cached library"))
@@ -705,18 +749,27 @@ def test_kernel_library_is_built_once_and_cached(tmp_path, monkeypatch):
 
 @needs_compiler
 def test_kernel_compiles_without_warnings(tmp_path):
-    """The kernel's integer and float code stays clean under -Wall -Wextra."""
-    cc = shutil.which("cc")
-    done = subprocess.run([cc, *_native.FLAGS, "-Wall", "-Wextra", "-Werror", "-x", "c",
-                           str(_native.SOURCE), "-o", str(tmp_path / "kernel.so"),
-                           *_native.LIBS], capture_output=True, text=True, timeout=300)
-    assert done.returncode == 0, done.stderr
+    """The kernel's integer and float code stays clean under -Wall -Wextra,
+    built by the command that builds the module the engines load."""
+    command = _native.compiler_command(shutil.which("cc"), str(tmp_path / "kernel.so"),
+                                       "-Wall", "-Wextra", "-Werror")
+    done = subprocess.run(command, input=_native.SOURCE.read_bytes(), capture_output=True,
+                          timeout=300)
+    assert done.returncode == 0, done.stderr.decode(errors="replace")
 
 
 def test_kernel_falls_back_with_one_warning(tmp_path, monkeypatch):
+    """Without a compiler, Python.h or numpy's C samplers, one RuntimeWarning
+    names what is missing, and the engines take the pure-Python path."""
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
     monkeypatch.setattr(tempfile, "gettempdir", lambda: str(tmp_path / "tmp"))
-    monkeypatch.setattr(shutil, "which", lambda name: None)
-    with pytest.warns(RuntimeWarning, match="pure-Python loop") as record:
-        assert _native.load() is None
-    assert len(record) == 1
+    missing = tmp_path / "missing"
+    for name, owner, attr, value in [
+            ("cc", shutil, "which", lambda name: None),
+            ("Python.h", _native, "PYTHON_H", missing / "Python.h"),
+            ("libnpyrandom.a", _native, "SAMPLERS", missing / "libnpyrandom.a")]:
+        with monkeypatch.context() as patch:
+            patch.setattr(owner, attr, value)
+            with pytest.warns(RuntimeWarning, match="pure-Python loop") as record:
+                assert _native.load() is None
+        assert len(record) == 1 and name in str(record[0].message)
