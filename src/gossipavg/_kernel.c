@@ -1,10 +1,10 @@
 /* The gossipavg engines' compiled kernel: a CPython extension module.
  *
- * draw_pairs() and draw_matching() draw one chunk's randomness from a numpy
- * Generator's bitgen_t with numpy's own C samplers (libnpyrandom.a), in the
- * order and with the calls the numpy methods make, so the values and the
- * generator state afterwards are those of rng.integers or rng.permutation,
- * then rng.normal or rng.random, then rng.random.
+ * draw() draws one chunk's randomness from a numpy Generator's bitgen_t with
+ * numpy's own C samplers (libnpyrandom.a), in the order and with the calls
+ * the numpy methods make, so the values and the generator state afterwards
+ * are those of rng.integers or rng.permutation, then rng.normal or
+ * rng.random, then rng.random.
  * pair_chunk() applies a batch of pairwise exchanges to the agent values in
  * place, exactly as the Python reference loop in dynamics.py does
  * (_pairs_reference, which calls _receive once for each agent of a pair,
@@ -488,37 +488,39 @@ static void draw_noise_and_coins(bitgen_t *bg, Py_ssize_t m, int code, double sc
         random_standard_uniform_fill(bg, m, coins);
 }
 
-/* draw_pairs and draw_matching share their arguments: (capsule, n, count,
- * noise code, scale, pairs, noise, coins or None).  The pairs buffer takes
- * count agents, the noise and coins buffers one value per agent of each
- * whole pair. */
-static PyObject *draw(const char *fn, PyObject *const *args, Py_ssize_t nargs, int matching)
+/* draw(capsule, matching, n, count, noise code, scale, pairs, noise, coins or
+ * None): count uniform agents in [0, n) or, if matching, a permutation of
+ * all n (count == n).  The pairs buffer takes count agents, the noise and
+ * coins buffers one value per agent of each whole pair. */
+static PyObject *draw(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
     bitgen_t *bg;
     Py_ssize_t n, count, m;
-    int code;
+    int matching, code;
     double scale;
     Py_buffer views[3];
     int held = 0;
 
-    if (check_nargs(fn, nargs, 8))
+    (void)self;
+    if (check_nargs("draw", nargs, 9))
         return NULL;
     bg = PyCapsule_GetPointer(args[0], "BitGenerator");
-    if (!bg || get_count(args[1], "n", &n) || get_count(args[2], "count", &count))
+    if (!bg || (matching = PyObject_IsTrue(args[1])) < 0 || get_count(args[2], "n", &n) ||
+        get_count(args[3], "count", &count))
         return NULL;
-    code = PyLong_AsLong(args[3]);
-    scale = PyFloat_AsDouble(args[4]);
+    code = PyLong_AsLong(args[4]);
+    scale = PyFloat_AsDouble(args[5]);
     if (PyErr_Occurred())
         return NULL;
     if (n < 1 || (matching && count != n) || code < NOISE_ZERO || code > NOISE_UNIFORMS) {
-        PyErr_Format(PyExc_ValueError, "%s(): bad n %zd, count %zd or noise code %d", fn, n,
+        PyErr_Format(PyExc_ValueError, "draw(): bad n %zd, count %zd or noise code %d", n,
                      count, code);
         return NULL;
     }
     m = count - count % 2;
-    if (get_buffer(args[5], &views[held++], "pairs", 'q', 1, count) ||
-        get_buffer(args[6], &views[held++], "noise", 'd', 1, m) ||
-        get_optional(args[7], &views[held++], "coins", 'd', m)) {
+    if (get_buffer(args[6], &views[held++], "pairs", 'q', 1, count) ||
+        get_buffer(args[7], &views[held++], "noise", 'd', 1, m) ||
+        get_optional(args[8], &views[held++], "coins", 'd', m)) {
         release(views, held);
         return NULL;
     }
@@ -542,18 +544,6 @@ static PyObject *draw(const char *fn, PyObject *const *args, Py_ssize_t nargs, i
     draw_noise_and_coins(bg, m, code, scale, views[1].buf, views[2].buf);
     release(views, held);
     Py_RETURN_NONE;
-}
-
-static PyObject *draw_pairs(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
-{
-    (void)self;
-    return draw("draw_pairs", args, nargs, 0);
-}
-
-static PyObject *draw_matching(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
-{
-    (void)self;
-    return draw("draw_matching", args, nargs, 1);
 }
 
 /* pair_chunk(values, pairs, noise, coins, m, flags, decomp, state, offsets):
@@ -660,8 +650,7 @@ static PyObject *floordiv(PyObject *self, PyObject *const *args, Py_ssize_t narg
 #define FASTCALL(fn) (PyCFunction)(void (*)(void))(fn), METH_FASTCALL
 
 static PyMethodDef methods[] = {
-    {"draw_pairs", FASTCALL(draw_pairs), "One sequential chunk's pairs, noise and coins."},
-    {"draw_matching", FASTCALL(draw_matching), "One round's permutation, noise and coins."},
+    {"draw", FASTCALL(draw), "One chunk's pairs or permutation, noise and coins."},
     {"pair_chunk", FASTCALL(pair_chunk), "Apply a batch of exchanges in place."},
     {"exact_moments", FASTCALL(exact_moments), "Correctly rounded mean and potential."},
     {"py_floordiv", FASTCALL(floordiv), "Python's float floor division."},

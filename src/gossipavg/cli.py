@@ -139,7 +139,7 @@ def _cmd_replicate_fig_a(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     seed = args.seed if args.seed is not None else harness.FIG_A_SEED
     config = harness.fig_a_config(n=args.n, master_seed=seed)
-    trace = harness.run_experiment(config, keep_final_values=True)[0]
+    trace = harness.run_experiment(config)[0]
     harness.emit_csv(trace, out_dir / "trace.csv")
     harness.emit_json([trace], out_dir / "summary.json", config)
     _emit_distance_tail(trace, harness.FIG_A_BINS, out_dir)
@@ -179,10 +179,12 @@ def _emit_distance_tail(trace: harness.TraceRecord, bins: int, out_dir: Path) ->
 
 
 def _cmd_histogram(args) -> int:
+    if args.bins < 2:
+        raise ConfigError(f"--bins: must be >= 2, got {args.bins}")
     config = _resolve_config(args)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    trace = harness.run_experiment(config, jobs=args.jobs, keep_final_values=True)[0]
+    trace = harness.run_single(config, 0)  # the only run the histogram reads
     _emit_distance_tail(trace, args.bins, out_dir)
     print(f"histogram: {out_dir / 'histogram.csv'}")
     return 0

@@ -178,15 +178,21 @@ def _receive(x, w, u, flags):
 # ---------------------------------------------------------------------------
 
 
+def _step(pop: Population, count: int, matching: bool, model: NoiseModel, rule: UpdateRule,
+          rng: np.random.Generator) -> StepEvent:
+    """One step of ``count`` agents through the engines' own chunk."""
+    # the step API keeps no trackers, so the tracker state passed is discarded
+    event = StepEvent(_draw_and_apply(pop.values, count, matching, model, rng, _rule_flags(rule),
+                                      False, np.zeros(5), _buffers(count), True))
+    pop.step_count += 1
+    return event
+
+
 def sequential_step(
     pop: Population, model: NoiseModel, rule: UpdateRule, rng: np.random.Generator
 ) -> StepEvent:
     """One uniformly random interaction (i, j drawn with replacement)."""
-    # the step API keeps no trackers, so the tracker state passed is discarded
-    event = StepEvent(_draw_and_apply(pop.values, 2, False, model, rng, _rule_flags(rule), False,
-                                      np.zeros(5), _buffers(2), True))
-    pop.step_count += 1
-    return event
+    return _step(pop, 2, False, model, rule, rng)
 
 
 def synchronous_step(
@@ -195,11 +201,7 @@ def synchronous_step(
     """One synchronous round: a uniform random perfect matching, all pairs
     updating from the pre-round values.  For odd n the leftover agent
     self-pairs and keeps its value."""
-    n = len(pop.values)
-    event = StepEvent(_draw_and_apply(pop.values, n, True, model, rng, _rule_flags(rule), False,
-                                      np.zeros(5), _buffers(n), True))
-    pop.step_count += 1
-    return event
+    return _step(pop, len(pop.values), True, model, rule, rng)
 
 
 def replay_event(pop: Population, event: StepEvent, rule: UpdateRule) -> None:
@@ -314,26 +316,6 @@ def _pairs_reference(values, pairs, noise, coins, flags, decomp, state, offsets)
     state[:] = (mean, *tracked)
 
 
-def _run_pairs(values: np.ndarray, pairs: np.ndarray, noise: np.ndarray,
-               coins: Optional[np.ndarray], flags, decomp: bool, state: np.ndarray,
-               offsets: Optional[np.ndarray], m: Optional[int] = None) -> None:
-    """Apply the exchanges (pairs[2k], pairs[2k+1]), 2k + 1 < m (by default
-    len(pairs)), to ``values`` in order.  ``state`` is the float64 array
-    [mean, phi_bar, S', S*, S^-], updated in place (the last four only when
-    ``decomp``); the rounding offsets go to ``offsets`` when given.  The
-    kernel checks each array and index, the reference loop ``state``, before
-    either changes anything."""
-    if m is None:
-        m = len(pairs)
-    if _kernel is not None:
-        return _kernel.pair_chunk(values, pairs, noise, coins, m, flags, decomp, state, offsets)
-    if not (isinstance(state, np.ndarray) and state.dtype == np.float64 and state.shape == (5,)
-            and state.flags.writeable and state.flags.c_contiguous):
-        raise ValueError(f"state must be a writable float64 array of 5 trackers, got {state!r}")
-    _pairs_reference(values, pairs[:m], noise[:m], None if coins is None else coins[:m], flags,
-                     decomp, state, offsets)
-
-
 def _buffers(size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The agents, noise, coins and offsets buffers of a chunk of up to ``size`` agents."""
     return np.zeros(size, np.int64), np.zeros(size), np.zeros(size), np.zeros(size, np.int8)
@@ -344,30 +326,39 @@ def _draw_and_apply(values: np.ndarray, count: int, matching: bool, model: Noise
                     buffers, collect: bool) -> list:
     """Draw ``count`` agents into ``buffers`` (uniform picks with replacement
     or, ``matching``, a permutation of all n), then the noise, then the coins
-    of the exchanges (agents[2k], agents[2k+1]), and apply them.  An odd last
-    agent self-pairs.  With ``collect``, returns each pair's Interaction.  The
-    kernel's draws, on ``rng.bit_generator.capsule`` with numpy's C samplers,
-    are the numpy calls' values, leaving the same generator state."""
+    of the exchanges (agents[2k], agents[2k+1]), and apply them to ``values``
+    in order.  An odd last agent self-pairs.  ``state`` is the float64 array
+    [mean, phi_bar, S', S*, S^-], updated in place (the last four only when
+    ``decomp``).  With ``collect``, returns each pair's Interaction.
+
+    The kernel's draws, on ``rng.bit_generator.capsule`` with numpy's C
+    samplers, are the numpy calls' values, leaving the same generator state.
+    The kernel checks each buffer and index, the Python branch ``state``,
+    before either changes a value."""
     n = len(values)
     m = count - count % 2
     agents, noise, coins, offsets = buffers
-    do_round = flags[0]
+    coins = coins if flags[0] else None
+    offsets = offsets if collect else None
     if _kernel is not None:
         code = (_GAUSSIAN if isinstance(model, Gaussian) else
                 _ZERO if isinstance(model, Zero) else _UNIFORMS)
         scale = math.sqrt(model.sigma2) if code == _GAUSSIAN else 0.0
-        draw = _kernel.draw_matching if matching else _kernel.draw_pairs
-        draw(rng.bit_generator.capsule, n, count, code, scale, agents, noise,
-             coins if do_round else None)
+        _kernel.draw(rng.bit_generator.capsule, matching, n, count, code, scale, agents, noise,
+                     coins)
         if code == _UNIFORMS:
             sample_batch(model, rng, m, noise[:m])
+        _kernel.pair_chunk(values, agents, noise, coins, m, flags, decomp, state, offsets)
     else:
         agents[:count] = rng.permutation(n) if matching else rng.integers(0, n, size=count)
         noise[:m] = sample_batch(model, rng, m)
-        if do_round:
+        if coins is not None:
             coins[:m] = rng.random(m)
-    _run_pairs(values, agents, noise, coins if do_round else None, flags, decomp, state,
-               offsets if collect else None, m)
+        if not (isinstance(state, np.ndarray) and state.dtype == np.float64
+                and state.shape == (5,) and state.flags.writeable and state.flags.c_contiguous):
+            raise ValueError(f"state must be a writable float64 array of 5 trackers, got {state!r}")
+        _pairs_reference(values, agents[:m], noise[:m], None if coins is None else coins[:m],
+                         flags, decomp, state, offsets)
     if not collect:
         return []
     p, z, r = agents[:count].tolist(), noise[:m].tolist(), offsets[:m].tolist()

@@ -287,13 +287,6 @@ class DecompositionRecord:
     bound_holds: bool
 
 
-@dataclass(frozen=True)
-class FinalSummary:
-    minimum: float
-    maximum: float
-    mean: float
-
-
 @dataclass
 class TraceRecord:
     """Everything recorded about one run."""
@@ -303,7 +296,6 @@ class TraceRecord:
     seed: int
     snapshots: list[PotentialSnapshot] = field(default_factory=list)
     decompositions: list[DecompositionRecord] = field(default_factory=list)
-    final_values: Optional[FinalSummary] = None
     final_population: Optional[np.ndarray] = None
 
 
@@ -321,8 +313,7 @@ def _initial_values(config: ExperimentConfig, rng) -> np.ndarray:
     return np.asarray(init.values, dtype=float)
 
 
-def run_single(config: ExperimentConfig, run_index: int,
-               keep_final_values: bool = False) -> TraceRecord:
+def run_single(config: ExperimentConfig, run_index: int) -> TraceRecord:
     """Execute one run of the ensemble; deterministic in (config, run_index)."""
     seed = config.master_seed
     rng = make_rng(seed, run_index)
@@ -365,34 +356,19 @@ def run_single(config: ExperimentConfig, run_index: int,
             engine.begin_decomposition()
             open_t0, open_phi0 = b, phibar
 
-    vals = engine.values
-    trace.final_values = FinalSummary(
-        minimum=float(vals.min()),
-        maximum=float(vals.max()),
-        mean=float(vals.mean()),
-    )
-    if keep_final_values:
-        trace.final_population = vals.copy()
+    trace.final_population = engine.values  # the engine is dropped here, so no copy
     return trace
 
 
-def run_experiment(config: ExperimentConfig, jobs: int = 1,
-                   keep_final_values: bool = False) -> list[TraceRecord]:
+def run_experiment(config: ExperimentConfig, jobs: int = 1) -> list[TraceRecord]:
     """Run the whole ensemble; results are in run order regardless of ``jobs``."""
     config.validate()
     if jobs > 1 and config.runs > 1:
         from concurrent.futures import ProcessPoolExecutor  # only a pool needs it
 
         with ProcessPoolExecutor(max_workers=min(jobs, config.runs)) as pool:
-            return list(
-                pool.map(
-                    run_single,
-                    [config] * config.runs,
-                    range(config.runs),
-                    [keep_final_values] * config.runs,
-                )
-            )
-    return [run_single(config, r, keep_final_values) for r in range(config.runs)]
+            return list(pool.map(run_single, [config] * config.runs, range(config.runs)))
+    return [run_single(config, r) for r in range(config.runs)]
 
 
 # ---------------------------------------------------------------------------
@@ -566,7 +542,7 @@ def replicate_fig_a(n: int = 10**4, master_seed: int = FIG_A_SEED,
     average, and the (slope, r_squared) of the log-survival fit.
     """
     config = fig_a_config(n=n, master_seed=master_seed)
-    trace = run_experiment(config, keep_final_values=True)[0]
+    trace = run_experiment(config)[0]
     hist = tail_histogram(trace.final_population, bins)
     return trace, hist, survival_fit(hist)
 
@@ -641,9 +617,9 @@ def summary_dict(traces: list[TraceRecord], config: ExperimentConfig,
                 "final": {**dataclasses.asdict(t.snapshots[-1]),
                           "parallel_time": parallel_time(t.snapshots[-1].step, t.n)},
                 "final_values": {
-                    "min": t.final_values.minimum,
-                    "max": t.final_values.maximum,
-                    "mean": t.final_values.mean,
+                    "min": float(t.final_population.min()),
+                    "max": float(t.final_population.max()),
+                    "mean": float(t.final_population.mean()),
                 },
                 "decompositions": [
                     {**dataclasses.asdict(rec.accumulator), "bound_holds": rec.bound_holds}

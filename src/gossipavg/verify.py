@@ -144,21 +144,18 @@ def _check_delta_mean() -> tuple[str, bool, str]:
     return "delta-mean", gap <= 5.0 * se, f"|mean-1/n| = {gap:.2e} vs 5SE = {5*se:.2e}"
 
 
+def _config(**fields) -> harness.ExperimentConfig:
+    """A sequential config with Gaussian(1) noise and the Real rule; ``fields`` give the rest."""
+    return harness.ExperimentConfig(scheduler="sequential", noise=noise.Gaussian(1.0),
+                                    rule=dynamics.Real(), **fields)
+
+
 def _check_decomposition() -> tuple[str, bool, str]:
+    cfg = _config(n=100, init=harness.UniformInit(0.0, 100.0**2), steps=1000,
+                  master_seed=VERIFY_SEED + 50, record_every=1000,
+                  decomposition_intervals=tuple((k * 100, (k + 1) * 100) for k in range(10)))
     violations = 0
     for run in range(20):
-        cfg = harness.ExperimentConfig(
-            n=100,
-            init=harness.UniformInit(0.0, 100.0**2),
-            scheduler="sequential",
-            noise=noise.Gaussian(1.0),
-            rule=dynamics.Real(),
-            steps=1000,
-            master_seed=VERIFY_SEED + 50,
-            record_every=1000,
-            decomposition_intervals=tuple((k * 100, (k + 1) * 100) for k in range(10)),
-            runs=1,
-        )
         trace = harness.run_single(cfg, run)
         violations += sum(1 for rec in trace.decompositions if not rec.bound_holds)
     return "decomposition-bound", violations == 0, f"violations = {violations}/200"
@@ -186,17 +183,8 @@ def _check_replay() -> tuple[str, bool, str]:
 
 
 def _check_determinism() -> tuple[str, bool, str]:
-    cfg = harness.ExperimentConfig(
-        n=50,
-        init=harness.UniformInit(0.0, 10.0),
-        scheduler="sequential",
-        noise=noise.Gaussian(1.0),
-        rule=dynamics.Real(),
-        steps=2000,
-        master_seed=VERIFY_SEED + 70,
-        record_every=500,
-        runs=2,
-    )
+    cfg = _config(n=50, init=harness.UniformInit(0.0, 10.0), steps=2000,
+                  master_seed=VERIFY_SEED + 70, record_every=500, runs=2)
     a = harness.run_experiment(cfg)
     b = harness.run_experiment(cfg)
     same = all(
@@ -208,17 +196,8 @@ def _check_determinism() -> tuple[str, bool, str]:
 
 
 def _check_drift() -> tuple[str, bool, str]:
-    cfg = harness.ExperimentConfig(
-        n=100,
-        init=harness.ConstantInit(0.0),
-        scheduler="sequential",
-        noise=noise.Gaussian(1.0),
-        rule=dynamics.Real(),
-        steps=2000,
-        master_seed=VERIFY_SEED + 80,
-        record_every=2000,
-        runs=200,
-    )
+    cfg = _config(n=100, init=harness.ConstantInit(0.0), steps=2000,
+                  master_seed=VERIFY_SEED + 80, record_every=2000, runs=200)
     report = harness.monte_carlo_drift(cfg, runs=200, delta=0.1)
     # smoke tolerance: +-25% on 200 runs; the calibrated check runs 1000
     var_ok = abs(report.empirical_variance - report.theory_variance) <= 0.25 * report.theory_variance
@@ -234,20 +213,10 @@ def _check_drift() -> tuple[str, bool, str]:
 
 
 def _check_sprime_lln() -> tuple[str, bool, str]:
-    model = noise.Gaussian(1.0)
-    mom = noise.moments(model)
-    cfg = harness.ExperimentConfig(
-        n=100,
-        init=harness.UniformInit(0.0, 10.0),
-        scheduler="sequential",
-        noise=model,
-        rule=dynamics.Real(),
-        steps=10_000,
-        master_seed=VERIFY_SEED + 90,
-        record_every=10_000,
-        decomposition_intervals=((0, 10_000),),
-        runs=1,
-    )
+    cfg = _config(n=100, init=harness.UniformInit(0.0, 10.0), steps=10_000,
+                  master_seed=VERIFY_SEED + 90, record_every=10_000,
+                  decomposition_intervals=((0, 10_000),))
+    mom = noise.moments(cfg.noise)
     trace = harness.run_single(cfg, 0)
     acc = trace.decompositions[0].accumulator
     rate = acc.s_prime / acc.length

@@ -152,6 +152,33 @@ def test_histogram_command(tmp_path, config_path):
     assert total == 400
 
 
+def test_histogram_runs_only_the_run_it_reads(tmp_path, config_path, monkeypatch):
+    """histogram.csv is run 0's, so the config's other runs are never made."""
+    calls = []
+    run_single = harness.run_single
+
+    def spy(config, run_index):
+        calls.append(run_index)
+        return run_single(config, run_index)
+
+    monkeypatch.setattr(harness, "run_single", spy)
+    assert main(["histogram", "--config", str(config_path), "--out", str(tmp_path / "hist"),
+                 "--bins", "20", "--set", "runs=3", "--jobs", "1"]) == 0
+    assert calls == [0]
+
+
+def test_histogram_refuses_a_single_bin_before_any_step(tmp_path, config_path, capsys,
+                                                        monkeypatch):
+    for name in ("run_single", "run_experiment"):
+        monkeypatch.setattr(harness, name, lambda *a, **k: pytest.fail("the run began"))
+    out = tmp_path / "x"
+    assert main(["histogram", "--config", str(config_path), "--out", str(out), "--bins", "1",
+                 "--jobs", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --bins: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_replicate_fig_a_small(tmp_path):
     out = tmp_path / "figa"
     assert main(["replicate-fig-a", "--n", "2000", "--out", str(out)]) == 0

@@ -466,12 +466,18 @@ def _bits_or_nan(x):
     return "nan" if math.isnan(x) else _bits(x)
 
 
+def _pair_chunk(values, pairs, noise, coins, flags, decomp, state, offsets):
+    """The kernel's ``pair_chunk`` over every pair, called as ``_pairs_reference`` is."""
+    dynamics._kernel.pair_chunk(values, pairs, noise, coins, len(pairs), flags, decomp, state,
+                                offsets)
+
+
 def _rounding_outcomes(values, pairs, noise, coins, rule, decomp):
-    """Values, state and offsets after the compiled ``_run_pairs`` and after
+    """Values, state and offsets after the kernel's ``pair_chunk`` and after
     ``_pairs_reference``, floats as their bytes."""
     flags = dynamics._rule_flags(rule)
     outcomes = []
-    for run in (dynamics._run_pairs, dynamics._pairs_reference):
+    for run in (_pair_chunk, dynamics._pairs_reference):
         x = np.array(values, dtype=float)
         offsets = np.zeros(len(pairs), dtype=np.int8)
         state = np.array([0.5, 2.0, 0.0, 0.0, 0.0])
@@ -669,6 +675,36 @@ def test_kernel_takes_only_arrays_it_can_take(monkeypatch):
     assert dynamics._exact(np.arange(4.0), True) == (1.5, 5.0)
 
 
+@needs_kernel
+def test_kernel_draw_checks_its_arguments_before_it_draws():
+    """One entry serves both schedulers and keeps the checks of both: a
+    matching draws all n agents, the noise code exists, and each buffer has
+    the format, length and writability to be filled.  A refused call leaves
+    the generator where it was."""
+    rng = make_rng(0)
+    before = rng.bit_generator.state
+    pairs, noise, coins = np.zeros(4, np.int64), np.zeros(4), np.zeros(4)
+    frozen = np.zeros(4)
+    frozen.flags.writeable = False
+    for matching, n, count, code, *buffers in [
+        (True, 4, 3, 1, pairs, noise, coins),  # a matching of 3 of 4 agents
+        (False, 0, 2, 1, pairs, noise, coins),
+        (False, 4, -1, 1, pairs, noise, coins),
+        (False, 4, 4, 3, pairs, noise, coins),  # no noise code 3
+        (False, 4, 4, 1, pairs[:3], noise, coins),
+        (False, 4, 4, 1, pairs.astype(np.int32), noise, coins),
+        (False, 4, 4, 1, pairs, noise.astype(np.float32), coins),
+        (False, 4, 4, 1, pairs, frozen, coins),
+        (False, 4, 4, 1, pairs, noise, frozen),
+    ]:
+        with pytest.raises((TypeError, ValueError)):
+            dynamics._kernel.draw(rng.bit_generator.capsule, matching, n, count, code, 1.0,
+                                  *buffers)
+    with pytest.raises(TypeError):
+        dynamics._kernel.draw(rng.bit_generator.capsule, False, 4, 4, 1, 1.0, pairs, noise)
+    assert rng.bit_generator.state == before
+
+
 @pytest.mark.parametrize("state", [
     [0.0] * 5, np.zeros(5, dtype=np.float32), np.zeros(4), np.zeros(6), np.zeros((1, 5)),
     np.zeros(10)[::2], np.zeros(5).astype(">f8"), np.zeros(5).view(np.int64),
@@ -676,14 +712,15 @@ def test_kernel_takes_only_arrays_it_can_take(monkeypatch):
 ], ids=["list", "float32", "short", "long", "2-d", "strided", "big-endian", "int64", "read-only"])
 def test_run_pairs_rejects_a_state_the_kernel_cannot_write(monkeypatch, state):
     """The caller owns the tracker buffer and the kernel writes to it, so a
-    state that is not a writable float64 array of 5 values raises before the
-    kernel (or the reference loop) touches anything."""
+    state that is not a writable float64 array of 5 values raises, after the
+    draws, before the kernel (or the reference loop) touches a value."""
     for kernel in (dynamics._kernel, None):
         monkeypatch.setattr(dynamics, "_kernel", kernel)
         values = np.arange(4.0)
         with pytest.raises((TypeError, ValueError)):
-            dynamics._run_pairs(values, np.array([0, 1]), np.zeros(2), None,
-                                dynamics._rule_flags(Real()), False, state, None)
+            dynamics._draw_and_apply(values, 2, False, Gaussian(1.0), make_rng(0),
+                                     dynamics._rule_flags(Real()), False, state,
+                                     dynamics._buffers(2), False)
         assert values.tolist() == [0.0, 1.0, 2.0, 3.0]
 
 

@@ -262,6 +262,7 @@ def test_parallel_jobs_match_serial():
     parallel = run_experiment(config, jobs=2)
     for ts, tp in zip(serial, parallel):
         assert ts.snapshots == tp.snapshots
+        assert ts.final_population.tobytes() == tp.final_population.tobytes()
 
 
 def test_pool_opens_no_more_workers_than_runs(monkeypatch):

@@ -244,6 +244,13 @@ def test_one_step_delta_is_the_trackers_phi_bar_change():
     (n_i + n_j)^2 / (4n) term is not lost in the larger terms."""
     rng = make_rng(48)
     flags = dynamics._rule_flags(Real())
+
+    def pair_chunk(values, pairs, noise, coins, flags, decomp, state, offsets):
+        dynamics._kernel.pair_chunk(values, pairs, noise, coins, 2, flags, decomp, state, offsets)
+
+    runs = [dynamics._pairs_reference]
+    if dynamics._kernel is not None:
+        runs.append(pair_chunk)
     roundings_differ = 0
     for _ in range(2000):
         n = int(rng.integers(2, 200))
@@ -253,7 +260,7 @@ def test_one_step_delta_is_the_trackers_phi_bar_change():
         mean = float(values.mean())
         expected = one_step_delta(values[i], values[j], n_i, n_j, mean, n)
         pairs, noise = np.array([i, j]), np.array([n_i, n_j])
-        for run in (dynamics._run_pairs, dynamics._pairs_reference):
+        for run in runs:
             state = np.array([mean, 0.0, 0.0, 0.0, 0.0])
             run(values.copy(), pairs, noise, None, flags, True, state, None)
             assert state[1].hex() == float(expected).hex()
