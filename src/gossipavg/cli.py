@@ -14,6 +14,7 @@ than float64 has, as with values far from zero and close together).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import secrets
@@ -100,18 +101,11 @@ def _evaluate_bounds(*args, **kwargs) -> dict:
 _RUN_DELTA = 0.1
 
 
-def _emit_run_outputs(traces, config, out_dir: Path) -> Path:
-    out_dir.mkdir(parents=True, exist_ok=True)
-    for trace in traces:
-        harness.emit_csv(trace, out_dir / f"trace_run{trace.run_index:04d}.csv")
-        if trace.decompositions:
-            harness.emit_decomposition_csv(
-                trace, out_dir / f"decomposition_run{trace.run_index:04d}.csv"
-            )
-    phi0 = traces[0].snapshots[0].phi_bar
+def _emit_run_outputs(entries: list, phi0: float, config, out_dir: Path) -> Path:
+    """Write summary.json from the runs' entries; each run wrote its own CSVs."""
     bound_values = _evaluate_bounds(config.noise, config.n, config.steps, _RUN_DELTA, phi0)
     summary_path = out_dir / "summary.json"
-    harness.emit_json(traces, summary_path, config, bound_values)
+    harness.emit_json(entries, summary_path, config, bound_values)
     return summary_path
 
 
@@ -125,11 +119,14 @@ def _cmd_run(args) -> int:
                                            0.0, quantile_divisor=4))
     except QuantileRangeError as exc:
         raise ConfigError(f"noise: {exc}") from None
-    traces = harness.run_experiment(config, jobs=args.jobs)
-    summary = _emit_run_outputs(traces, config, Path(args.out))
-    final = traces[0].snapshots[-1]
-    print(f"runs: {len(traces)}  final phi_bar (run 0): {final.phi_bar:.6g}  "
-          f"final drift (run 0): {final.drift:.6g}")
+    out_dir = Path(args.out)
+    results = harness.run_experiment(config, jobs=args.jobs,
+                                     per_run=functools.partial(harness.run_and_emit, out_dir))
+    entries = [entry for entry, _ in results]
+    summary = _emit_run_outputs(entries, results[0][1], config, out_dir)
+    final = entries[0]["final"]
+    print(f"runs: {len(entries)}  final phi_bar (run 0): {final['phi_bar']:.6g}  "
+          f"final drift (run 0): {final['drift']:.6g}")
     print(f"summary: {summary}")
     return 0
 
@@ -225,7 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, config_required=True):
+    def add_common(p, config_required=True, one_run=False):
         if config_required:
             p.add_argument("--config", required=True, help="experiment config JSON")
             p.add_argument("--set", action="append", metavar="KEY=VALUE",
@@ -233,23 +230,24 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default="out", help="output directory (default: out)")
         p.add_argument("--seed", type=int, default=None, help="override the master seed")
         p.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
-                       help="parallel runs (default: available cores)")
+                       help="accepted and ignored: this command makes one run" if one_run
+                       else "parallel runs (default: available cores)")
 
     p_run = sub.add_parser("run", help="run an experiment config, emit CSV + JSON")
     add_common(p_run)
     p_run.set_defaults(func=_cmd_run)
 
     p_fa = sub.add_parser("replicate-fig-a", help="distance-distribution experiment")
-    add_common(p_fa, config_required=False)
+    add_common(p_fa, config_required=False, one_run=True)
     p_fa.add_argument("--n", type=int, default=10**4, help="population size (default 10^4)")
     p_fa.set_defaults(func=_cmd_replicate_fig_a)
 
     p_fb = sub.add_parser("replicate-fig-b", help="bounded-range drift experiment")
-    add_common(p_fb, config_required=False)
+    add_common(p_fb, config_required=False, one_run=True)
     p_fb.set_defaults(func=_cmd_replicate_fig_b)
 
     p_hist = sub.add_parser("histogram", help="run a config and fit the distance tail")
-    add_common(p_hist)
+    add_common(p_hist, one_run=True)
     p_hist.add_argument("--bins", type=int, default=60, help="histogram bins (default 60)")
     p_hist.set_defaults(func=_cmd_histogram)
 

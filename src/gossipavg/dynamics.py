@@ -399,18 +399,23 @@ class _Engine:
         tracker off its exact value by more than DRIFT_TOL raises
         NumericalDriftError first."""
         mean, phibar = _exact(self.values, check or self._decomp)
-        live = (mean, phibar) if self._decomp else (mean,)
-        if check:
-            for name, tracked, exact in zip(("running-mean", "potential"), self.state.tolist(),
-                                            live):
-                if abs(tracked - exact) > DRIFT_TOL * (1.0 + abs(exact)):
-                    raise NumericalDriftError(f"{name} tracker drifted: {tracked} vs {exact} "
-                                              f"at {self._unit} {self.step}")
+        if check:  # ``item`` is the cheapest read of one tracker as a Python float
+            tracked = self.state.item(0)
+            if abs(tracked - mean) > DRIFT_TOL * (1.0 + abs(mean)):
+                self._drifted("running-mean", tracked, mean)
+            if self._decomp:
+                tracked = self.state.item(1)
+                if abs(tracked - phibar) > DRIFT_TOL * (1.0 + abs(phibar)):
+                    self._drifted("potential", tracked, phibar)
         self.state[0] = mean  # item by item: a slice assignment costs 4 times as much
         if self._decomp:
             self.state[1] = phibar
         self._since_resync = 0
         return mean, phibar
+
+    def _drifted(self, name: str, tracked: float, exact: float) -> None:
+        raise NumericalDriftError(f"{name} tracker drifted: {tracked} vs {exact} "
+                                  f"at {self._unit} {self.step}")
 
     def refresh(self) -> tuple[float, float]:
         """Recompute mean and potential; verify and resync the trackers."""

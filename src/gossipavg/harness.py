@@ -360,15 +360,44 @@ def run_single(config: ExperimentConfig, run_index: int) -> TraceRecord:
     return trace
 
 
-def run_experiment(config: ExperimentConfig, jobs: int = 1) -> list[TraceRecord]:
-    """Run the whole ensemble; results are in run order regardless of ``jobs``."""
+def run_experiment(config: ExperimentConfig, jobs: int = 1, per_run=None) -> list:
+    """``per_run(config, r)`` for every run r of the ensemble, in run order
+    regardless of ``jobs``; ``per_run`` defaults to :func:`run_single`, so
+    the list holds each run's :class:`TraceRecord`.
+
+    With ``jobs > 1`` the runs go to a pool of at most ``jobs`` processes,
+    which hands them out in chunks of ``runs // (4 jobs)`` (at least 1);
+    ``per_run`` and what it returns must then pickle.
+    """
     config.validate()
+    per_run = per_run or run_single
+    runs = range(config.runs)
     if jobs > 1 and config.runs > 1:
         from concurrent.futures import ProcessPoolExecutor  # only a pool needs it
 
         with ProcessPoolExecutor(max_workers=min(jobs, config.runs)) as pool:
-            return list(pool.map(run_single, [config] * config.runs, range(config.runs)))
-    return [run_single(config, r) for r in range(config.runs)]
+            return list(pool.map(per_run, [config] * config.runs, runs,
+                                 chunksize=max(1, config.runs // (4 * jobs))))
+    return [per_run(config, r) for r in runs]
+
+
+def run_and_emit(out_dir: Path, config: ExperimentConfig, run_index: int) -> tuple[dict, float]:
+    """The ``run`` command's per-run function: make run ``run_index``, write
+    its ``trace_runNNNN.csv`` (and ``decomposition_runNNNN.csv`` where it
+    has decomposition records) into ``out_dir``, created if absent, and
+    return its ``summary.json`` entry (:func:`run_entry`) with its step-0
+    phi_bar.
+
+    Bound to ``out_dir`` with ``functools.partial`` it pickles, so each pool
+    worker writes the files of the runs it made and sends back only what
+    ``summary.json`` reads.
+    """
+    trace = run_single(config, run_index)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    emit_csv(trace, out_dir / f"trace_run{run_index:04d}.csv")
+    if trace.decompositions:
+        emit_decomposition_csv(trace, out_dir / f"decomposition_run{run_index:04d}.csv")
+    return run_entry(trace), trace.snapshots[0].phi_bar
 
 
 # ---------------------------------------------------------------------------
@@ -595,14 +624,38 @@ def read_trace_csv(path) -> list[PotentialSnapshot]:
                 for row in csv.DictReader(fh)]
 
 
-def summary_dict(traces: list[TraceRecord], config: ExperimentConfig,
+def run_entry(trace: TraceRecord) -> dict:
+    """A run's entry in ``summary.json``'s ``runs``: its final snapshot, the
+    min, max and mean of its final values, and its decomposition records."""
+    final = trace.snapshots[-1]
+    values = trace.final_population
+    return {
+        "run_index": trace.run_index,
+        "final": {**dataclasses.asdict(final), "parallel_time": parallel_time(final.step, trace.n)},
+        "final_values": {
+            "min": float(values.min()),
+            "max": float(values.max()),
+            "mean": float(values.mean()),
+        },
+        "decompositions": [
+            {**dataclasses.asdict(rec.accumulator), "bound_holds": rec.bound_holds}
+            for rec in trace.decompositions
+        ],
+    }
+
+
+def summary_dict(runs: Sequence[Union[TraceRecord, dict]], config: ExperimentConfig,
                  bound_values: Optional[dict] = None) -> dict:
-    """Ensemble summary: per-run finals, ensemble statistics, bound values."""
-    finals = [t.snapshots[-1] for t in traces]
-    drifts = np.array([s.drift for s in finals])
-    phis = np.array([s.phi_bar for s in finals])
+    """Ensemble summary: per-run finals, ensemble statistics, bound values.
+
+    ``runs`` holds each run's TraceRecord or its :func:`run_entry`; the
+    ensemble statistics are taken from the entries.
+    """
+    entries = [r if isinstance(r, dict) else run_entry(r) for r in runs]
+    drifts = np.array([e["final"]["drift"] for e in entries])
+    phis = np.array([e["final"]["phi_bar"] for e in entries])
     violations = sum(
-        1 for t in traces for rec in t.decompositions if not rec.bound_holds
+        1 for e in entries for rec in e["decompositions"] if not rec["bound_holds"]
     )
     return {
         "metadata": {
@@ -611,23 +664,7 @@ def summary_dict(traces: list[TraceRecord], config: ExperimentConfig,
             "build": __version__,
             "config": config_to_json_dict(config),
         },
-        "runs": [
-            {
-                "run_index": t.run_index,
-                "final": {**dataclasses.asdict(t.snapshots[-1]),
-                          "parallel_time": parallel_time(t.snapshots[-1].step, t.n)},
-                "final_values": {
-                    "min": float(t.final_population.min()),
-                    "max": float(t.final_population.max()),
-                    "mean": float(t.final_population.mean()),
-                },
-                "decompositions": [
-                    {**dataclasses.asdict(rec.accumulator), "bound_holds": rec.bound_holds}
-                    for rec in t.decompositions
-                ],
-            }
-            for t in traces
-        ],
+        "runs": entries,
         "ensemble": {
             "final_phi_bar_mean": float(phis.mean()),
             "final_phi_bar_max": float(phis.max()),
@@ -638,9 +675,10 @@ def summary_dict(traces: list[TraceRecord], config: ExperimentConfig,
     }
 
 
-def emit_json(traces: list[TraceRecord], path, config: ExperimentConfig,
+def emit_json(traces: Sequence[Union[TraceRecord, dict]], path, config: ExperimentConfig,
               bound_values: Optional[dict] = None) -> None:
-    """Write the ensemble summary JSON (floats round-trip via repr)."""
+    """Write the ensemble summary JSON (floats round-trip via repr); ``traces``
+    as ``summary_dict`` takes them."""
     path = Path(path)
     with open(path, "w") as fh:
         json.dump(summary_dict(traces, config, bound_values), fh, indent=2)

@@ -404,6 +404,43 @@ def test_tracker_drift_exits_2_with_one_line(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_tracker_drift_in_a_pool_worker_exits_2_with_one_line(tmp_path, capsys):
+    """The drift of run 0 comes back from the pool as the same one line, and
+    no summary.json is written (CSVs of other runs may be)."""
+    config = dict(BASE_CONFIG, n=100, init={"kind": "uniform", "lo": 1e12, "hi": 1e12 + 10},
+                  steps=5000, record_every=5000, decomposition_intervals=[[0, 5000]], runs=2)
+    path = tmp_path / "drift.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "x"
+    assert main(["run", "--config", str(path), "--out", str(out), "--seed", "1",
+                 "--jobs", "2"]) == 2
+    err = capsys.readouterr().err
+    assert err == ("error: potential tracker drifted: 38.23122319355599 vs "
+                   "38.24231190979481 at step 5000\n")
+    assert not (out / "summary.json").exists()
+
+
+def test_run_jobs_1_and_2_write_the_same_bytes(tmp_path, config_path):
+    """Pool workers write the CSVs of the runs they make; with more runs than
+    workers, handed out several at a time, the files are those of one process."""
+    outputs = []
+    for jobs in ("1", "2"):
+        out = tmp_path / jobs
+        assert main(["run", "--config", str(config_path), "--out", str(out), "--jobs", jobs,
+                     "--set", "runs=17", "--set", "steps=400", "--set", "record_every=100"]) == 0
+        outputs.append({p.name: p.read_bytes() for p in out.iterdir()})
+    assert len(outputs[0]) == 2 * 17 + 1
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("command", ["histogram", "replicate-fig-a", "replicate-fig-b"])
+def test_one_run_commands_say_jobs_is_ignored(command, capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main([command, "--help"])
+    assert exit_.value.code == 0
+    assert "accepted and ignored: this command makes one run" in capsys.readouterr().out
+
+
 #: Small ``run`` configs (BASE_CONFIG with these fields replaced): both
 #: schedulers; Real, DiscreteRounding and Cutoff with rounding; Gaussian and
 #: Zero noise only, since DiscreteGeometric draws go through numpy's SIMD
@@ -447,21 +484,23 @@ GOLDEN_DIGESTS = {
 }
 
 
-@pytest.mark.parametrize("name,compiled", [
-    *(pytest.param(name, True, id=name) for name in sorted(GOLDEN_CONFIGS)),
-    *(pytest.param(name, False, id=f"{name}-python") for name in sorted(GOLDEN_CONFIGS)),
+@pytest.mark.parametrize("name,compiled,jobs", [
+    *(pytest.param(name, True, "1", id=name) for name in sorted(GOLDEN_CONFIGS)),
+    *(pytest.param(name, False, "1", id=f"{name}-python") for name in sorted(GOLDEN_CONFIGS)),
+    *(pytest.param(name, True, "2", id=f"{name}-jobs2") for name in sorted(GOLDEN_CONFIGS)),
 ])
-def test_run_outputs_keep_their_bytes(tmp_path, monkeypatch, name, compiled):
+def test_run_outputs_keep_their_bytes(tmp_path, monkeypatch, name, compiled, jobs):
     """``run`` writes the same trace, decomposition and summary bytes as when
     these digests were recorded, with the compiled kernel and with the Python
-    loop and sums: a refactor of the engines or the bounds that claims "same
-    bytes out" is held to it here."""
+    loop and sums, and with the CSVs written by pool workers: a refactor of
+    the engines, the bounds or the output path that claims "same bytes out"
+    is held to it here."""
     if not compiled:
         monkeypatch.setattr(dynamics, "_kernel", None)
     path = tmp_path / "config.json"
     path.write_text(json.dumps({**BASE_CONFIG, **GOLDEN_CONFIGS[name]}))
     out = tmp_path / "out"
-    assert main(["run", "--config", str(path), "--out", str(out), "--jobs", "1"]) == 0
+    assert main(["run", "--config", str(path), "--out", str(out), "--jobs", jobs]) == 0
     digest = hashlib.sha256()
     for p in sorted(out.iterdir()):
         digest.update(p.name.encode() + b"\0" + p.read_bytes())

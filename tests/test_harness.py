@@ -40,7 +40,7 @@ from gossipavg import (
 )
 from gossipavg.dynamics import Cutoff
 from gossipavg.harness import (DECOMP_COLUMNS, KINDS, TRACE_COLUMNS, DecompositionRecord,
-                               TraceRecord, summary_dict)
+                               TraceRecord, run_and_emit, run_entry, summary_dict)
 from gossipavg.potentials import DecompositionAccumulator, PotentialSnapshot
 
 
@@ -282,14 +282,21 @@ def test_pool_opens_no_more_workers_than_runs(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, *iterables):
+        def map(self, fn, *iterables, chunksize):
+            chunks.append(chunksize)
             return map(fn, *iterables)
 
+    chunks = []
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
     config = small_config(runs=2, steps=300)
     traces = run_experiment(config, jobs=64)
     assert asked == [2]
+    assert chunks == [1]
     assert [t.snapshots for t in traces] == [t.snapshots for t in run_experiment(config)]
+    # the pool hands out runs // (4 jobs) runs at a time
+    run_experiment(small_config(runs=17, steps=10, record_every=10), jobs=2)
+    assert asked == [2, 2]
+    assert chunks == [1, 2]
 
 
 def test_synchronous_scheduler_runs():
@@ -466,6 +473,27 @@ def test_summary_json_round_trip(tmp_path):
     assert loaded["runs"][0]["final"]["phi_bar"] == traces[0].snapshots[-1].phi_bar
     direct = summary_dict(traces, config)
     assert loaded["ensemble"] == json.loads(json.dumps(direct["ensemble"]))
+
+
+def test_run_and_emit_writes_a_run_and_returns_its_entry(tmp_path):
+    """The ``run`` command's per-run function writes what ``emit_csv`` and
+    ``emit_decomposition_csv`` write for the run, and the entries it returns
+    make the summary the traces make."""
+    config = small_config(steps=400, record_every=200, runs=2,
+                          decomposition_intervals=((0, 200),))
+    traces = run_experiment(config)
+    out = tmp_path / "new" / "out"
+    results = [run_and_emit(out, config, r) for r in range(config.runs)]
+    assert [phi0 for _, phi0 in results] == [t.snapshots[0].phi_bar for t in traces]
+    assert [entry for entry, _ in results] == [run_entry(t) for t in traces]
+    assert summary_dict([entry for entry, _ in results], config) == summary_dict(traces, config)
+    for t in traces:
+        emit_csv(t, tmp_path / "trace.csv")
+        emit_decomposition_csv(t, tmp_path / "decomposition.csv")
+        for name in ("trace", "decomposition"):
+            assert ((out / f"{name}_run{t.run_index:04d}.csv").read_bytes()
+                    == (tmp_path / f"{name}.csv").read_bytes())
+    assert len(list(out.iterdir())) == 4
 
 
 def test_fig_b_trace_summary_band(tmp_path):
