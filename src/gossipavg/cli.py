@@ -101,29 +101,18 @@ def _evaluate_bounds(*args, **kwargs) -> dict:
 _RUN_DELTA = 0.1
 
 
-def _emit_run_outputs(entries: list, phi0: float, config, out_dir: Path) -> Path:
-    """Write summary.json from the runs' entries; each run wrote its own CSVs."""
-    bound_values = _evaluate_bounds(config.noise, config.n, config.steps, _RUN_DELTA, phi0)
-    summary_path = out_dir / "summary.json"
-    harness.emit_json(entries, summary_path, config, bound_values)
-    return summary_path
-
-
 def _cmd_run(args) -> int:
     config = _resolve_config(args)
-    # The summary's bounds cannot be computed for too large a noise scale;
-    # find that out before the run, not after it.  Whether they can does not
-    # depend on phi0.
     try:
-        bounds.z_value(bounds.bound_inputs(config.noise, config.n, config.steps, _RUN_DELTA,
-                                           0.0, quantile_divisor=4))
+        bound_values = _evaluate_bounds(config.noise, config.n, config.steps, _RUN_DELTA,
+                                        harness.initial_phi_bar(config))
     except QuantileRangeError as exc:
         raise ConfigError(f"noise: {exc}") from None
     out_dir = Path(args.out)
-    results = harness.run_experiment(config, jobs=args.jobs,
+    entries = harness.run_experiment(config, jobs=args.jobs,
                                      per_run=functools.partial(harness.run_and_emit, out_dir))
-    entries = [entry for entry, _ in results]
-    summary = _emit_run_outputs(entries, results[0][1], config, out_dir)
+    summary = out_dir / "summary.json"
+    harness.emit_json(entries, summary, config, bound_values)
     final = entries[0]["final"]
     print(f"runs: {len(entries)}  final phi_bar (run 0): {final['phi_bar']:.6g}  "
           f"final drift (run 0): {final['drift']:.6g}")
@@ -131,26 +120,27 @@ def _cmd_run(args) -> int:
     return 0
 
 
-def _cmd_replicate_fig_a(args) -> int:
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    seed = args.seed if args.seed is not None else harness.FIG_A_SEED
-    config = harness.fig_a_config(n=args.n, master_seed=seed)
+def _run_preset(config: harness.ExperimentConfig, out_dir: Path) -> harness.TraceRecord:
+    """Run a preset's one run, then write its trace.csv and summary.json into
+    ``out_dir``, created only once the run has succeeded."""
     trace = harness.run_experiment(config)[0]
+    out_dir.mkdir(parents=True, exist_ok=True)
     harness.emit_csv(trace, out_dir / "trace.csv")
     harness.emit_json([trace], out_dir / "summary.json", config)
+    return trace
+
+
+def _cmd_replicate_fig_a(args) -> int:
+    out_dir = Path(args.out)
+    seed = args.seed if args.seed is not None else harness.FIG_A_SEED
+    trace = _run_preset(harness.fig_a_config(n=args.n, master_seed=seed), out_dir)
     _emit_distance_tail(trace, harness.FIG_A_BINS, out_dir)
     return 0
 
 
 def _cmd_replicate_fig_b(args) -> int:
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     seed = args.seed if args.seed is not None else harness.FIG_B_SEED
-    trace = harness.replicate_fig_b(master_seed=seed)
-    config = harness.fig_b_config(master_seed=seed)
-    harness.emit_csv(trace, out_dir / "trace.csv")
-    harness.emit_json([trace], out_dir / "summary.json", config)
+    trace = _run_preset(harness.fig_b_config(master_seed=seed), Path(args.out))
     final = trace.snapshots[-1]
     print(f"running average: start {trace.snapshots[0].running_avg:.4g} "
           f"-> final {final.running_avg:.4g}")
@@ -179,9 +169,9 @@ def _cmd_histogram(args) -> int:
     if args.bins < 2:
         raise ConfigError(f"--bins: must be >= 2, got {args.bins}")
     config = _resolve_config(args)
+    trace = harness.run_single(config, 0)  # the only run the histogram reads
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    trace = harness.run_single(config, 0)  # the only run the histogram reads
     _emit_distance_tail(trace, args.bins, out_dir)
     print(f"histogram: {out_dir / 'histogram.csv'}")
     return 0

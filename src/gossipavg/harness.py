@@ -29,6 +29,7 @@ from .dynamics import (
     SequentialEngine,
     SynchronousEngine,
     UpdateRule,
+    _exact,
     init_population,
     parallel_time,
 )
@@ -112,6 +113,10 @@ class ExperimentConfig:
                 f"init: values up to {m} are not finite or too large for n={self.n} "
                 "(2 n^2 (2 max |value|)^2 must be finite, so that the sums of squares are)"
             )
+        # numpy refuses an array of more bytes than np.intp holds
+        if self.n > np.iinfo(np.intp).max // 8:
+            raise ConfigError(f"n: {self.n} values take more bytes than a numpy array "
+                              f"can hold (at most {np.iinfo(np.intp).max // 8} float64 values)")
         prev_end = 0
         for t0, t1 in self.decomposition_intervals:
             if not (0 <= t0 < t1 <= self.steps):
@@ -282,8 +287,6 @@ class Histogram:
 @dataclass(frozen=True)
 class DecompositionRecord:
     accumulator: DecompositionAccumulator
-    phi_bar_t0: float
-    phi_bar_t1: float
     bound_holds: bool
 
 
@@ -293,7 +296,6 @@ class TraceRecord:
 
     run_index: int
     n: int
-    seed: int
     snapshots: list[PotentialSnapshot] = field(default_factory=list)
     decompositions: list[DecompositionRecord] = field(default_factory=list)
     final_population: Optional[np.ndarray] = None
@@ -313,10 +315,14 @@ def _initial_values(config: ExperimentConfig, rng) -> np.ndarray:
     return np.asarray(init.values, dtype=float)
 
 
+def initial_phi_bar(config: ExperimentConfig) -> float:
+    """Run 0's phi_bar at step 0, as :func:`run_single` records it, without the run."""
+    return _exact(_initial_values(config, make_rng(config.master_seed, 0)))[1]
+
+
 def run_single(config: ExperimentConfig, run_index: int) -> TraceRecord:
     """Execute one run of the ensemble; deterministic in (config, run_index)."""
-    seed = config.master_seed
-    rng = make_rng(seed, run_index)
+    rng = make_rng(config.master_seed, run_index)
     pop = init_population(_initial_values(config, rng))
     x0 = pop.initial_average
 
@@ -330,7 +336,7 @@ def run_single(config: ExperimentConfig, run_index: int) -> TraceRecord:
     record_set.add(config.steps)
     boundaries = sorted(record_set | set(ends) | set(ends.values()))
 
-    trace = TraceRecord(run_index=run_index, n=config.n, seed=seed)
+    trace = TraceRecord(run_index=run_index, n=config.n)
     open_t0: Optional[int] = None
     open_phi0 = 0.0
     for b in boundaries:
@@ -342,14 +348,8 @@ def run_single(config: ExperimentConfig, run_index: int) -> TraceRecord:
                 t0=open_t0, t1=b,
                 s_prime=s_prime, s_star=s_star, s_minus=s_minus,
             )
-            trace.decompositions.append(
-                DecompositionRecord(
-                    accumulator=acc,
-                    phi_bar_t0=open_phi0,
-                    phi_bar_t1=phibar,
-                    bound_holds=check_decomposition_bound(acc, open_phi0, phibar),
-                )
-            )
+            holds = check_decomposition_bound(acc, open_phi0, phibar)
+            trace.decompositions.append(DecompositionRecord(accumulator=acc, bound_holds=holds))
             open_t0 = None
         trace.snapshots.append(_snapshot_from_engine(engine.values, b, x0, mean, phibar))
         if b in ends:
@@ -381,12 +381,11 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1, per_run=None) -> lis
     return [per_run(config, r) for r in runs]
 
 
-def run_and_emit(out_dir: Path, config: ExperimentConfig, run_index: int) -> tuple[dict, float]:
+def run_and_emit(out_dir: Path, config: ExperimentConfig, run_index: int) -> dict:
     """The ``run`` command's per-run function: make run ``run_index``, write
     its ``trace_runNNNN.csv`` (and ``decomposition_runNNNN.csv`` where it
     has decomposition records) into ``out_dir``, created if absent, and
-    return its ``summary.json`` entry (:func:`run_entry`) with its step-0
-    phi_bar.
+    return its ``summary.json`` entry (:func:`run_entry`).
 
     Bound to ``out_dir`` with ``functools.partial`` it pickles, so each pool
     worker writes the files of the runs it made and sends back only what
@@ -397,7 +396,7 @@ def run_and_emit(out_dir: Path, config: ExperimentConfig, run_index: int) -> tup
     emit_csv(trace, out_dir / f"trace_run{run_index:04d}.csv")
     if trace.decompositions:
         emit_decomposition_csv(trace, out_dir / f"decomposition_run{run_index:04d}.csv")
-    return run_entry(trace), trace.snapshots[0].phi_bar
+    return run_entry(trace)
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from gossipavg import dynamics, harness
+from gossipavg.errors import NumericalDriftError
 from gossipavg.cli import main
 
 BASE_CONFIG = {
@@ -335,6 +336,29 @@ def test_integer_beyond_the_float_range_exits_2(tmp_path, config_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["run", "--config", "config.json", "--set", f"n={2**63}"],
+    ["histogram", "--config", "config.json", "--set", f"n={2**63}"],
+    ["replicate-fig-a", "--n", str(10**20)],
+])
+def test_n_beyond_numpys_array_range_exits_2(tmp_path, monkeypatch, capsys, argv):
+    """numpy refuses arrays of these lengths before allocating them; the
+    config check refuses them first, naming n."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "config.json").write_text(json.dumps(BASE_CONFIG))
+    assert main([*argv, "--out", "out", "--jobs", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: n: ") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
+def test_replicate_fig_a_refusing_its_n_leaves_no_out_dir(tmp_path, capsys):
+    out = tmp_path / "figa"
+    assert main(["replicate-fig-a", "--n", "1", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: n: ")
+    assert not out.exists()
+
+
 def test_json_that_python_cannot_read_exits_2(tmp_path, config_path, capsys):
     """A config file that is not JSON or not an object, and an integer longer
     than Python converts, are config errors, not tracebacks."""
@@ -501,7 +525,57 @@ def test_run_outputs_keep_their_bytes(tmp_path, monkeypatch, name, compiled, job
     path.write_text(json.dumps({**BASE_CONFIG, **GOLDEN_CONFIGS[name]}))
     out = tmp_path / "out"
     assert main(["run", "--config", str(path), "--out", str(out), "--jobs", jobs]) == 0
+    assert _dir_digest(out) == GOLDEN_DIGESTS.get(name)
+
+
+#: The one-run commands' argv (``histogram`` on BASE_CONFIG at runs=3), each
+#: writing into ``out`` below the working directory.
+ONE_RUN_ARGV = {
+    "replicate-fig-a": ["replicate-fig-a", "--n", "2000"],
+    "replicate-fig-b": ["replicate-fig-b"],
+    "histogram": ["histogram", "--config", "config.json", "--bins", "40", "--set", "runs=3"],
+}
+
+#: sha256 over the sorted (file name, bytes) of each command's output
+#: directory, then its stdout.
+ONE_RUN_DIGESTS = {
+    "histogram":
+        "5ead52a033c39232424bf6df2bb2631ccfb3e263e18ef0626dee10e0199f19b7",
+    "replicate-fig-a":
+        "dd096da576c98942ad0d3a3f075d00aaeb8d444efc48c9790e3ec6cd8037f39a",
+    "replicate-fig-b":
+        "e21f7a5bd3ada692723fb539bdda2170ec16cc92d5a5a068f238b24cd2481408",
+}
+
+
+@pytest.mark.parametrize("command", sorted(ONE_RUN_ARGV))
+def test_one_run_commands_keep_their_bytes(tmp_path, monkeypatch, capsys, command):
+    """``replicate-fig-a``, ``replicate-fig-b`` and ``histogram`` write and
+    print the same bytes as when these digests were recorded."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "config.json").write_text(json.dumps(BASE_CONFIG))
+    assert main([*ONE_RUN_ARGV[command], "--out", "out"]) == 0
+    assert _dir_digest(tmp_path / "out", capsys.readouterr().out) == ONE_RUN_DIGESTS[command]
+
+
+@pytest.mark.parametrize("command", sorted(ONE_RUN_ARGV))
+def test_one_run_command_whose_run_fails_leaves_no_out_dir(tmp_path, monkeypatch, capsys,
+                                                           command):
+    def drifted(config, run_index):
+        raise NumericalDriftError("potential tracker drifted: 1.0 vs 2.0 at step 3")
+
+    monkeypatch.setattr(harness, "run_single", drifted)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "config.json").write_text(json.dumps(BASE_CONFIG))
+    assert main([*ONE_RUN_ARGV[command], "--out", "out"]) == 2
+    assert capsys.readouterr().err == "error: potential tracker drifted: 1.0 vs 2.0 at step 3\n"
+    assert not (tmp_path / "out").exists()
+
+
+def _dir_digest(out: Path, stdout: str = "") -> str:
+    """sha256 over the sorted (file name, bytes) of ``out``, then ``stdout``."""
     digest = hashlib.sha256()
     for p in sorted(out.iterdir()):
         digest.update(p.name.encode() + b"\0" + p.read_bytes())
-    assert digest.hexdigest() == GOLDEN_DIGESTS.get(name)
+    digest.update(stdout.encode())
+    return digest.hexdigest()

@@ -38,9 +38,11 @@ from gossipavg import (
     run_experiment,
     survival_fit,
 )
+from gossipavg import dynamics
 from gossipavg.dynamics import Cutoff
 from gossipavg.harness import (DECOMP_COLUMNS, KINDS, TRACE_COLUMNS, DecompositionRecord,
-                               TraceRecord, run_and_emit, run_entry, summary_dict)
+                               TraceRecord, initial_phi_bar, run_and_emit, run_entry,
+                               run_single, summary_dict)
 from gossipavg.potentials import DecompositionAccumulator, PotentialSnapshot
 
 
@@ -84,6 +86,16 @@ def test_config_validation_reports_field_names():
             scheduler="synchronous", steps=10, record_every=10,
             decomposition_intervals=((0, 5),),
         ).validate()
+
+
+def test_config_refuses_more_values_than_a_numpy_array_holds():
+    """A float64 array holds at most intp max // 8 values; validation
+    allocates nothing, at either side of that length."""
+    most = np.iinfo(np.intp).max // 8
+    small_config(n=most).validate()
+    for n in (most + 1, 2**63, 10**20):
+        with pytest.raises(ConfigError, match=f"^n: {n} values "):
+            small_config(n=n).validate()
 
 
 def test_config_json_round_trip():
@@ -406,7 +418,7 @@ def test_csv_byte_identical_for_same_config(tmp_path):
 
 
 def test_empty_trace_header_only(tmp_path):
-    trace = TraceRecord(run_index=0, n=10, seed=1)
+    trace = TraceRecord(run_index=0, n=10)
     path = tmp_path / "empty.csv"
     emit_csv(trace, path)
     assert path.read_text().strip() == "step,tss,phi_bar,phi,running_avg,drift,parallel_time"
@@ -416,7 +428,7 @@ def test_csv_bytes_are_those_of_csv_writer(tmp_path):
     """One format per row gives the bytes of csv.writer with ".17g" cells,
     at the values whose text is special, in trace and decomposition rows."""
     specials = [math.inf, -math.inf, math.nan, -0.0, 5e-324, 1.7e308, 0.1, -1.0 / 3.0]
-    trace = TraceRecord(run_index=0, n=7, seed=1, snapshots=[
+    trace = TraceRecord(run_index=0, n=7, snapshots=[
         PotentialSnapshot(step, *(specials[(step + k) % len(specials)] for k in range(5)))
         for step in (0, 1, 10, 7 * 10**12, 2**63)])
     path = tmp_path / "trace.csv"
@@ -432,7 +444,7 @@ def test_csv_bytes_are_those_of_csv_writer(tmp_path):
 
     trace.decompositions.extend(
         DecompositionRecord(DecompositionAccumulator(t0, t0 + 10**k, *(
-            specials[(k + m) % len(specials)] for m in range(3))), 0.0, 1.0, k % 2 == 0)
+            specials[(k + m) % len(specials)] for m in range(3))), k % 2 == 0)
         for k, t0 in enumerate((0, 5, 7 * 10**12, 2**63, 1, 2, 3, 4)))
     emit_decomposition_csv(trace, path)
     want = io.StringIO(newline="")
@@ -483,10 +495,9 @@ def test_run_and_emit_writes_a_run_and_returns_its_entry(tmp_path):
                           decomposition_intervals=((0, 200),))
     traces = run_experiment(config)
     out = tmp_path / "new" / "out"
-    results = [run_and_emit(out, config, r) for r in range(config.runs)]
-    assert [phi0 for _, phi0 in results] == [t.snapshots[0].phi_bar for t in traces]
-    assert [entry for entry, _ in results] == [run_entry(t) for t in traces]
-    assert summary_dict([entry for entry, _ in results], config) == summary_dict(traces, config)
+    entries = [run_and_emit(out, config, r) for r in range(config.runs)]
+    assert entries == [run_entry(t) for t in traces]
+    assert summary_dict(entries, config) == summary_dict(traces, config)
     for t in traces:
         emit_csv(t, tmp_path / "trace.csv")
         emit_decomposition_csv(t, tmp_path / "decomposition.csv")
@@ -494,6 +505,21 @@ def test_run_and_emit_writes_a_run_and_returns_its_entry(tmp_path):
             assert ((out / f"{name}_run{t.run_index:04d}.csv").read_bytes()
                     == (tmp_path / f"{name}.csv").read_bytes())
     assert len(list(out.iterdir())) == 4
+
+
+@pytest.mark.parametrize("compiled", [True, False])
+@pytest.mark.parametrize("scheduler", ["sequential", "synchronous"])
+@pytest.mark.parametrize("init", [UniformInit(-3.0, 1e6), ConstantInit(7.5),
+                                  ExplicitInit(tuple(0.1 * k * k for k in range(41)))])
+def test_initial_phi_bar_is_run_0s_step_0_phi_bar(monkeypatch, compiled, scheduler, init):
+    """The summary's bounds start from run 0's step-0 phi_bar, taken before
+    the run: it is the one the run records, bit for bit."""
+    if not compiled:
+        monkeypatch.setattr(dynamics, "_kernel", None)
+    config = small_config(n=41, init=init, scheduler=scheduler, steps=20, record_every=10,
+                          decomposition_intervals=(), master_seed=77, runs=3)
+    assert (initial_phi_bar(config).hex()
+            == run_single(config, 0).snapshots[0].phi_bar.hex())
 
 
 def test_fig_b_trace_summary_band(tmp_path):
