@@ -90,8 +90,6 @@ from .harness import (
     load_config,
     monte_carlo_drift,
     read_trace_csv,
-    replicate_fig_a,
-    replicate_fig_b,
     run_experiment,
     survival_fit,
 )

@@ -163,13 +163,12 @@ def drift_bound_gaussian(t: int, delta: float, sigma: float, n: int) -> tuple[fl
     return upper, lower_prob
 
 
-def drift_bound_general(t: int, delta: float, sigma: float, m: float) -> float:
+def drift_bound_general(t: int, sigma: float, m: float) -> float:
     """Drift magnitude bound m sigma sqrt(2 t) for general noise.
 
-    ``m`` must be the combined max-quantile at budget delta/(2t).  ``delta``
-    is accepted for interface symmetry; the quantile already encodes it.
+    ``m`` must be the combined max-quantile at budget delta/(2t), which
+    carries the failure budget delta.
     """
-    del delta
     return m * sigma * math.sqrt(2.0 * t)
 
 
@@ -243,7 +242,7 @@ def evaluate_all(
     out["drift_lower_prob"] = lower_prob
     try:
         out["drift_general"] = drift_bound_general(
-            t, delta, sigma, m_quantile(model, t, delta / (2.0 * t), "combined")
+            t, sigma, m_quantile(model, t, delta / (2.0 * t), "combined")
         )
     except ParameterError:
         # discrete pmfs are truncated at tail mass 1e-12; a delta/(2t) budget

@@ -6,9 +6,10 @@ Subcommands: ``run`` (execute a config), ``replicate-fig-a`` /
 values as JSON), ``verify`` (invariant and Monte Carlo smoke suite).
 
 Exit codes: 0 success; 1 verification failure or an output i/o error; 2
-argument/config errors, and a tracker that drifted from its exact
-recomputation (``NumericalDriftError``: the config asks for more precision
-than float64 has, as with values far from zero and close together).
+argument/config errors, an array larger than memory (``MemoryError``), and a
+tracker that drifted from its exact recomputation (``NumericalDriftError``:
+the config asks for more precision than float64 has, as with values far
+from zero and close together).
 """
 
 from __future__ import annotations
@@ -126,7 +127,7 @@ def _run_preset(config: harness.ExperimentConfig, out_dir: Path) -> harness.Trac
     trace = harness.run_experiment(config)[0]
     out_dir.mkdir(parents=True, exist_ok=True)
     harness.emit_csv(trace, out_dir / "trace.csv")
-    harness.emit_json([trace], out_dir / "summary.json", config)
+    harness.emit_json([harness.run_entry(trace)], out_dir / "summary.json", config)
     return trace
 
 
@@ -134,7 +135,8 @@ def _cmd_replicate_fig_a(args) -> int:
     out_dir = Path(args.out)
     seed = args.seed if args.seed is not None else harness.FIG_A_SEED
     trace = _run_preset(harness.fig_a_config(n=args.n, master_seed=seed), out_dir)
-    _emit_distance_tail(trace, harness.FIG_A_BINS, out_dir)
+    _emit_distance_tail(harness.tail_histogram(trace.final_population, harness.FIG_A_BINS),
+                        out_dir)
     return 0
 
 
@@ -147,10 +149,10 @@ def _cmd_replicate_fig_b(args) -> int:
     return 0
 
 
-def _emit_distance_tail(trace: harness.TraceRecord, bins: int, out_dir: Path) -> None:
-    """Write histogram.csv of the final absolute distances and, where the tail
-    has the data for ``survival_fit``, fit.json; print the fit or why there is none."""
-    hist = harness.tail_histogram(trace.final_population, bins)
+def _emit_distance_tail(hist: harness.Histogram, out_dir: Path) -> None:
+    """Write histogram.csv of a run's final absolute distances (``tail_histogram``)
+    and, where the tail has the data for ``survival_fit``, fit.json; print the
+    fit or why there is none."""
     harness._write_csv(out_dir / "histogram.csv", ("bin_left", "bin_right", "count"),
                        "%.17g,%.17g,%d", zip(hist.bin_edges, hist.bin_edges[1:], hist.counts),
                        eol="\n")
@@ -168,11 +170,15 @@ def _emit_distance_tail(trace: harness.TraceRecord, bins: int, out_dir: Path) ->
 def _cmd_histogram(args) -> int:
     if args.bins < 2:
         raise ConfigError(f"--bins: must be >= 2, got {args.bins}")
+    if args.bins >= harness.MAX_ARRAY_VALUES:  # bins + 1 edges, in one float64 array
+        raise ConfigError(f"--bins: {args.bins} bins take more edges than a numpy array can "
+                          f"hold (at most {harness.MAX_ARRAY_VALUES - 1} bins)")
     config = _resolve_config(args)
     trace = harness.run_single(config, 0)  # the only run the histogram reads
+    hist = harness.tail_histogram(trace.final_population, args.bins)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    _emit_distance_tail(trace, args.bins, out_dir)
+    _emit_distance_tail(hist, out_dir)
     print(f"histogram: {out_dir / 'histogram.csv'}")
     return 0
 
@@ -262,9 +268,14 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "jobs", 1) < 1:
+            raise ConfigError(f"--jobs: must be >= 1, got {args.jobs}")
         return args.func(args)
     except (ConfigError, ParameterError, NumericalDriftError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # numpy raises it for an array larger than the memory it can get
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)

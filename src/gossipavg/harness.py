@@ -69,6 +69,10 @@ InitSpec = Union[UniformInit, ConstantInit, ExplicitInit]
 
 SCHEDULERS = ("sequential", "synchronous")
 
+#: The most float64 values one numpy array holds: numpy refuses an array of
+#: more bytes than np.intp holds.
+MAX_ARRAY_VALUES = np.iinfo(np.intp).max // 8
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -98,6 +102,9 @@ class ExperimentConfig:
             )
         if self.runs < 1:
             raise ConfigError(f"runs: must be positive, got {self.runs}")
+        # mix64 keeps the low 64 bits, so a seed outside [0, 2^64) would alias one inside
+        if not 0 <= self.master_seed < 2**64:
+            raise ConfigError(f"master_seed: must be in [0, 2^64), got {self.master_seed}")
         if isinstance(self.init, ExplicitInit) and len(self.init.values) != self.n:
             raise ConfigError(
                 f"init: explicit values have length {len(self.init.values)}, expected n={self.n}"
@@ -113,10 +120,9 @@ class ExperimentConfig:
                 f"init: values up to {m} are not finite or too large for n={self.n} "
                 "(2 n^2 (2 max |value|)^2 must be finite, so that the sums of squares are)"
             )
-        # numpy refuses an array of more bytes than np.intp holds
-        if self.n > np.iinfo(np.intp).max // 8:
+        if self.n > MAX_ARRAY_VALUES:
             raise ConfigError(f"n: {self.n} values take more bytes than a numpy array "
-                              f"can hold (at most {np.iinfo(np.intp).max // 8} float64 values)")
+                              f"can hold (at most {MAX_ARRAY_VALUES} float64 values)")
         prev_end = 0
         for t0, t1 in self.decomposition_intervals:
             if not (0 <= t0 < t1 <= self.steps):
@@ -562,24 +568,6 @@ def fig_b_config(master_seed: int = FIG_B_SEED) -> ExperimentConfig:
     )
 
 
-def replicate_fig_a(n: int = 10**4, master_seed: int = FIG_A_SEED,
-                    bins: int = FIG_A_BINS) -> tuple[TraceRecord, Histogram, tuple[float, float]]:
-    """Run the distance-distribution experiment and fit the tail law.
-
-    Returns the trace, the histogram of absolute distances to the running
-    average, and the (slope, r_squared) of the log-survival fit.
-    """
-    config = fig_a_config(n=n, master_seed=master_seed)
-    trace = run_experiment(config)[0]
-    hist = tail_histogram(trace.final_population, bins)
-    return trace, hist, survival_fit(hist)
-
-
-def replicate_fig_b(master_seed: int = FIG_B_SEED) -> TraceRecord:
-    """Run the bounded-range experiment; the final running average is the result."""
-    return run_experiment(fig_b_config(master_seed))[0]
-
-
 # ---------------------------------------------------------------------------
 # serialization
 # ---------------------------------------------------------------------------
@@ -643,14 +631,10 @@ def run_entry(trace: TraceRecord) -> dict:
     }
 
 
-def summary_dict(runs: Sequence[Union[TraceRecord, dict]], config: ExperimentConfig,
+def summary_dict(entries: Sequence[dict], config: ExperimentConfig,
                  bound_values: Optional[dict] = None) -> dict:
-    """Ensemble summary: per-run finals, ensemble statistics, bound values.
-
-    ``runs`` holds each run's TraceRecord or its :func:`run_entry`; the
-    ensemble statistics are taken from the entries.
-    """
-    entries = [r if isinstance(r, dict) else run_entry(r) for r in runs]
+    """Ensemble summary: per-run finals, ensemble statistics, bound values,
+    from each run's :func:`run_entry`."""
     drifts = np.array([e["final"]["drift"] for e in entries])
     phis = np.array([e["final"]["phi_bar"] for e in entries])
     violations = sum(
@@ -674,11 +658,9 @@ def summary_dict(runs: Sequence[Union[TraceRecord, dict]], config: ExperimentCon
     }
 
 
-def emit_json(traces: Sequence[Union[TraceRecord, dict]], path, config: ExperimentConfig,
+def emit_json(entries: Sequence[dict], path, config: ExperimentConfig,
               bound_values: Optional[dict] = None) -> None:
-    """Write the ensemble summary JSON (floats round-trip via repr); ``traces``
-    as ``summary_dict`` takes them."""
-    path = Path(path)
+    """Write :func:`summary_dict` as JSON; floats round-trip via repr."""
     with open(path, "w") as fh:
-        json.dump(summary_dict(traces, config, bound_values), fh, indent=2)
+        json.dump(summary_dict(entries, config, bound_values), fh, indent=2)
         fh.write("\n")

@@ -248,7 +248,7 @@ def test_c10_synchronous_equivalence():
 
 def test_c11_bounded_range_drift():
     t0 = time.perf_counter()
-    trace = ga.replicate_fig_b()
+    trace = ga.run_experiment(ga.fig_b_config())[0]
     start = trace.snapshots[0].running_avg
     final = trace.snapshots[-1].running_avg
     band_ok = start == 10.0 and 5.0 <= final <= 7.0
@@ -272,7 +272,9 @@ def test_c11_bounded_range_drift():
 
 def test_c12_distance_tail_is_exponential():
     t0 = time.perf_counter()
-    trace, hist, (slope, r2) = ga.replicate_fig_a(n=10**4)
+    trace = ga.run_experiment(ga.fig_a_config(n=10**4))[0]
+    slope, r2 = ga.survival_fit(harness.tail_histogram(trace.final_population,
+                                                       harness.FIG_A_BINS))
     ok = slope < 0 and r2 >= 0.9
     assert _report(12, "distance tail follows an exponential law", ok,
                    f"slope {slope:.3g}, r^2 {r2:.4f}", t0)

@@ -171,14 +171,14 @@ def test_drift_bound_gaussian_examples():
 
 
 def test_drift_bound_general():
-    assert drift_bound_general(100, 0.1, 1.0, 0.0) == 0.0
+    assert drift_bound_general(100, 1.0, 0.0) == 0.0
     m = 3.0
-    assert drift_bound_general(400, 0.1, 1.0, m) == pytest.approx(
-        2 * drift_bound_general(100, 0.1, 1.0, m), rel=1e-12
+    assert drift_bound_general(400, 1.0, m) == pytest.approx(
+        2 * drift_bound_general(100, 1.0, m), rel=1e-12
     )
     t, delta = 10**4, 0.1
     mq = m_quantile(Gaussian(1.0), t, delta / (2 * t), "combined")
-    assert drift_bound_general(t, delta, 1.0, mq) == pytest.approx(
+    assert drift_bound_general(t, 1.0, mq) == pytest.approx(
         mq * math.sqrt(2 * t), rel=1e-12
     )
 

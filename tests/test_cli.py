@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from gossipavg import dynamics, harness
@@ -579,3 +580,76 @@ def _dir_digest(out: Path, stdout: str = "") -> str:
         digest.update(p.name.encode() + b"\0" + p.read_bytes())
     digest.update(stdout.encode())
     return digest.hexdigest()
+
+
+#: Every command that takes ``--jobs``, each writing into ``out`` below the working directory.
+JOBS_ARGV = {"run": ["run", "--config", "config.json"], **ONE_RUN_ARGV}
+
+
+@pytest.mark.parametrize("jobs", ["0", "-1"])
+@pytest.mark.parametrize("command", sorted(JOBS_ARGV))
+def test_jobs_below_1_exits_2_before_any_step(tmp_path, monkeypatch, capsys, command, jobs):
+    monkeypatch.setattr(harness, "run_single", lambda *a, **k: pytest.fail("the run began"))
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "config.json").write_text(json.dumps(BASE_CONFIG))
+    assert main([*JOBS_ARGV[command], "--out", "out", "--jobs", jobs]) == 2
+    assert capsys.readouterr().err == f"error: --jobs: must be >= 1, got {jobs}\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--config", "config.json", "--seed", str(2**64)],
+    ["run", "--config", "config.json", "--set", "master_seed=-1"],
+    ["histogram", "--config", "config.json", "--seed", str(2**64)],
+    ["replicate-fig-a", "--seed", str(2**64)],
+    ["replicate-fig-b", "--seed", "-1"],
+])
+def test_master_seed_outside_64_bits_exits_2_before_any_step(tmp_path, monkeypatch, capsys,
+                                                             argv):
+    """Seeds 2^64 and -1 would alias seeds 0 and 2^64 - 1; they are refused."""
+    monkeypatch.setattr(harness, "run_single", lambda *a, **k: pytest.fail("the run began"))
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "config.json").write_text(json.dumps(BASE_CONFIG))
+    assert main([*argv, "--out", "out", "--jobs", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: master_seed: must be in [0, 2^64), got ")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("bins", [np.iinfo(np.intp).max // 8, 2**62, 10**30])
+def test_histogram_refuses_more_bins_than_numpy_holds_before_any_step(tmp_path, config_path,
+                                                                      capsys, monkeypatch, bins):
+    """bins + 1 float64 edges must fit a numpy array; the refusal allocates nothing."""
+    monkeypatch.setattr(harness, "run_single", lambda *a, **k: pytest.fail("the run began"))
+    out = tmp_path / "x"
+    assert main(["histogram", "--config", str(config_path), "--out", str(out),
+                 "--bins", str(bins), "--jobs", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: --bins: {bins} bins ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command,where", [
+    ("run", "run_single"),
+    ("histogram", "run_single"),
+    ("histogram", "tail_histogram"),
+    ("replicate-fig-a", "run_single"),
+    ("replicate-fig-b", "run_single"),
+])
+def test_an_array_larger_than_memory_exits_2_with_one_line(tmp_path, monkeypatch, capsys,
+                                                           command, where):
+    """numpy's MemoryError, stood in for here, is one ``error: ...`` line and
+    exit 2, and ``--out`` is not created: the histogram is made before it."""
+    def too_big(*args, **kwargs):
+        raise MemoryError("Unable to allocate 7.28 TiB for an array with shape "
+                          "(1000000000000,) and data type float64")
+
+    monkeypatch.setattr(harness, where, too_big)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "config.json").write_text(json.dumps(BASE_CONFIG))
+    assert main([*JOBS_ARGV[command], "--out", "out", "--jobs", "1"]) == 2
+    assert capsys.readouterr().err == ("error: out of memory: Unable to allocate 7.28 TiB for "
+                                       "an array with shape (1000000000000,) and data type "
+                                       "float64\n")
+    assert not (tmp_path / "out").exists()
