@@ -5,6 +5,10 @@
  * the numpy methods make, so the values and the generator state afterwards
  * are those of rng.integers or rng.permutation, then rng.normal or
  * rng.random, then rng.random.
+ * onestep_cases() draws the inputs of verify's one-step check the same way:
+ * per case, the values of rng.integers(2, 33), rng.uniform(-spread, spread,
+ * n), rng.choice(n, 2, replace=False) and rng.normal(0, sigma, 2), packed
+ * case after case (verify._onestep_cases is its Python form).
  * pair_chunk() applies a batch of pairwise exchanges to the agent values in
  * place, exactly as the Python reference loop in dynamics.py does
  * (_pairs_reference, which calls _receive once for each agent of a pair,
@@ -23,8 +27,9 @@
  *
  * Each entry is METH_FASTCALL and takes arrays through the buffer protocol;
  * it checks every buffer (format, dimension, contiguity, length, writability
- * where it writes) and every pair index, and raises TypeError, ValueError or
- * IndexError before it touches any.
+ * where it writes), every pair index and every scalar, and raises TypeError,
+ * ValueError, OverflowError or IndexError before it touches any buffer or
+ * draws.
  * None of them releases the GIL: the calls are short, and the generator is
  * not locked against other threads, as the engines never share one.
  */
@@ -546,6 +551,94 @@ static PyObject *draw(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
     Py_RETURN_NONE;
 }
 
+/* The agents a one-step case may hold: rng.integers(2, 33). */
+enum { ONESTEP_MIN_N = 2, ONESTEP_MAX_N = 32 };
+
+/* onestep_cases(capsule, cases, spread, sigma, ns, values, pairs, noise):
+ * draw the inputs of `cases` cases of verify's one-step check, case after
+ * case, with the calls and in the order of
+ *   n = rng.integers(2, 33)
+ *   rng.uniform(-spread, spread, size=n)
+ *   rng.choice(n, size=2, replace=False)
+ *   rng.normal(0.0, sigma, size=2)
+ * into ns[k], the next n entries of values (packed, no padding), pairs[2k],
+ * pairs[2k + 1] and noise[2k], noise[2k + 1].  values must hold 32 per case,
+ * the most the cases can take.  choice() is numpy's Floyd sampling of two
+ * of n, then its one-swap shuffle; a bounded draw over [0, 0], at n = 2,
+ * consumes nothing.  spread and sigma are refused as numpy's uniform() and
+ * normal() refuse them, but before any draw. */
+static PyObject *onestep_cases(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    bitgen_t *bg;
+    Py_ssize_t cases;
+    double spread, sigma, range;
+    Py_buffer views[4];
+    int held = 0;
+    uint64_t *ns;
+    int64_t *pairs;
+    double *values, *noise;
+
+    (void)self;
+    if (check_nargs("onestep_cases", nargs, 8))
+        return NULL;
+    bg = PyCapsule_GetPointer(args[0], "BitGenerator");
+    if (!bg || get_count(args[1], "cases", &cases))
+        return NULL;
+    spread = PyFloat_AsDouble(args[2]);
+    sigma = PyFloat_AsDouble(args[3]);
+    if (PyErr_Occurred())
+        return NULL;
+    range = spread - (-spread);
+    if (!isfinite(range)) {
+        PyErr_SetString(PyExc_OverflowError, "high - low range exceeds valid bounds");
+        return NULL;
+    }
+    if (signbit(range) || (!isnan(sigma) && signbit(sigma))) {
+        PyErr_SetString(PyExc_ValueError, signbit(range) ? "high - low < 0" : "scale < 0");
+        return NULL;
+    }
+    if (cases > PY_SSIZE_T_MAX / ONESTEP_MAX_N) {
+        PyErr_Format(PyExc_ValueError, "onestep_cases(): %zd cases is too many", cases);
+        return NULL;
+    }
+    if (get_buffer(args[4], &views[held++], "ns", 'q', 1, cases) ||
+        get_buffer(args[5], &views[held++], "values", 'd', 1, ONESTEP_MAX_N * cases) ||
+        get_buffer(args[6], &views[held++], "pairs", 'q', 1, 2 * cases) ||
+        get_buffer(args[7], &views[held++], "noise", 'd', 1, 2 * cases)) {
+        release(views, held);
+        return NULL;
+    }
+    ns = views[0].buf;
+    values = views[1].buf;
+    pairs = views[2].buf;
+    noise = views[3].buf;
+    for (Py_ssize_t k = 0; k < cases; k++) {
+        uint64_t n, a, b;
+
+        random_bounded_uint64_fill(bg, ONESTEP_MIN_N, ONESTEP_MAX_N - ONESTEP_MIN_N, 1, false,
+                                   &n);
+        ns[k] = n;
+        for (uint64_t i = 0; i < n; i++)
+            *values++ = random_uniform(bg, -spread, range);
+        a = random_bounded_uint64(bg, 0, n - 2, 0, false);
+        b = random_bounded_uint64(bg, 0, n - 1, 0, false);
+        if (b == a)
+            b = n - 1;
+        if (random_bounded_uint64(bg, 0, 1, 0, false) == 0) {
+            const uint64_t t = a;
+
+            a = b;
+            b = t;
+        }
+        pairs[2 * k] = (int64_t)a;
+        pairs[2 * k + 1] = (int64_t)b;
+        noise[2 * k] = random_normal(bg, 0.0, sigma);
+        noise[2 * k + 1] = random_normal(bg, 0.0, sigma);
+    }
+    release(views, held);
+    Py_RETURN_NONE;
+}
+
 /* pair_chunk(values, pairs, noise, coins, m, flags, decomp, state, offsets):
  * apply the exchanges (pairs[2k], pairs[2k+1]) for 2k + 1 < m.  flags is
  * (do_round, do_clamp, vmin, vmax); coins and offsets may be None, coins
@@ -651,6 +744,7 @@ static PyObject *floordiv(PyObject *self, PyObject *const *args, Py_ssize_t narg
 
 static PyMethodDef methods[] = {
     {"draw", FASTCALL(draw), "One chunk's pairs or permutation, noise and coins."},
+    {"onestep_cases", FASTCALL(onestep_cases), "The inputs of verify's one-step cases."},
     {"pair_chunk", FASTCALL(pair_chunk), "Apply a batch of exchanges in place."},
     {"exact_moments", FASTCALL(exact_moments), "Correctly rounded mean and potential."},
     {"py_floordiv", FASTCALL(floordiv), "Python's float floor division."},

@@ -24,7 +24,8 @@ def _check_noise_zero_mean() -> tuple[str, bool, str]:
     for k, model in enumerate(models):
         rng = make_rng(VERIFY_SEED, k)
         x = noise.sample_batch(model, rng, 200_000)
-        se = float(np.std(x)) / math.sqrt(len(x)) if np.std(x) > 0 else 1e-12
+        sd = float(np.std(x))
+        se = sd / math.sqrt(len(x)) if sd > 0 else 1e-12
         worst = max(worst, abs(float(np.mean(x))) / (5.0 * se))
     return "noise-zero-mean", worst <= 1.0, f"max |mean|/5SE = {worst:.3f}"
 
@@ -83,34 +84,64 @@ def _check_identity_suite() -> tuple[str, bool, str]:
     return "potential-identities", worst <= 1e-9, f"max rel err = {worst:.2e}"
 
 
-# Cases whose inputs are held at once by _onestep_errors; an unbounded
-# buffer raises the peak resident set of ``gossipavg verify`` by about 11 MB.
-_ONESTEP_BLOCK = 1000
+# Cases whose inputs are drawn at once by _onestep_errors, into one set of
+# buffers per call: 32 values and 5 more words a case, 0.6 MB.  The peak
+# resident set of ``gossipavg verify`` is reached later, in _check_delta_mean,
+# and read 44.6 MB with blocks of 500 to 2000 cases (Linux, numpy 2.4.6);
+# larger blocks mean fewer groups of equal n, so less time.
+_ONESTEP_BLOCK = 2000
+
+#: The most agents a case holds: the values buffer's width per case.
+_ONESTEP_MAX_N = 32
+
+
+def _onestep_cases(rng: np.random.Generator, cases: int, spread: float, sigma: float,
+                   ns: np.ndarray, values: np.ndarray, pairs: np.ndarray,
+                   noise: np.ndarray) -> None:
+    """Python form of ``onestep_cases`` in ``_kernel.c``: the fallback and the
+    tests' oracle.  Case k makes four numpy calls, in this order, into
+    ``ns[k]``, the next n entries of ``values`` (packed case after case),
+    ``pairs[2k:2k+2]`` and ``noise[2k:2k+2]``."""
+    pos = 0
+    for k in range(cases):
+        n = int(rng.integers(2, 33))
+        ns[k] = n
+        values[pos:pos + n] = rng.uniform(-spread, spread, size=n)
+        pairs[2 * k:2 * k + 2] = rng.choice(n, size=2, replace=False)
+        noise[2 * k:2 * k + 2] = rng.normal(0.0, sigma, size=2)
+        pos += n
 
 
 def _onestep_errors(rng: np.random.Generator, cases: int, spread: float, sigma: float) -> np.ndarray:
     """Relative error of ``one_step_delta`` against recomputing phi_bar, per case.
 
     Case k draws n in [2, 32], n values uniform in [-spread, spread], a pair
-    i != j and two N(0, sigma^2) noises, in that order, one call each.  The
-    arithmetic runs on blocks of cases, one (cases, n) array per n, so each
-    row is summed exactly as a single case's array would be; rows are never
-    padded to a common width, which would change numpy's pairwise sums.
+    i != j and two N(0, sigma^2) noises, in that order, one numpy call each
+    (or the kernel's ``onestep_cases``, which gives the same values and
+    generator state).  The arithmetic runs on blocks of cases, one (cases, n)
+    array per n, so each row is summed exactly as a single case's array
+    would be; rows are never padded to a common width, which would change
+    numpy's pairwise sums.
     """
     errors = np.empty(cases)
+    block = min(cases, _ONESTEP_BLOCK)
+    ns, pairs = np.empty(block, np.int64), np.empty(2 * block, np.int64)
+    values, noise = np.empty(_ONESTEP_MAX_N * block), np.empty(2 * block)
     for start in range(0, cases, _ONESTEP_BLOCK):
-        by_n: dict[int, list] = {}
-        for k in range(start, min(start + _ONESTEP_BLOCK, cases)):
-            n = int(rng.integers(2, 33))
-            values = rng.uniform(-spread, spread, size=n)
-            pair = rng.choice(n, size=2, replace=False)
-            noises = rng.normal(0.0, sigma, size=2)
-            by_n.setdefault(n, []).append((k, values, pair, noises))
-        for n, group in by_n.items():
-            ks, rows, pairs, noises = (np.array(col) for col in zip(*group))
+        count = min(_ONESTEP_BLOCK, cases - start)
+        if dynamics._kernel is not None:
+            dynamics._kernel.onestep_cases(rng.bit_generator.capsule, count, spread, sigma,
+                                           ns, values, pairs, noise)
+        else:
+            _onestep_cases(rng, count, spread, sigma, ns, values, pairs, noise)
+        sizes = ns[:count]
+        offsets = np.cumsum(sizes) - sizes
+        for n in np.flatnonzero(np.bincount(sizes)).tolist():
+            ks = np.flatnonzero(sizes == n)
+            rows = values[offsets[ks, None] + np.arange(n)]
             r = np.arange(len(ks))
-            i, j = pairs.T
-            n_i, n_j = noises.T
+            i, j = pairs[2 * ks], pairs[2 * ks + 1]
+            n_i, n_j = noise[2 * ks], noise[2 * ks + 1]
             x_i, x_j = rows[r, i], rows[r, j]
             mean = rows.mean(axis=1)
             before = np.sum((rows - mean[:, None]) ** 2, axis=1)
@@ -121,7 +152,7 @@ def _onestep_errors(rng: np.random.Generator, cases: int, spread: float, sigma: 
             after_mean = rows.mean(axis=1)
             after = np.sum((rows - after_mean[:, None]) ** 2, axis=1)
             scale = np.maximum(np.maximum(before, after), 1.0)
-            errors[ks] = np.abs(predicted - (after - before)) / scale
+            errors[start + ks] = np.abs(predicted - (after - before)) / scale
     return errors
 
 
