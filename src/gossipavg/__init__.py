@@ -9,6 +9,21 @@ closed-form tail and convergence-time bounds.
 
 __version__ = "0.1.0"
 
+import os as _os
+
+# Load numpy's OpenBLAS with one thread. This must run before the submodules
+# below import numpy: OpenBLAS reads the variable once, when it loads. The
+# package never wants BLAS threads (its parallelism is `--jobs` processes).
+# By default OpenBLAS starts one worker per extra core, and each busy-waits
+# for about 0.1 s after loading and again after every threaded `np.dot`.
+# On a 2-core Xeon one thread cut the benchmark's fig-b CPU time from 0.61
+# to 0.45 s at the same wall time. At n = 5*10^4, 200 synchronous rounds
+# with a snapshot each and 4 runs under `--jobs 2`, it cut CPU from 6.1 to
+# 2.3 s and wall from 3.2 to 1.3 s. Above 10^4 values OpenBLAS also splits
+# `np.dot` across its threads, so `tss` would depend on the core count.
+# A value the caller set is kept.
+_os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .errors import (
     ConfigError,
     InsufficientDataError,

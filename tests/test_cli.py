@@ -12,7 +12,7 @@ import pytest
 
 from gossipavg import dynamics, harness
 from gossipavg.errors import NumericalDriftError
-from gossipavg.cli import main
+from gossipavg.cli import build_parser, main
 
 BASE_CONFIG = {
     "n": 40,
@@ -292,6 +292,57 @@ def test_cli_import_leaves_pool_and_build_modules_unloaded():
     done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                           text=True, check=True)
     assert done.stdout.strip() == "[]"
+
+
+def _env_without_blas_threads(**extra) -> dict:
+    """This environment with `src` on the path and OPENBLAS_NUM_THREADS
+    removed (importing gossipavg here has set it), plus ``extra``."""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    env.update(extra)
+    return env
+
+
+def test_package_import_loads_blas_with_one_thread_unless_the_caller_chose():
+    """OpenBLAS starts a spinning worker per extra core when numpy loads
+    unless the variable is set first; a value the caller set is kept."""
+    probe = ("import os, gossipavg.cli; task = '/proc/self/task'; "
+             "print(os.environ.get('OPENBLAS_NUM_THREADS'), "
+             "len(os.listdir(task)) if os.path.isdir(task) else 'absent')")
+    done = subprocess.run([sys.executable, "-c", probe], env=_env_without_blas_threads(),
+                          capture_output=True, text=True, check=True)
+    value, threads = done.stdout.split()
+    assert value == "1"
+    if threads != "absent":
+        assert threads == "1"
+    done = subprocess.run([sys.executable, "-c", probe],
+                          env=_env_without_blas_threads(OPENBLAS_NUM_THREADS="2"),
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.split()[0] == "2"
+
+
+def test_run_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
+    """Above 10^4 values a threaded `np.dot` splits the snapshot's `tss`
+    across threads, and the sum then depends on the host's core count."""
+    config = dict(BASE_CONFIG, n=20000, init={"kind": "uniform", "lo": 0.0, "hi": 100.0},
+                  steps=40000, record_every=20000, master_seed=3, runs=1,
+                  decomposition_intervals=[])
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    outputs = []
+    for name, extra in (("unset", {}), ("one", {"OPENBLAS_NUM_THREADS": "1"})):
+        out = tmp_path / name
+        subprocess.run([sys.executable, "-m", "gossipavg.cli", "run", "--config", str(path),
+                        "--out", str(out), "--jobs", "1"],
+                       env=_env_without_blas_threads(**extra), capture_output=True, check=True)
+        outputs.append({p.name: p.read_bytes() for p in out.iterdir()})
+    assert sorted(outputs[0]) == ["summary.json", "trace_run0000.csv"]
+    assert outputs[0] == outputs[1]
+
+
+def test_jobs_defaults_to_the_cpus_the_process_may_use(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert build_parser().parse_args(["run", "--config", "c.json"]).jobs == 1
 
 
 @pytest.mark.parametrize(
