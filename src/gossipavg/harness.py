@@ -493,6 +493,11 @@ class DriftReport:
     lower_prob: float
 
 
+def _final_drift(config: ExperimentConfig, run_index: int) -> float:
+    """``monte_carlo_drift``'s per-run function: the run's drift at its last snapshot."""
+    return run_single(config, run_index).snapshots[-1].drift
+
+
 def monte_carlo_drift(config: ExperimentConfig, runs: int, delta: float = 0.1,
                       jobs: int = 1) -> DriftReport:
     """Drift of the running average over an ensemble, against the Gaussian law.
@@ -513,8 +518,7 @@ def monte_carlo_drift(config: ExperimentConfig, runs: int, delta: float = 0.1,
         return DriftReport(0.0, 0.0, 0.0, 0.0, delta, 0.0, lower_prob)
     cfg = dataclasses.replace(config, runs=runs, record_every=config.steps,
                               decomposition_intervals=())
-    traces = run_experiment(cfg, jobs=jobs)
-    drifts = np.array([t.snapshots[-1].drift for t in traces])
+    drifts = np.array(run_experiment(cfg, jobs=jobs, per_run=_final_drift))
     return DriftReport(
         empirical_variance=float(np.var(drifts)),
         theory_variance=theory,

@@ -18,32 +18,53 @@ from .seeding import make_rng
 VERIFY_SEED = 0xC0FFEE
 
 
+#: Values per block when a check streams a Monte Carlo sample; the draws do not
+#: depend on the split.  The three checks that stream took 29 ms at 2^14 to
+#: 2^16 (41 ms whole); verify's high-water mark rose 1.7 MB, and 2.9 at 2^15.
+_SAMPLE_BLOCK = 1 << 14
+
+
+def _blocks(total: int) -> list:
+    """Sizes of the successive blocks in which a check draws ``total`` values."""
+    return [min(_SAMPLE_BLOCK, total - start) for start in range(0, total, _SAMPLE_BLOCK)]
+
+
+def _moments(blocks) -> tuple[int, float, float]:
+    """Count, mean and population standard deviation of the arrays ``blocks``,
+    one held at a time, merged by Chan, Golub & LeVeque's pairwise update
+    (*Algorithms for Computing the Sample Variance*, 1983)."""
+    count, mean, m2 = 0, 0.0, 0.0
+    for x in blocks:
+        m, x_mean = len(x), float(np.mean(x))
+        delta = x_mean - mean
+        count += m
+        mean += delta * m / count
+        m2 += float(np.sum((x - x_mean) ** 2)) + delta * delta * (count - m) * m / count
+    return count, mean, math.sqrt(m2 / count)
+
+
 def _check_noise_zero_mean() -> tuple[str, bool, str]:
     models = [noise.Gaussian(1.0), noise.DiscreteGeometric(0.8), noise.Zero()]
     worst = 0.0
     for k, model in enumerate(models):
         rng = make_rng(VERIFY_SEED, k)
-        x = noise.sample_batch(model, rng, 200_000)
-        sd = float(np.std(x))
-        se = sd / math.sqrt(len(x)) if sd > 0 else 1e-12
-        worst = max(worst, abs(float(np.mean(x))) / (5.0 * se))
+        count, mean, sd = _moments(noise.sample_batch(model, rng, m) for m in _blocks(200_000))
+        se = sd / math.sqrt(count) if sd > 0 else 1e-12
+        worst = max(worst, abs(mean) / (5.0 * se))
     return "noise-zero-mean", worst <= 1.0, f"max |mean|/5SE = {worst:.3f}"
 
 
 def _check_discrete_pmf() -> tuple[str, bool, str]:
     p = 0.8
     rng = make_rng(VERIFY_SEED, 10)
-    x = noise.sample_batch(noise.DiscreteGeometric(p), rng, 200_000)
-    ok = True
+    samples = (noise.sample_batch(noise.DiscreteGeometric(p), rng, m) for m in _blocks(200_000))
+    counts = sum(np.count_nonzero(x[:, None] == np.arange(-3, 4), axis=0) for x in samples)
     worst = 0.0
-    for i in range(-3, 4):
+    for i, count in zip(range(-3, 4), counts.tolist()):
         expected = p if i == 0 else 0.5 * p * (1.0 - p) ** abs(i)
-        emp = float(np.mean(x == i))
-        se = math.sqrt(expected * (1.0 - expected) / len(x))
-        ratio = abs(emp - expected) / (5.0 * se)
-        worst = max(worst, ratio)
-        ok = ok and ratio <= 1.0
-    return "discrete-pmf", ok, f"max |emp-pmf|/5SE = {worst:.3f}"
+        se = math.sqrt(expected * (1.0 - expected) / 200_000)
+        worst = max(worst, abs(count / 200_000 - expected) / (5.0 * se))
+    return "discrete-pmf", worst <= 1.0, f"max |emp-pmf|/5SE = {worst:.3f}"
 
 
 def _check_quantile_roundtrip() -> tuple[str, bool, str]:
@@ -86,9 +107,9 @@ def _check_identity_suite() -> tuple[str, bool, str]:
 
 # Cases whose inputs are drawn at once by _onestep_errors, into one set of
 # buffers per call: 32 values and 5 more words a case, 0.6 MB.  The peak
-# resident set of ``gossipavg verify`` is reached later, in _check_delta_mean,
-# and read 44.6 MB with blocks of 500 to 2000 cases (Linux, numpy 2.4.6);
-# larger blocks mean fewer groups of equal n, so less time.
+# resident set of ``gossipavg verify``, 37.4 MB (Linux, numpy 2.4.6), is
+# reached later, in _check_drift, 0.2 to 0.3 MB above the mark after this
+# check; larger blocks mean fewer groups of equal n, so less time.
 _ONESTEP_BLOCK = 2000
 
 #: The most agents a case holds: the values buffer's width per case.
@@ -166,12 +187,12 @@ def _check_delta_mean() -> tuple[str, bool, str]:
     n = 100
     pop = dynamics.init_population(rng.uniform(0.0, 50.0, size=n))
     pb = potentials.phi_bar(pop)
-    ii = rng.integers(0, n, size=200_000)
-    jj = rng.integers(0, n, size=200_000)
-    d = pop.values[ii] - pop.values[jj]
-    deltas = d * d / (2.0 * pb)
-    se = float(np.std(deltas)) / math.sqrt(len(deltas))
-    gap = abs(float(np.mean(deltas)) - 1.0 / n)
+    # all of ii (kept as bytes: every index is below n), then jj block by block
+    ii = [rng.integers(0, n, size=m).astype(np.uint8) for m in _blocks(200_000)]
+    d = (pop.values[i] - pop.values[rng.integers(0, n, size=len(i))] for i in ii)
+    count, mean, sd = _moments(x * x / (2.0 * pb) for x in d)
+    se = sd / math.sqrt(count)
+    gap = abs(mean - 1.0 / n)
     return "delta-mean", gap <= 5.0 * se, f"|mean-1/n| = {gap:.2e} vs 5SE = {5*se:.2e}"
 
 

@@ -16,6 +16,7 @@ from gossipavg import (
     ConstantInit,
     DiscreteGeometric,
     DiscreteRounding,
+    DriftReport,
     ExperimentConfig,
     ExplicitInit,
     Gaussian,
@@ -406,6 +407,14 @@ def test_monte_carlo_drift_smoke():
     assert abs(report.empirical_variance - report.theory_variance) <= 0.25 * report.theory_variance
     se = math.sqrt(0.1 * 0.9 / 300)
     assert report.exceed_fraction_upper <= 0.1 + 3 * se
+
+
+def test_monte_carlo_drift_does_not_depend_on_jobs():
+    """Its per-run function pickles, and a pool gives the serial report exactly."""
+    config = small_config(n=50, init=ConstantInit(0.0), steps=500, record_every=500)
+    serial = monte_carlo_drift(config, runs=24, jobs=1)
+    assert isinstance(serial, DriftReport)
+    assert monte_carlo_drift(config, runs=24, jobs=2) == serial
 
 
 # -- serialization ------------------------------------------------------------

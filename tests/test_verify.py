@@ -1,14 +1,21 @@
 """The ``gossipavg verify`` checks: the batched one-step check, the kernel
-entry that draws its cases, and the results."""
+entry that draws its cases, the samples streamed in blocks and the memory
+they leave, and the results."""
 
+import itertools
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gossipavg import dynamics, make_rng, one_step_delta, verify
+from gossipavg import (DiscreteGeometric, Gaussian, Zero, dynamics, make_rng, one_step_delta,
+                       sample_batch, verify)
 
 needs_kernel = pytest.mark.skipif(dynamics._kernel is None, reason="no compiled kernel")
 
@@ -151,3 +158,95 @@ def test_run_verification_returns_a_python_bool(monkeypatch):
     assert verify.run_verification(lines.append) is False
     assert lines == ["ok   numpy-true: ", "ok   numpy-true: ",
                      "ok   numpy-true: ", "FAIL numpy-false: "]
+
+
+#: What ``gossipavg verify`` prints, line by line; a moved digit fails here.
+VERIFY_LINES = [
+    "ok   noise-zero-mean: max |mean|/5SE = 0.239",
+    "ok   discrete-pmf: max |emp-pmf|/5SE = 0.570",
+    "ok   quantile-roundtrip: max CDF gap = 1.87e-10, monotone = True",
+    "ok   potential-identities: max rel err = 0.00e+00",
+    "ok   one-step-exactness: max rel err = 8.33e-15",
+    "ok   delta-mean: |mean-1/n| = 8.40e-06 vs 5SE = 1.29e-04",
+    "ok   decomposition-bound: violations = 0/200",
+    "ok   replay-bitexact: 3 rule/model combinations",
+    "ok   determinism: two ensembles, snapshot-identical",
+    "ok   drift-law: var 0.1029 vs 0.1000, upper exceed 0.045",
+    "ok   sprime-lln: |rate-E| = 0.0001 vs 5SE = 0.0250",
+]
+
+
+def test_verification_output_is_golden():
+    lines = []
+    assert verify.run_verification(lines.append) is True
+    assert lines == VERIFY_LINES
+
+
+MEMORY_PROBE = """
+import gossipavg.verify, numpy.random
+def high_water_kib():
+    with open("/proc/self/status") as status:
+        return next(int(line.split()[1]) for line in status if line.startswith("VmHWM:"))
+before = high_water_kib()
+ok = gossipavg.verify.run_verification(lambda line: None)
+print(ok, high_water_kib() - before)
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads Linux's VmHWM")
+def test_verification_holds_no_whole_sample():
+    """The suite streams its Monte Carlo samples in blocks, so its memory
+    high-water mark stays near what the imports left; held whole, its samples
+    of 200 000 values and their temporaries took about 9 MB more.  The
+    mark is Linux's VmHWM, the process's own: a child's ``ru_maxrss`` starts
+    at the high-water mark of the process that spawned it, here the test
+    runner's, which hides the growth."""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    done = subprocess.run([sys.executable, "-c", MEMORY_PROBE], env=env, capture_output=True,
+                          text=True, check=True)
+    ok, grown_kib = done.stdout.split()
+    assert ok == "True"
+    assert int(grown_kib) <= 4 * 1024
+
+
+def _odd_blocks(total):
+    """Block sizes from 1 to 16383 values, most of them odd, that add up to ``total``."""
+    sizes, pattern = [], itertools.cycle((1, 777, 2, 4095, 16383, 3))
+    while total > 0:
+        sizes.append(min(next(pattern), total))
+        total -= sizes[-1]
+    return sizes
+
+
+@pytest.mark.parametrize("draw", [
+    lambda rng, m: sample_batch(Gaussian(1.0), rng, m),
+    lambda rng, m: sample_batch(DiscreteGeometric(0.8), rng, m),
+    lambda rng, m: sample_batch(Zero(), rng, m),
+    lambda rng, m: rng.integers(0, 100, size=m),
+], ids=["gaussian", "discrete", "zero", "integers"])
+def test_draws_do_not_depend_on_how_they_are_split(draw):
+    """What lets verify draw its samples in blocks: 200 000 values drawn in
+    blocks, the suite's or odd ones, are the bytes of one call and leave the
+    generator in the same state."""
+    whole_rng = make_rng(verify.VERIFY_SEED, 7)
+    whole = draw(whole_rng, 200_000)
+    for sizes in (verify._blocks(200_000), _odd_blocks(200_000)):
+        assert sum(sizes) == 200_000 and len(set(sizes)) > 1
+        rng = make_rng(verify.VERIFY_SEED, 7)
+        parts = [draw(rng, m) for m in sizes]
+        assert np.concatenate(parts).tobytes() == whole.tobytes()
+        assert rng.bit_generator.state == whole_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("offset", [0.0, 1e4])
+def test_block_moments_match_numpy_on_the_whole_sample(offset):
+    """``_moments`` adds in another order than np.mean and np.std over the
+    whole sample, so the two may differ by rounding only: 1e-12 relative,
+    about 4500 ulps.  At an offset of 1e4, plain per-block sums of x and x^2
+    miss the standard deviation by about 1e-8 and fail here."""
+    x = make_rng(3).normal(offset, 1.0, 200_000)
+    for sizes in (verify._blocks(200_000), _odd_blocks(200_000)):
+        count, mean, sd = verify._moments(np.split(x, np.cumsum(sizes)[:-1]))
+        assert count == 200_000
+        assert mean == pytest.approx(float(np.mean(x)), rel=1e-12, abs=1e-12)
+        assert sd == pytest.approx(float(np.std(x)), rel=1e-12)
