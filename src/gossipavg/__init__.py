@@ -71,10 +71,8 @@ from .potentials import (
     tss,
 )
 from .bounds import (
-    BoundInputs,
     b_prime,
     b_star,
-    bound_inputs,
     convergence_time,
     drift_bound_gaussian,
     drift_bound_general,

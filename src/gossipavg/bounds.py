@@ -1,16 +1,19 @@
 """Closed-form tail and convergence bounds for the averaging dynamic.
 
-Every formula here is a deterministic function of the interval length t,
-the failure budget delta, the noise moments, and the max-quantiles from
-:mod:`gossipavg.noise`; nothing depends on a realized run.  The three
-interval bounds mirror the S' / S* decomposition:
+Every formula here is a deterministic function of plain numbers: the
+interval length t, the failure budget delta, the noise moments, and the
+max-quantiles from :mod:`gossipavg.noise`; nothing depends on a realized
+run.  Each interval bound is a 1 - delta statement that splits delta across
+its quantiles, mirroring the S' / S* decomposition:
 
-* ``b_prime``  -- high-probability bound on S' over an interval of t steps,
-  evaluated with the N' quantile taken at delta/2;
-* ``z_value`` / ``b_star`` -- auxiliary potential cap and the resulting
-  bound on S*, both evaluated with quantiles taken at delta/4.
+* ``b_prime(t, delta, m_prime, mom)`` -- bound on S' over an interval of t
+  steps; ``m_prime`` is the N' quantile at delta/2;
+* ``z_value(n, t, delta, phi0, mom, m_prime, m_combined)`` -- auxiliary cap
+  on the potential; both quantiles at delta/4;
+* ``b_star(n, t, delta, mom, m_star, z)`` -- bound on S*, with the N*
+  quantile at delta/4 and ``z`` from ``z_value`` at the same delta.
 
-``evaluate_all`` wires the quantile budgets correctly and returns one flat
+``evaluate_all`` computes each quantile once per budget and returns one flat
 dict for the CLI.
 """
 
@@ -18,7 +21,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
 
 from .errors import ParameterError, QuantileRangeError, UndefinedPredictionError
 from .noise import NoiseModel, NoiseMoments, is_smooth_at, m_quantile, moments
@@ -26,49 +28,15 @@ from .noise import NoiseModel, NoiseMoments, is_smooth_at, m_quantile, moments
 DEFAULT_TIME_CONSTANT = 30.0
 
 
-@dataclass(frozen=True)
-class BoundInputs:
-    """Inputs shared by the interval bounds.
-
-    The quantiles must come from ``noise.m_quantile`` for the same t and
-    the delta sub-budget the target formula expects: delta/2 for
-    ``b_prime``, delta/4 for ``z_value``/``b_star`` (see ``bound_inputs``).
-    """
-
-    n: int
-    t: int
-    delta: float
-    phi0: float
-    moments: NoiseMoments
-    m_prime: float
-    m_star: float
-    m_combined: float
-
-
-def bound_inputs(
-    model: NoiseModel, n: int, t: int, delta: float, phi0: float, quantile_divisor: int = 2
-) -> BoundInputs:
-    """Assemble BoundInputs with quantiles computed at delta/quantile_divisor."""
+def _check_delta(delta: float) -> None:
     if not 0.0 < delta < 1.0:
         raise ParameterError(f"delta must be in (0, 1), got {delta}")
-    if n < 1:
-        raise ParameterError(f"n must be at least 1, got {n}")
-    if not 0.0 <= phi0 < math.inf:
-        raise ParameterError(f"phi0 must be finite and nonnegative, got {phi0}")
-    return BoundInputs(n=n, t=t, delta=delta, phi0=phi0, moments=moments(model),
-                       **_quantiles(model, t, delta / quantile_divisor))
 
 
-def _quantiles(model: NoiseModel, t: int, sub: float) -> dict:
-    """The BoundInputs quantile fields at budget ``sub``, each N' and N*
-    envelope bisected once: ``m_combined`` is their max, as ``m_quantile``'s
-    ``"combined"`` defines it."""
-    m_prime = m_quantile(model, t, sub, "prime")
-    m_star = m_quantile(model, t, sub, "star")
-    return {"m_prime": m_prime, "m_star": m_star, "m_combined": max(m_prime, m_star)}
-
-
-def _b_prime_core(t: int, log_term: float, m_prime: float, mom: NoiseMoments) -> float:
+def b_prime(t: int, delta: float, m_prime: float, mom: NoiseMoments) -> float:
+    """Bound exceeded by S' with probability at most delta (``m_prime`` at delta/2)."""
+    _check_delta(delta)
+    log_term = math.log(2.0 / delta)
     return (
         t * mom.e_nprime / 4.0
         + 2.0 * log_term * m_prime / 3.0
@@ -76,43 +44,38 @@ def _b_prime_core(t: int, log_term: float, m_prime: float, mom: NoiseMoments) ->
     )
 
 
-def b_prime(inputs: BoundInputs) -> float:
-    """Bound exceeded by S' with probability at most delta (m' at delta/2)."""
-    if not 0.0 < inputs.delta < 1.0:
-        raise ParameterError(f"delta must be in (0, 1), got {inputs.delta}")
-    return _b_prime_core(inputs.t, math.log(2.0 / inputs.delta), inputs.m_prime, inputs.moments)
+def z_value(n: int, t: int, delta: float, phi0: float, mom: NoiseMoments,
+            m_prime: float, m_combined: float) -> float:
+    """Auxiliary cap on the potential within the interval (both quantiles at delta/4).
 
-
-def z_value(inputs: BoundInputs) -> float:
-    """Auxiliary cap on the potential within the interval (quantiles at delta/4).
-
-    z = phi0 + 2 ln(2t/d) t E[(N*)^2] / n + (2/3 ln(2t/d) m)^2 + b'_{d/4} + 1
+    z = phi0 + 2 ln(2t/d) t E[(N*)^2] / n + (2/3 ln(2t/d) m)^2 + b'_{d/4} + 1,
+    where b'_{d/4}, the S' bound with m' at d/4, is ``b_prime(t, d / 2, m_prime, mom)``.
     """
-    if not 0.0 < inputs.delta < 1.0:
-        raise ParameterError(f"delta must be in (0, 1), got {inputs.delta}")
-    log_t = math.log(2.0 * inputs.t / inputs.delta)
+    _check_delta(delta)
+    log_t = math.log(2.0 * t / delta)
     try:
-        m_term = (2.0 * log_t * inputs.m_combined / 3.0) ** 2
+        m_term = (2.0 * log_t * m_combined / 3.0) ** 2
     except OverflowError:
         raise QuantileRangeError(
-            f"variance {inputs.moments.variance!r} is too large: the squared quantile term "
-            f"of z at t = {inputs.t} passes the float range") from None
+            f"variance {mom.variance!r} is too large: the squared quantile term "
+            f"of z at t = {t} passes the float range") from None
     return (
-        inputs.phi0
-        + 2.0 * log_t * inputs.t * inputs.moments.e_nstar_sq / inputs.n
+        phi0
+        + 2.0 * log_t * t * mom.e_nstar_sq / n
         + m_term
-        + _b_prime_core(inputs.t, math.log(4.0 / inputs.delta), inputs.m_prime, inputs.moments)
+        + b_prime(t, delta / 2.0, m_prime, mom)
         + 1.0
     )
 
 
-def b_star(inputs: BoundInputs) -> float:
-    """Bound exceeded by S* with probability at most delta (quantiles at delta/4)."""
-    log_t = math.log(2.0 * inputs.t / inputs.delta)
-    z = z_value(inputs)
+def b_star(n: int, t: int, delta: float, mom: NoiseMoments, m_star: float, z: float) -> float:
+    """Bound exceeded by S* with probability at most delta (``m_star`` at delta/4,
+    ``z`` from ``z_value`` at the same delta)."""
+    _check_delta(delta)
+    log_t = math.log(2.0 * t / delta)
     return (
-        2.0 * log_t * inputs.m_star / 3.0
-        + math.sqrt(2.0 * log_t * inputs.t * inputs.moments.e_nstar_sq / inputs.n)
+        2.0 * log_t * m_star / 3.0
+        + math.sqrt(2.0 * log_t * t * mom.e_nstar_sq / n)
     ) * math.sqrt(z)
 
 
@@ -136,8 +99,7 @@ def convergence_time(
         raise ParameterError(f"c must be positive and finite, got {c}")
     if mom.e_nprime <= 0.0:
         raise UndefinedPredictionError("convergence time is undefined for a noiseless channel")
-    if not 0.0 < delta < 1.0:
-        raise ParameterError(f"delta must be in (0, 1), got {delta}")
+    _check_delta(delta)
     floor = mom.e_nprime * n * delta
     if phi0 <= floor:
         return 0.0
@@ -153,8 +115,7 @@ def drift_bound_gaussian(t: int, delta: float, sigma: float, n: int) -> tuple[fl
     magnitude with probability at least ``lower_prob`` =
     delta / (2 sqrt(2 ln(1/delta))) (meaningful for delta <= 1/e).
     """
-    if not 0.0 < delta < 1.0:
-        raise ParameterError(f"delta must be in (0, 1), got {delta}")
+    _check_delta(delta)
     if t < 0:
         raise ParameterError(f"t must be nonnegative, got {t}")
     log_term = math.log(1.0 / delta)
@@ -203,13 +164,21 @@ def evaluate_all(
 ) -> dict:
     """Evaluate every bound for one parameter set; flat dict keyed by formula.
 
-    Quantile budgets follow each formula's definition: ``b_prime`` uses
-    delta/2 quantiles, ``z``/``b_star`` use delta/4 quantiles.
+    Each N' and N* envelope is bisected once per budget: at delta/2, where
+    they are reported and feed ``b_prime``, and at delta/4, where they feed
+    ``z_value`` and ``b_star``.  The moments, the standing assumption and z
+    are each computed once.
     """
-    in_half = bound_inputs(model, n, t, delta, phi0, quantile_divisor=2)
-    in_quarter = replace(in_half, **_quantiles(model, t, delta / 4))
-    mom = in_half.moments
-    if not standing_assumption_ok(n, mom):
+    _check_delta(delta)
+    if n < 1:
+        raise ParameterError(f"n must be at least 1, got {n}")
+    if not 0.0 <= phi0 < math.inf:
+        raise ParameterError(f"phi0 must be finite and nonnegative, got {phi0}")
+    mom = moments(model)
+    m_prime, m_star = (m_quantile(model, t, delta / 2, kind) for kind in ("prime", "star"))
+    q_prime, q_star = (m_quantile(model, t, delta / 4, kind) for kind in ("prime", "star"))
+    assumption_ok = standing_assumption_ok(n, mom)
+    if not assumption_ok:
         warnings.warn(
             f"n E[N^2] = {n * mom.variance:.3g} < 1; the bounds assume unit noise scale",
             stacklevel=2,
@@ -224,14 +193,14 @@ def evaluate_all(
         "e_nprime": mom.e_nprime,
         "e_nstar_sq": mom.e_nstar_sq,
         "var_nprime": mom.var_nprime,
-        "m_prime": in_half.m_prime,
-        "m_star": in_half.m_star,
-        "m_combined": in_half.m_combined,
+        "m_prime": m_prime,
+        "m_star": m_star,
+        "m_combined": max(m_prime, m_star),
         "smooth": is_smooth_at(model, t, delta),
-        "b_prime": b_prime(in_half),
-        "z": z_value(in_quarter),
-        "b_star": b_star(in_quarter),
-        "standing_assumption_ok": standing_assumption_ok(n, mom),
+        "b_prime": b_prime(t, delta, m_prime, mom),
+        "z": (z := z_value(n, t, delta, phi0, mom, q_prime, max(q_prime, q_star))),
+        "b_star": b_star(n, t, delta, mom, q_star, z),
+        "standing_assumption_ok": assumption_ok,
     }
     try:
         out["convergence_time"] = convergence_time(phi0, n, delta, mom, c)

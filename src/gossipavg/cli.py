@@ -58,11 +58,13 @@ def _apply_overrides(config_dict: dict, overrides: list[str]) -> dict:
 
 
 def _resolve_config(args) -> harness.ExperimentConfig:
-    with open(args.config) as fh:
-        try:
+    try:
+        with open(args.config) as fh:
             config_dict = json.load(fh)
-        except ValueError as exc:
-            raise ConfigError(f"--config: {args.config} is not valid JSON: {exc}") from exc
+    except OSError as exc:
+        raise ConfigError(f"--config: cannot read {args.config}: {exc.strerror or exc}") from exc
+    except ValueError as exc:
+        raise ConfigError(f"--config: {args.config} is not valid JSON: {exc}") from exc
     if not isinstance(config_dict, dict):
         raise ConfigError(f"--config: {args.config} must hold a JSON object")
     if args.seed is not None:
@@ -88,11 +90,15 @@ def _noise_from_arg(spec: str):
     return Gaussian(value) if kind == "gaussian" else DiscreteGeometric(value)
 
 
-def _evaluate_bounds(*args, **kwargs) -> dict:
+def _evaluate_bounds(where: str, *args, **kwargs) -> dict:
     """``bounds.evaluate_all``, printing each warning it gives as one
-    ``warning: ...`` line on stderr."""
+    ``warning: ...`` line on stderr; a noise whose quantiles pass the float
+    range is a ``ConfigError`` of the argument ``where``."""
     with warnings.catch_warnings(record=True) as caught:
-        values = bounds.evaluate_all(*args, **kwargs)
+        try:
+            values = bounds.evaluate_all(*args, **kwargs)
+        except QuantileRangeError as exc:
+            raise ConfigError(f"{where}: {exc}") from None
     for w in caught:
         print(f"warning: {w.message}", file=sys.stderr)
     return values
@@ -104,11 +110,8 @@ _RUN_DELTA = 0.1
 
 def _cmd_run(args) -> int:
     config = _resolve_config(args)
-    try:
-        bound_values = _evaluate_bounds(config.noise, config.n, config.steps, _RUN_DELTA,
-                                        harness.initial_phi_bar(config))
-    except QuantileRangeError as exc:
-        raise ConfigError(f"noise: {exc}") from None
+    bound_values = _evaluate_bounds("noise", config.noise, config.n, config.steps, _RUN_DELTA,
+                                    harness.initial_phi_bar(config))
     out_dir = Path(args.out)
     entries = harness.run_experiment(config, jobs=args.jobs,
                                      per_run=functools.partial(harness.run_and_emit, out_dir))
@@ -192,12 +195,8 @@ def _cmd_bounds(args) -> int:
         except OverflowError:
             raise ConfigError(f"--{name}: an integer of {len(str(abs(value)))} digits is "
                               "beyond the float range") from None
-    try:
-        values = _evaluate_bounds(
-            model, args.n, args.t, args.delta, args.phi0, gamma=args.gamma, c=args.c
-        )
-    except QuantileRangeError as exc:
-        raise ConfigError(f"--noise: {exc}") from None
+    values = _evaluate_bounds("--noise", model, args.n, args.t, args.delta, args.phi0,
+                              gamma=args.gamma, c=args.c)
     print(json.dumps(values, indent=2))
     return 0
 

@@ -212,7 +212,8 @@ def test_c09_s_prime_bound():
         runs=runs,
     )
     traces = ga.run_experiment(config)
-    bound = ga.b_prime(ga.bound_inputs(ga.Gaussian(1.0), n, steps, delta, 0.0, quantile_divisor=2))
+    m_prime = ga.m_quantile(ga.Gaussian(1.0), steps, delta / 2, "prime")
+    bound = ga.b_prime(steps, delta, m_prime, ga.moments(ga.Gaussian(1.0)))
     frac = sum(1 for t in traces if t.decompositions[0].accumulator.s_prime > bound) / runs
     se = math.sqrt(delta * (1 - delta) / runs)
     ok = frac <= delta + 3 * se

@@ -1,19 +1,22 @@
 """Closed-form bounds: frozen examples, structure checks, independent re-evaluation."""
 
+import hashlib
+import json
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from gossipavg import bounds, noise
 from gossipavg import (
+    DiscreteGeometric,
     Gaussian,
     ParameterError,
     UndefinedPredictionError,
     Zero,
     b_prime,
     b_star,
-    bound_inputs,
     convergence_time,
     drift_bound_gaussian,
     drift_bound_general,
@@ -28,14 +31,29 @@ from gossipavg import (
 )
 
 
+def _b_prime(model, t, delta):
+    """b_prime with its N' quantile at delta/2, as evaluate_all passes it."""
+    return b_prime(t, delta, m_quantile(model, t, delta / 2, "prime"), moments(model))
+
+
+def _z(model, n, t, delta, phi0):
+    """z_value with its quantiles at delta/4, as evaluate_all passes them."""
+    m_prime, m_comb = (m_quantile(model, t, delta / 4, kind) for kind in ("prime", "combined"))
+    return z_value(n, t, delta, phi0, moments(model), m_prime, m_comb)
+
+
+def _b_star(model, n, t, delta, phi0):
+    """b_star with its N* quantile at delta/4 and the z of ``_z``."""
+    return b_star(n, t, delta, moments(model), m_quantile(model, t, delta / 4, "star"),
+                  _z(model, n, t, delta, phi0))
+
+
 def test_b_prime_zero_noise():
-    inputs = bound_inputs(Zero(), 100, 1000, 0.1, 0.0, quantile_divisor=2)
-    assert b_prime(inputs) == 0.0
+    assert _b_prime(Zero(), 1000, 0.1) == 0.0
 
 
 def test_b_prime_gaussian_magnitude():
-    inputs = bound_inputs(Gaussian(1.0), 1000, 10**4, 0.1, 0.0, quantile_divisor=2)
-    val = b_prime(inputs)
+    val = _b_prime(Gaussian(1.0), 10**4, 0.1)
     assert 5000 < val < 5600  # t/4 * E[N'] = 5000 dominates
 
 
@@ -60,8 +78,7 @@ def test_b_prime_scaling_in_t():
 
 def test_b_prime_independent_reimplementation():
     model = Gaussian(1.0)
-    n, t, delta = 1000, 10**4, 0.1
-    inputs = bound_inputs(model, n, t, delta, 0.0, quantile_divisor=2)
+    t, delta = 10**4, 0.1
     mom = moments(model)
     m_prime = m_quantile(model, t, delta / 2, "prime")
     expected = (
@@ -69,24 +86,21 @@ def test_b_prime_independent_reimplementation():
         + 2 * math.log(2 / delta) * m_prime / 3
         + math.sqrt(math.log(2 / delta) * mom.var_nprime * t / 8)
     )
-    assert b_prime(inputs) == pytest.approx(expected, rel=1e-12)
+    assert b_prime(t, delta, m_prime, mom) == pytest.approx(expected, rel=1e-12)
 
 
 def test_z_zero_noise_only_constant_survives():
-    inputs = bound_inputs(Zero(), 100, 1000, 0.1, 0.0, quantile_divisor=4)
-    assert z_value(inputs) == 1.0
+    assert _z(Zero(), 100, 1000, 0.1, 0.0) == 1.0
 
 
 def test_z_dominates_phi0():
     for phi0 in (0.0, 10.0, 1e6, 1e12):
-        inputs = bound_inputs(Gaussian(1.0), 1000, 10**4, 0.1, phi0, quantile_divisor=4)
-        assert z_value(inputs) >= phi0
+        assert _z(Gaussian(1.0), 1000, 10**4, 0.1, phi0) >= phi0
 
 
 def test_z_independent_reimplementation():
     model = Gaussian(1.0)
     n, t, delta, phi0 = 1000, 10**4, 0.1, 1e6
-    inputs = bound_inputs(model, n, t, delta, phi0, quantile_divisor=4)
     mom = moments(model)
     m_comb = m_quantile(model, t, delta / 4, "combined")
     m_prime = m_quantile(model, t, delta / 4, "prime")
@@ -103,33 +117,42 @@ def test_z_independent_reimplementation():
         + bprime_q
         + 1.0
     )
-    assert z_value(inputs) == pytest.approx(expected, rel=1e-12)
+    assert z_value(n, t, delta, phi0, mom, m_prime, m_comb) == pytest.approx(expected, rel=1e-12)
 
 
 def test_b_star_zero_noise():
-    inputs = bound_inputs(Zero(), 100, 1000, 0.1, 0.0, quantile_divisor=4)
-    assert b_star(inputs) == 0.0
+    assert _b_star(Zero(), 100, 1000, 0.1, 0.0) == 0.0
 
 
 def test_b_star_scales_with_sqrt_z():
     model = Gaussian(1.0)
-    lo = bound_inputs(model, 1000, 10**4, 0.1, 1e6, quantile_divisor=4)
-    hi = bound_inputs(model, 1000, 10**4, 0.1, 4e6, quantile_divisor=4)
-    ratio = b_star(hi) / b_star(lo)
-    assert ratio == pytest.approx(math.sqrt(z_value(hi) / z_value(lo)), rel=1e-12)
+    lo, hi = ((model, 1000, 10**4, 0.1, phi0) for phi0 in (1e6, 4e6))
+    ratio = _b_star(*hi) / _b_star(*lo)
+    assert ratio == pytest.approx(math.sqrt(_z(*hi) / _z(*lo)), rel=1e-12)
 
 
 def test_b_star_independent_reimplementation():
     model = Gaussian(1.0)
     n, t, delta, phi0 = 1000, 10**4, 0.1, 1e6
-    inputs = bound_inputs(model, n, t, delta, phi0, quantile_divisor=4)
     mom = moments(model)
     m_star = m_quantile(model, t, delta / 4, "star")
+    z = _z(model, n, t, delta, phi0)
     lt = math.log(2 * t / delta)
     expected = (
         2 * lt * m_star / 3 + math.sqrt(2 * lt * t * mom.e_nstar_sq / n)
-    ) * math.sqrt(z_value(inputs))
-    assert b_star(inputs) == pytest.approx(expected, rel=1e-12)
+    ) * math.sqrt(z)
+    assert b_star(n, t, delta, mom, m_star, z) == pytest.approx(expected, rel=1e-12)
+
+
+@pytest.mark.parametrize("delta", [0.0, 1.0, -0.5])
+@pytest.mark.parametrize("formula", [
+    lambda delta: b_prime(1000, delta, 1.0, moments(Gaussian(1.0))),
+    lambda delta: z_value(100, 1000, delta, 0.0, moments(Gaussian(1.0)), 1.0, 1.0),
+    lambda delta: b_star(100, 1000, delta, moments(Gaussian(1.0)), 1.0, 1.0),
+], ids=["b_prime", "z_value", "b_star"])
+def test_formulas_reject_a_delta_outside_0_1(formula, delta):
+    with pytest.raises(ParameterError, match="delta must be in"):
+        formula(delta)
 
 
 def test_s_minus_tail_values():
@@ -263,3 +286,46 @@ def test_evaluate_all_keys_and_zero_noise():
     gauss = evaluate_all(Gaussian(1.0), 100, 1000, 0.1, 1e4)
     for key in ("b_prime", "z", "b_star", "convergence_time", "m_combined", "smooth"):
         assert key in gauss
+
+
+# What `gossipavg bounds` prints over a grid, one sha256 per noise model: each
+# point's JSON, its warnings, or the error it raises. The formula tests compare
+# at rel=1e-12; these pin the last digit. A change that moves an output on
+# purpose re-records them and names the fields it changed.
+_GOLDEN_NOISES = {
+    "gaussian:1": Gaussian(1.0),
+    "gaussian:0.01": Gaussian(0.01),
+    "discrete:0.8": DiscreteGeometric(0.8),
+    "discrete:0.5": DiscreteGeometric(0.5),
+    "zero": Zero(),
+}
+_TINY_DELTA = 3.115728650883837e-308  # delta / 2 is not exact here
+_GOLDEN_GRID = [
+    (n, t, delta, phi0, gamma)
+    for n in (2, 100, 10**4)
+    for t, deltas in ((1, (0.1, 1e-3, _TINY_DELTA)), (10**3, (0.1, 1e-3)), (10**6, (0.1, 1e-3)))
+    for delta in deltas
+    for phi0 in (0.0, 1e6)
+    for gamma in (None, 0.5)
+]
+
+
+@pytest.mark.parametrize("name, digest", [
+    ("gaussian:1", "42f0395d83c60efb4c65c0e663db76c942fb742a72916b404dc3960b10aa8193"),
+    ("gaussian:0.01", "b522e3efaa99d7736b72ad194a82a825f0dd6341b97c6981bf8619bebf650d96"),
+    ("discrete:0.8", "c056849580dbec4bef0510e98d5af1456af8f35865081cc4debf83ffbd08300a"),
+    ("discrete:0.5", "a3bd415f46e6eb86641daf76e604f15c67be602adc326ad05cd7ea8a1c291f12"),
+    ("zero", "8d99d08fd2c3217ca1cf44e37b7e136b493aa125b0603ee9623ca5344246735c"),
+])
+def test_evaluate_all_output_is_golden(name, digest):
+    lines = []
+    for n, t, delta, phi0, gamma in _GOLDEN_GRID:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                values = evaluate_all(_GOLDEN_NOISES[name], n, t, delta, phi0, gamma=gamma)
+                lines.append(json.dumps(values, indent=2))
+            except ParameterError as exc:
+                lines.append(f"{type(exc).__name__}: {exc}")
+        lines += [f"warning: {w.message}" for w in caught]
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == digest

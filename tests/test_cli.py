@@ -95,6 +95,16 @@ def test_bad_config_value_exits_2(tmp_path, config_path):
     )
 
 
+@pytest.mark.parametrize("command", ["run", "histogram"])
+@pytest.mark.parametrize("name, reason", [("missing.json", "No such file or directory"),
+                                          (".", "Is a directory")])
+def test_unreadable_config_exits_2_naming_the_argument(tmp_path, capsys, command, name, reason):
+    path = tmp_path / name
+    assert main([command, "--config", str(path), "--out", str(tmp_path / "x")]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: --config: cannot read {path}: {reason}\n"
+
+
 def test_unknown_flag_exits_2(config_path):
     with pytest.raises(SystemExit) as exc:
         main(["run", "--config", str(config_path), "--definitely-not-a-flag"])
