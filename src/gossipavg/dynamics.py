@@ -371,12 +371,15 @@ def _draw_and_apply(values: np.ndarray, count: int, matching: bool, model: Noise
 
 class _Engine:
     """What both engines share: the values, the trackers in ``state``, the
-    exact recomputation that checks and resyncs them, and the buffers each
-    chunk's draws fill.  ``state`` is [mean, phi_bar, S', S*, S^-] in
-    ``pair_chunk``'s layout; phi_bar and the sums are live only while a
-    decomposition window is open (``_decomp``)."""
+    exact recomputation that checks and resyncs them, the buffers each
+    chunk's draws fill, and the chunk loop.  ``state`` is [mean, phi_bar,
+    S', S*, S^-] in ``pair_chunk``'s layout; phi_bar and the sums are live
+    only while a decomposition window is open (``_decomp``).  A subclass
+    holds only data: its ``_unit``, whether a step draws a ``_matching``,
+    and its ``_schedule``."""
 
     _unit = "step"
+    _matching = False
 
     def __init__(self, pop: Population, model: NoiseModel, rule: UpdateRule,
                  rng: np.random.Generator):
@@ -386,18 +389,17 @@ class _Engine:
         self.values = np.array(pop.values, dtype=np.float64)
         self.n = len(self.values)
         self.state = np.zeros(5)
-        self.state[0] = _exact(self.values, False)[0]
         self.step = pop.step_count
         self._decomp = False
-        self._since_resync = 0
-        self._resync_every, size = self._schedule(self.n)
-        self._buffers = _buffers(size)
+        self._resync_every, self._chunk, self._per_step = self._schedule(self.n)
+        self._buffers = _buffers(min(self._chunk, self._resync_every) * self._per_step)
+        self._resync(False)
 
     def _resync(self, check: bool) -> tuple[float, Optional[float]]:
         """Write the exact mean, and while ``_decomp`` the exact potential, into
-        ``state``.  With ``check`` the potential is always computed, and a live
-        tracker off its exact value by more than DRIFT_TOL raises
-        NumericalDriftError first."""
+        ``state``; no other code writes exact values there.  With ``check`` the
+        potential is always computed, and a live tracker off its exact value by
+        more than DRIFT_TOL raises NumericalDriftError first."""
         mean, phibar = _exact(self.values, check or self._decomp)
         if check:  # ``item`` is the cheapest read of one tracker as a Python float
             tracked = self.state.item(0)
@@ -421,71 +423,60 @@ class _Engine:
         """Recompute mean and potential; verify and resync the trackers."""
         return self._resync(True)
 
+    def advance(self, steps: int, collect: Optional[list] = None) -> None:
+        """Run ``steps`` steps in chunks of at most ``_chunk``, none past a
+        resync.  A due resync runs before the next chunk rather than after the
+        last one, so a ``refresh`` between the two (which resyncs too) replaces
+        it and still checks the trackers.  With ``collect``, appends one
+        StepEvent per step."""
+        if steps <= 0:
+            return
+        done = 0
+        while done < steps:
+            if self._since_resync >= self._resync_every:
+                self._resync(False)
+            b = min(self._chunk, steps - done, self._resync_every - self._since_resync)
+            interactions = _draw_and_apply(self.values, b * self._per_step, self._matching,
+                                           self.model, self.rng, self.flags, self._decomp,
+                                           self.state, self._buffers, collect is not None)
+            if collect is not None:
+                per = len(interactions) // b
+                collect.extend(StepEvent(interactions[k:k + per])
+                               for k in range(0, len(interactions), per))
+            done += b
+            self._since_resync += b
+        self.step += steps
+
 
 class SequentialEngine(_Engine):
-    """Drives one sequential run.  The mean tracker follows the value deltas
-    and is resynced every ``_resync_every`` steps; while a decomposition window
-    is open, phi_bar follows the exact one-step change formula about it."""
+    """Drives one sequential run: one pair per step.  The mean tracker follows
+    the value deltas and is resynced every ``max(n, 1024)`` steps; while a
+    decomposition window is open, phi_bar follows the exact one-step change
+    formula about it and is resynced with it."""
 
     @staticmethod
-    def _schedule(n: int) -> tuple[int, int]:
-        """The resync interval and the agents drawn by the longest chunk."""
-        return max(n, 1024), 2 * min(CHUNK, max(n, 1024))
-
-    # -- tracking control ---------------------------------------------------
+    def _schedule(n: int) -> tuple[int, int, int]:
+        """The resync interval, the longest chunk in steps, and the agents per step."""
+        return max(n, 1024), CHUNK, 2
 
     def begin_decomposition(self) -> None:
-        self.state[1:] = (_exact(self.values, True)[1], 0.0, 0.0, 0.0)
+        self.state[2:] = 0.0
         self._decomp = True
+        self._resync(False)
 
     def end_decomposition(self) -> tuple[float, float, float]:
         self._decomp = False
         return tuple(self.state[2:].tolist())
 
-    # -- main loop -----------------------------------------------------------
-
-    def advance(self, steps: int, collect: Optional[list] = None) -> None:
-        if steps <= 0:
-            return
-        done = 0
-        while done < steps:
-            b = min(CHUNK, steps - done, self._resync_every - self._since_resync)
-            interactions = _draw_and_apply(self.values, 2 * b, False, self.model, self.rng,
-                                           self.flags, self._decomp, self.state, self._buffers,
-                                           collect is not None)
-            if collect is not None:
-                collect.extend(StepEvent([it]) for it in interactions)
-            done += b
-            self._since_resync += b
-            if self._since_resync >= self._resync_every:
-                self._resync(False)
-        self.step += steps
-
 
 class SynchronousEngine(_Engine):
-    """Drives one synchronous run; ``advance`` counts rounds, not interactions.
-
-    A due resync of the mean tracker runs before the next round rather than
-    after the last one, so a ``refresh`` between the two (which resyncs too)
-    replaces it.
-    """
+    """Drives one synchronous run; a step is a round, a random perfect matching
+    of all n agents.  The mean tracker is resynced every ``4096 // n`` rounds
+    (every round from n = 2049 on)."""
 
     _unit = "round"
+    _matching = True
 
     @staticmethod
-    def _schedule(n: int) -> tuple[int, int]:
-        return max(1, 4096 // max(n, 1)), n
-
-    def advance(self, rounds: int, collect: Optional[list] = None) -> None:
-        if rounds <= 0:
-            return
-        for _ in range(rounds):
-            if self._since_resync >= self._resync_every:
-                self._resync(False)
-            interactions = _draw_and_apply(self.values, self.n, True, self.model, self.rng,
-                                           self.flags, False, self.state, self._buffers,
-                                           collect is not None)
-            if collect is not None:
-                collect.append(StepEvent(interactions))
-            self._since_resync += 1
-        self.step += rounds
+    def _schedule(n: int) -> tuple[int, int, int]:
+        return max(1, 4096 // n), 1, n

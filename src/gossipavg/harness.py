@@ -67,7 +67,9 @@ class ExplicitInit:
 
 InitSpec = Union[UniformInit, ConstantInit, ExplicitInit]
 
-SCHEDULERS = ("sequential", "synchronous")
+#: The engine that runs each scheduler.
+ENGINES = {"sequential": SequentialEngine, "synchronous": SynchronousEngine}
+SCHEDULERS = tuple(ENGINES)
 
 #: The most float64 values one numpy array holds: numpy refuses an array of
 #: more bytes than np.intp holds.
@@ -332,11 +334,7 @@ def run_single(config: ExperimentConfig, run_index: int) -> TraceRecord:
     pop = init_population(_initial_values(config, rng))
     x0 = pop.initial_average
 
-    if config.scheduler == "sequential":
-        engine = SequentialEngine(pop, config.noise, config.rule, rng)
-    else:
-        engine = SynchronousEngine(pop, config.noise, config.rule, rng)
-
+    engine = ENGINES[config.scheduler](pop, config.noise, config.rule, rng)
     ends = dict(config.decomposition_intervals)  # t0 -> t1
     record_set = set(range(0, config.steps + 1, config.record_every))
     record_set.add(config.steps)

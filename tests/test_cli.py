@@ -531,8 +531,11 @@ def test_one_run_commands_say_jobs_is_ignored(command, capsys):
 #: schedulers; Real, DiscreteRounding and Cutoff with rounding; Gaussian and
 #: Zero noise only, since DiscreteGeometric draws go through numpy's SIMD
 #: ``log1p``; sequential runs past the 1024-step resync, with a decomposition
-#: window across one, and synchronous runs past the ``4096 // n`` round resync.
+#: window across one, one whose record boundaries each end a resync interval,
+#: and synchronous runs past the ``4096 // n`` round resync.
 GOLDEN_CONFIGS = {
+    "seq-resync-boundaries": {"steps": 3072, "record_every": 1024,
+                              "decomposition_intervals": [[0, 3072]]},
     "seq-real-gaussian": {"steps": 3000, "record_every": 1500,
                           "decomposition_intervals": [[0, 3000]]},
     "seq-rounding-gaussian": {"rule": {"kind": "discrete_rounding"},
@@ -559,6 +562,8 @@ GOLDEN_DIGESTS = {
         "45f9fde4d6a29b2c471e27480e2330829a288a73dfb63c2171bd8366fe548a32",
     "seq-real-gaussian":
         "58b1df7e78730f75cbf8aa1bb280a0eff344668c0abd1f145377ed057ba8f617",
+    "seq-resync-boundaries":
+        "e107358d343095c4d6b596e718f3a9260b5b9da371d69ac1fd186f01546b6742",
     "seq-rounding-gaussian":
         "d999cd052223644ec8f58bba5e28d338daaa0b699cd6c9eb466e4eb7e5fe2826",
     "sync-cutoff-gaussian":

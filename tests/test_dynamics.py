@@ -266,42 +266,51 @@ def test_synchronous_cutoff_and_rounding_invariants():
         assert np.all(pop.values == np.floor(pop.values))
 
 
-def test_engine_mean_tracker_verified():
-    pop = init_population(make_rng(31).uniform(0, 100, 50))
-    engine = SequentialEngine(pop, Gaussian(1.0), Real(), make_rng(32))
-    engine.advance(5000)
-    engine.refresh()  # passes on an honest tracker
-    engine.state[0] += 1.0
-    with pytest.raises(NumericalDriftError):
+@pytest.mark.parametrize("engine_cls,n,every,decomp,honest,drift_at,then,tracker,bump", [
+    pytest.param(SequentialEngine, 50, 1024, False, 5000, 0, 0, 0, 1.0, id="sequential-mean"),
+    # at n > 4096 a resync is due every round; it runs before the next round,
+    # so the refresh after a round still checks the tracked mean
+    pytest.param(SynchronousEngine, 5000, 1, False, 3, 0, 1, 0, 1.0, id="synchronous-mean"),
+    # at n = 2000 the refresh at step 2000 ends a resync interval: the resync
+    # due there runs before the next chunk, so it does not overwrite the
+    # drifted tracker before the refresh checks it
+    pytest.param(SequentialEngine, 2000, 2000, True, 0, 1990, 10, 0, 1.0,
+                 id="sequential-mean-at-due-resync"),
+    pytest.param(SequentialEngine, 2000, 2000, True, 0, 1990, 10, 1, 100.0,
+                 id="sequential-potential-at-due-resync"),
+])
+def test_refresh_checks_each_tracker(engine_cls, n, every, decomp, honest, drift_at, then,
+                                     tracker, bump):
+    """A refresh passes on honest trackers and raises on a tracker pushed off
+    its exact value by ``bump``, far past DRIFT_TOL (the potential is about
+    1.7e6 at n = 2000, so 1.0 would be within it)."""
+    pop = init_population(make_rng(31).uniform(0, 100, n))
+    engine = engine_cls(pop, Gaussian(1.0), Real(), make_rng(32))
+    assert engine._resync_every == every
+    if decomp:
+        engine.begin_decomposition()
+    engine.advance(honest)
+    engine.refresh()  # passes on honest trackers
+    engine.advance(drift_at)
+    engine.state[tracker] += bump
+    engine.advance(then)
+    with pytest.raises(NumericalDriftError, match=("running-mean", "potential")[tracker]):
         engine.refresh()
 
 
-def test_synchronous_engine_mean_tracker_verified():
-    """At n > 4096 a resync is due every round; it runs before the next round,
-    so the refresh after a round still checks the tracked mean."""
-    pop = init_population(make_rng(31).uniform(0, 100, 5000))
-    engine = SynchronousEngine(pop, Gaussian(1.0), Real(), make_rng(32))
-    assert engine._resync_every == 1
-    engine.advance(3)
-    engine.refresh()  # passes on an honest tracker
-    engine.state[0] += 1.0
-    engine.advance(1)
-    with pytest.raises(NumericalDriftError):
-        engine.refresh()
-
-
-def test_synchronous_advance_resyncs_every_interval(monkeypatch):
+@pytest.mark.parametrize("engine_cls,every", [(SequentialEngine, 1024), (SynchronousEngine, 64)],
+                         ids=["sequential", "synchronous"])
+def test_advance_resyncs_every_interval(monkeypatch, engine_cls, every):
     """One long advance resyncs the mean tracker on the values after every
-    ``_resync_every`` rounds, as advancing one interval at a time shows."""
+    ``_resync_every`` steps (rounds), as advancing one interval at a time shows."""
     start = make_rng(34).uniform(0, 100, 64)
-    twin = SynchronousEngine(init_population(start), Gaussian(1.0), Real(), make_rng(35))
-    every = twin._resync_every
-    assert every == 64
+    twin = engine_cls(init_population(start), Gaussian(1.0), Real(), make_rng(35))
+    assert twin._resync_every == every
     due = []
     for _ in range(3):
         twin.advance(every)
         due.append(twin.values.copy())
-    engine = SynchronousEngine(init_population(start), Gaussian(1.0), Real(), make_rng(35))
+    engine = engine_cls(init_population(start), Gaussian(1.0), Real(), make_rng(35))
     seen = []
     exact = dynamics._exact
 
@@ -384,7 +393,8 @@ def _drive(scheduler, rule, model, start, seed, segments, decomp, collect):
     decomp=st.booleans(),
     collect=st.booleans(),
     seed=st.integers(0, 2**32 - 1),
-    segments=st.lists(st.tuples(st.integers(0, 2600), st.booleans()), min_size=1, max_size=4),
+    segments=st.lists(st.tuples(st.one_of(st.integers(0, 2600), st.sampled_from([1024, 2048])),
+                                st.booleans()), min_size=1, max_size=4),
 )
 def test_kernel_matches_reference_loop(scheduler, rule, model, n, integral, decomp, collect,
                                        seed, segments):
@@ -393,7 +403,9 @@ def test_kernel_matches_reference_loop(scheduler, rule, model, n, integral, deco
 
     Sequential segments reach past the 1024-step resync and synchronous
     ones (about as many pairs) past the 4096 // n round resync; the
-    refreshes between segments are the harness's record boundaries.
+    refreshes between segments are the harness's record boundaries.  Some
+    segments are 1024 or 2048 steps long, so they end where a resync falls
+    due and the refresh or the open window after them meets it pending.
     """
     start = make_rng(seed + 1).uniform(0.0, 12.0, n)
     if integral:
