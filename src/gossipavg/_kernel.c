@@ -4,7 +4,9 @@
  * numpy's own C samplers (libnpyrandom.a), in the order and with the calls
  * the numpy methods make, so the values and the generator state afterwards
  * are those of rng.integers or rng.permutation, then rng.normal or
- * rng.random, then rng.random.
+ * rng.random, then rng.random.  Its normals take the first ziggurat step of
+ * numpy's random_standard_normal inline, without its branch on the sign
+ * (standard_normal()), and the rest in numpy's function on the same draws.
  * onestep_cases() draws the inputs of verify's one-step check the same way:
  * per case, the values of rng.integers(2, 33), rng.uniform(-spread, spread,
  * n), rng.choice(n, 2, replace=False) and rng.normal(0, sigma, 2), packed
@@ -37,6 +39,7 @@
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
 
+#include <inttypes.h>
 #include <math.h>
 #include <stdbool.h>
 #include <stdint.h>
@@ -399,8 +402,204 @@ static int moments(const double *x, int64_t n, int with_phibar, double *out)
 }
 
 /* ------------------------------------------------------------------------
- * The Python entries
+ * Standard normals: numpy's ziggurat with its first step inlined
  * ------------------------------------------------------------------------ */
+
+/* numpy's random_standard_normal (Marsaglia & Tsang's ziggurat, 256
+ * layers) takes r = next_uint64 and from it idx = r & 0xff, the sign, bit 8,
+ * and rabs = (r >> 9) & (2^52 - 1).  Where rabs < k[idx] it returns
+ * x = +-rabs * w[idx]; any other r (about 1.5%) goes on to a wedge or the
+ * tail and may draw more.  Its compiled form branches on the random sign
+ * bit, wrong about half the time.  standard_normal() repeats that first step
+ * with the sign XORed in, and hands any other r to numpy's own function
+ * through a bitgen_t that returns r once, then forwards to the generator:
+ * numpy's values from numpy's draws, bit for bit.
+ *
+ * zig_w and zig_k are numpy's tables, read at module init from its function
+ * (calibrate()); check_normal() then compares the two on a scripted stream,
+ * and the module refuses to load on any difference. */
+static double zig_w[256];
+static uint64_t zig_k[256];
+
+/* A bitgen_t's state that returns r to the first next_uint64, then forwards
+ * every call to bg. */
+struct replay {
+    bitgen_t *bg;
+    uint64_t r;
+    int pending;
+};
+
+static uint64_t replay_uint64(void *st)
+{
+    struct replay *p = st;
+
+    if (p->pending) {
+        p->pending = 0;
+        return p->r;
+    }
+    return p->bg->next_uint64(p->bg->state);
+}
+
+static uint32_t replay_uint32(void *st)
+{
+    struct replay *p = st;
+
+    return p->bg->next_uint32(p->bg->state);
+}
+
+static double replay_double(void *st)
+{
+    struct replay *p = st;
+
+    return p->bg->next_double(p->bg->state);
+}
+
+static uint64_t replay_raw(void *st)
+{
+    struct replay *p = st;
+
+    return p->bg->next_raw(p->bg->state);
+}
+
+/* numpy's random_standard_normal on bg, its first next_uint64 being r. */
+static double replayed_normal(bitgen_t *bg, uint64_t r)
+{
+    struct replay p = {bg, r, 1};
+    bitgen_t once = {&p, replay_uint64, replay_uint32, replay_double, replay_raw};
+
+    return random_standard_normal(&once);
+}
+
+static inline double standard_normal(bitgen_t *bg)
+{
+    const uint64_t r = bg->next_uint64(bg->state);
+    const unsigned idx = (unsigned)(r & 0xff);
+    const uint64_t rabs = (r >> 9) & FRAC;
+    const double x = (double)rabs * zig_w[idx];
+    uint64_t bits;
+    double out;
+
+    if (rabs >= zig_k[idx])
+        return replayed_normal(bg, r);
+    memcpy(&bits, &x, sizeof bits);
+    bits ^= (r & 0x100) << 55; /* bit 8 of r into the sign */
+    memcpy(&out, &bits, sizeof out);
+    return out;
+}
+
+/* A scripted bitgen_t's state: next_uint64 returns r first if pending, then
+ * a SplitMix64 stream from sm; next_double is (next_uint64 >> 11) * 2^-53, as
+ * PCG64's.  calls counts every value asked for. */
+struct script {
+    uint64_t r;
+    int pending;
+    uint64_t sm, calls;
+};
+
+static uint64_t script_uint64(void *st)
+{
+    struct script *s = st;
+    uint64_t z;
+
+    s->calls++;
+    if (s->pending) {
+        s->pending = 0;
+        return s->r;
+    }
+    z = s->sm += UINT64_C(0x9e3779b97f4a7c15);
+    z = (z ^ (z >> 30)) * UINT64_C(0xbf58476d1ce4e5b9);
+    z = (z ^ (z >> 27)) * UINT64_C(0x94d049bb133111eb);
+    return z ^ (z >> 31);
+}
+
+static uint32_t script_uint32(void *st)
+{
+    return (uint32_t)(script_uint64(st) >> 32);
+}
+
+static double script_double(void *st)
+{
+    return (double)(script_uint64(st) >> 11) * (1.0 / 9007199254740992.0);
+}
+
+/* fn's value on a script of r, then SplitMix64 from seed 0; *calls gets the
+ * number of values it asked for. */
+static double scripted(double (*fn)(bitgen_t *), uint64_t r, uint64_t *calls)
+{
+    struct script s = {r, 1, 0, 0};
+    bitgen_t bg = {&s, script_uint64, script_uint32, script_double, script_uint64};
+    const double x = fn(&bg);
+
+    *calls = s.calls;
+    return x;
+}
+
+/* Read numpy's tables from random_standard_normal: zig_k[idx] is the least
+ * rabs whose call asks for more than one value (bisected; 2^52 where none
+ * does), and zig_w[idx] the value at rabs = 1, which is 1.0 * w[idx] exactly
+ * (0 where rabs = 1 is not on the fast path, so w[idx] is never used). */
+static void calibrate(void)
+{
+    uint64_t calls;
+
+    for (unsigned idx = 0; idx < 256; idx++) {
+        uint64_t lo = 0, hi = FRAC + 1;
+
+        while (lo < hi) {
+            const uint64_t mid = lo + (hi - lo) / 2;
+
+            scripted(random_standard_normal, mid << 9 | idx, &calls);
+            if (calls > 1)
+                hi = mid;
+            else
+                lo = mid + 1;
+        }
+        zig_k[idx] = lo;
+        zig_w[idx] = lo > 1 ? scripted(random_standard_normal, UINT64_C(1) << 9 | idx, &calls)
+                            : 0.0;
+    }
+}
+
+/* Compare standard_normal() with random_standard_normal, in value and in
+ * values asked for: on each r at the edge of a fast path (rabs = k[idx] - 1
+ * and k[idx]) of either sign, then on 4096 draws of one SplitMix64 stream.
+ * Returns 0 where they agree, else nonzero with the first difference in why. */
+static int check_normal(char *why, size_t size)
+{
+    struct script a = {0, 0, 1, 0}, b = a;
+    bitgen_t ga = {&a, script_uint64, script_uint32, script_double, script_uint64};
+    bitgen_t gb = {&b, script_uint64, script_uint32, script_double, script_uint64};
+
+    for (unsigned idx = 0; idx < 256; idx++) {
+        for (uint64_t rabs = zig_k[idx] - (zig_k[idx] > 0); rabs <= zig_k[idx] && rabs <= FRAC;
+             rabs++) {
+            for (uint64_t sign = 0; sign < 2; sign++) {
+                /* bits 61 to 63, which neither reads, vary too */
+                const uint64_t r = (uint64_t)(idx & 7) << 61 | rabs << 9 | sign << 8 | idx;
+                uint64_t ca, cb;
+                const double xa = scripted(random_standard_normal, r, &ca);
+                const double xb = scripted(standard_normal, r, &cb);
+
+                if (memcmp(&xa, &xb, sizeof xa) || ca != cb) {
+                    snprintf(why, size, "r = 0x%016" PRIx64 " gives %.17g from %" PRIu64
+                             " values, numpy %.17g from %" PRIu64, r, xb, cb, xa, ca);
+                    return 1;
+                }
+            }
+        }
+    }
+    for (int k = 0; k < 4096; k++) {
+        const double xa = random_standard_normal(&ga);
+        const double xb = standard_normal(&gb);
+
+        if (memcmp(&xa, &xb, sizeof xa) || a.calls != b.calls) {
+            snprintf(why, size, "draw %d of a SplitMix64 stream gives %.17g, numpy %.17g", k,
+                     xb, xa);
+            return 1;
+        }
+    }
+    return 0;
+}
 
 /* Take obj's buffer into *view: one-dimensional and C-contiguous, of items
  * of kind 'd' (float64), 'q' (int64) or 'b' (int8), at least min_len of
@@ -483,7 +682,7 @@ static void draw_noise_and_coins(bitgen_t *bg, Py_ssize_t m, int code, double sc
 {
     if (code == NOISE_GAUSSIAN) {
         for (Py_ssize_t k = 0; k < m; k++)
-            noise[k] = random_normal(bg, 0.0, scale);
+            noise[k] = 0.0 + scale * standard_normal(bg); /* numpy's random_normal */
     } else if (code == NOISE_UNIFORMS) {
         random_standard_uniform_fill(bg, m, noise);
     } else {
@@ -632,8 +831,8 @@ static PyObject *onestep_cases(PyObject *self, PyObject *const *args, Py_ssize_t
         }
         pairs[2 * k] = (int64_t)a;
         pairs[2 * k + 1] = (int64_t)b;
-        noise[2 * k] = random_normal(bg, 0.0, sigma);
-        noise[2 * k + 1] = random_normal(bg, 0.0, sigma);
+        noise[2 * k] = 0.0 + sigma * standard_normal(bg);
+        noise[2 * k + 1] = 0.0 + sigma * standard_normal(bg);
     }
     release(views, held);
     Py_RETURN_NONE;
@@ -761,5 +960,12 @@ static struct PyModuleDef module = {
 
 PyMODINIT_FUNC PyInit__kernel(void)
 {
+    char why[200];
+
+    calibrate();
+    if (check_normal(why, sizeof why)) {
+        PyErr_Format(PyExc_ImportError, "the normal check failed: %s", why);
+        return NULL;
+    }
     return PyModule_Create(&module);
 }

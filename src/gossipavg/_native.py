@@ -100,8 +100,9 @@ def load() -> Optional[ModuleType]:
     """The kernel module, built first if no cached copy exists.
 
     Returns None, with one RuntimeWarning naming what is missing, when it
-    can neither be found nor built; the engines then run numpy's draws and
-    their Python reference loop.
+    can neither be found nor built, or refuses to load (its init raises
+    ImportError where its normal sampler differs from numpy's); the engines
+    then run numpy's draws and their Python reference loop.
     """
     source = SOURCE.read_bytes()
     cc = shutil.which("cc")

@@ -395,12 +395,15 @@ class _Engine:
         self._buffers = _buffers(min(self._chunk, self._resync_every) * self._per_step)
         self._resync(False)
 
-    def _resync(self, check: bool) -> tuple[float, Optional[float]]:
+    def _resync(self, check: bool,
+                exact: Optional[tuple[float, float]] = None) -> tuple[float, Optional[float]]:
         """Write the exact mean, and while ``_decomp`` the exact potential, into
-        ``state``; no other code writes exact values there.  With ``check`` the
-        potential is always computed, and a live tracker off its exact value by
-        more than DRIFT_TOL raises NumericalDriftError first."""
-        mean, phibar = _exact(self.values, check or self._decomp)
+        ``state``; no other code writes exact values there.  ``exact``, the
+        (mean, potential) of the current values, is taken instead of computing
+        them.  With ``check`` the potential is always computed, and a live
+        tracker off its exact value by more than DRIFT_TOL raises
+        NumericalDriftError first."""
+        mean, phibar = exact or _exact(self.values, check or self._decomp)
         if check:  # ``item`` is the cheapest read of one tracker as a Python float
             tracked = self.state.item(0)
             if abs(tracked - mean) > DRIFT_TOL * (1.0 + abs(mean)):
@@ -459,10 +462,13 @@ class SequentialEngine(_Engine):
         """The resync interval, the longest chunk in steps, and the agents per step."""
         return max(n, 1024), CHUNK, 2
 
-    def begin_decomposition(self) -> None:
+    def begin_decomposition(self, exact: Optional[tuple[float, float]] = None) -> None:
+        """Open a window: zero the sums and track phi_bar.  ``exact`` is the
+        (mean, potential) of the current values, as ``refresh`` just returned
+        them; without it they are computed."""
         self.state[2:] = 0.0
         self._decomp = True
-        self._resync(False)
+        self._resync(False, exact)
 
     def end_decomposition(self) -> tuple[float, float, float]:
         self._decomp = False

@@ -357,7 +357,7 @@ def run_single(config: ExperimentConfig, run_index: int) -> TraceRecord:
             open_t0 = None
         trace.snapshots.append(_snapshot_from_engine(engine.values, b, x0, mean, phibar))
         if b in ends:
-            engine.begin_decomposition()
+            engine.begin_decomposition((mean, phibar))
             open_t0, open_phi0 = b, phibar
 
     trace.final_population = engine.values  # the engine is dropped here, so no copy

@@ -439,6 +439,48 @@ def test_step_apis_draw_with_the_kernel_as_numpy_does(rule, model):
     assert outcomes[0] == outcomes[1]
 
 
+def _kernel_and_numpy_normals(matching, n, count, scale, seed):
+    """The agents and noise ``_kernel.draw`` gives with the Gaussian code, and
+    those of rng.permutation or rng.integers then rng.normal(0.0, scale, m),
+    each as bytes with the generator state after them."""
+    m = count - count % 2
+    agents, noise = np.zeros(count, np.int64), np.zeros(m)
+    rng = make_rng(seed)
+    dynamics._kernel.draw(rng.bit_generator.capsule, matching, n, count, dynamics._GAUSSIAN,
+                          scale, agents, noise, None)
+    twin = make_rng(seed)
+    expected = twin.permutation(n) if matching else twin.integers(0, n, size=count)
+    expected_noise = twin.normal(0.0, scale, m)
+    return ((agents.tobytes(), noise.tobytes(), rng.bit_generator.state),
+            (expected.tobytes(), expected_noise.tobytes(), twin.bit_generator.state), noise)
+
+
+@needs_kernel
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(matching=st.booleans(), count=st.sampled_from([0, 1, 2, 7, 1001, 100_001]),
+       scale=st.sampled_from([0.0, 5e-324, 1e-300, 1.0, 1e300, math.inf]),
+       seed=st.integers(0, 2**64 - 1))
+def test_kernel_gaussian_draws_are_numpys(matching, count, scale, seed):
+    """Both schedulers' Gaussian draws in the kernel, whose normals take
+    numpy's ziggurat step inline, are numpy's bytes and leave numpy's
+    generator state, at any count and at scales from 0 through subnormal and
+    huge to inf.  A matching draws all n agents, so there count 0 stands
+    for n = 1."""
+    n = max(count, 1) if matching else 1000
+    got, expected, _ = _kernel_and_numpy_normals(matching, n, n if matching else count, scale,
+                                                 seed)
+    assert got == expected
+
+
+@needs_kernel
+def test_kernel_gaussian_draws_reach_numpys_tail():
+    """10^5 normals reach past the ziggurat's r, which only numpy's tail
+    sampler (the slow path of layer 0) returns, and are still numpy's."""
+    got, expected, noise = _kernel_and_numpy_normals(False, 1000, 100_001, 1.0, 7)
+    assert got == expected
+    assert np.abs(noise).max() > 3.6541528853610088
+
+
 FLOORDIV_CASES = [
     -1.0, -3.0, -5.0, -7.0, -2.0**52 - 1, 2.0**52 + 1, -0.0, 0.0, 1.0, 3.0,
     float(2**53 + 1), -float(2**53 + 1), 2.0**53 + 2, -(2.0**53 + 2),
@@ -805,6 +847,32 @@ def test_kernel_compiles_without_warnings(tmp_path):
     done = subprocess.run(command, input=_native.SOURCE.read_bytes(), capture_output=True,
                           timeout=300)
     assert done.returncode == 0, done.stderr.decode(errors="replace")
+
+
+@needs_compiler
+@pytest.mark.parametrize("wrong", [b"zig_k[37] += 1;", b"zig_w[37] *= 1.0000001;"],
+                         ids=["k", "w"])
+def test_kernel_with_a_wrong_normal_table_refuses_to_load(tmp_path, monkeypatch, wrong):
+    """A kernel whose normal tables are off in one entry fails its init check
+    on numpy's random_standard_normal: the import raises ImportError naming
+    the check, and load() falls back with its one RuntimeWarning."""
+    marker = b"    calibrate();\n"
+    source = _native.SOURCE.read_bytes()
+    assert source.count(marker) == 1
+    source = source.replace(marker, marker + b"    " + wrong + b"\n")
+    path = tmp_path / "gossipavg" / _native.library_name(source, _native.SAMPLERS.read_bytes(),
+                                                         np.__version__)
+    _native._build(shutil.which("cc"), source, path)
+    with pytest.raises(ImportError, match="normal check failed"):
+        _native._import(path)
+    (tmp_path / "_kernel.c").write_bytes(source)
+    monkeypatch.setattr(_native, "SOURCE", tmp_path / "_kernel.c")
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    monkeypatch.setattr(tempfile, "gettempdir", lambda: str(tmp_path))
+    monkeypatch.setattr(_native, "_build", lambda *args: pytest.fail("rebuilt a cached library"))
+    with pytest.warns(RuntimeWarning, match="normal check failed") as record:
+        assert _native.load() is None
+    assert len(record) == 1
 
 
 def test_kernel_falls_back_with_one_warning(tmp_path, monkeypatch):

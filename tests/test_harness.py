@@ -279,6 +279,32 @@ def test_decomposition_records_on_trace():
             assert 0.0 <= rec.accumulator.s_minus <= rec.accumulator.length
 
 
+def test_a_window_opens_on_the_refreshs_exact_sums(monkeypatch):
+    """An ensemble-shaped run computes the exact sums once at construction and
+    once per refresh (101 records); the window opened at step 0 takes the
+    refresh's, and its trace is that of a window that computes its own."""
+    config = small_config(n=100, init=UniformInit(0.0, 100.0), steps=10**4, record_every=100,
+                          decomposition_intervals=((0, 10**4),))
+    calls = []
+    exact = dynamics._exact
+
+    def spy(values, with_phibar=True):
+        calls.append(with_phibar)
+        return exact(values, with_phibar)
+
+    monkeypatch.setattr(dynamics, "_exact", spy)
+    traces = [run_single(config, 0)]
+    assert len(calls) == 102
+    begin = dynamics.SequentialEngine.begin_decomposition
+    monkeypatch.setattr(dynamics.SequentialEngine, "begin_decomposition",
+                        lambda engine, exact=None: begin(engine))
+    traces.append(run_single(config, 0))
+    assert len(calls) == 102 + 103
+    first, second = ((t.snapshots, t.decompositions, t.final_population.tobytes())
+                     for t in traces)
+    assert first == second
+
+
 def test_parallel_jobs_match_serial():
     config = small_config(runs=4, steps=500)
     serial = run_experiment(config, jobs=1)
