@@ -7,6 +7,8 @@
  * rng.random, then rng.random.  Its normals take the first ziggurat step of
  * numpy's random_standard_normal inline, without its branch on the sign
  * (standard_normal()), and the rest in numpy's function on the same draws.
+ * Its permutations make random_interval's draws inline and apply each one
+ * without a branch; indices above 2^32 - 1 still call random_interval.
  * onestep_cases() draws the inputs of verify's one-step check the same way:
  * per case, the values of rng.integers(2, 33), rng.uniform(-spread, spread,
  * n), rng.choice(n, 2, replace=False) and rng.normal(0, sigma, 2), packed
@@ -729,17 +731,36 @@ static PyObject *draw(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
         return NULL;
     }
     if (matching) {
-        /* rng.permutation(n): arange, then numpy's Fisher-Yates from the top */
+        /* rng.permutation(n): arange, then numpy's Fisher-Yates from the top.
+         * random_interval(bg, i) draws j = next_uint32 & mask, mask the least
+         * 2^k - 1 >= i, until j <= i (next_uint64 above 2^32 - 1).  Below 2^32
+         * the loop makes those draws itself, and a rejected j swaps perm[i]
+         * with itself and keeps i, so no branch depends on the draw. */
         int64_t *perm = views[0].buf;
+        uint64_t i = (uint64_t)n - 1;
+        uint32_t mask;
 
-        for (Py_ssize_t i = 0; i < n; i++)
-            perm[i] = i;
-        for (Py_ssize_t i = n - 1; i > 0; i--) {
-            const int64_t j = (int64_t)random_interval(bg, (uint64_t)i);
+        for (Py_ssize_t k = 0; k < n; k++)
+            perm[k] = k;
+        for (; i > UINT32_MAX; i--) {
+            const uint64_t j = random_interval(bg, i);
             const int64_t t = perm[i];
 
             perm[i] = perm[j];
             perm[j] = t;
+        }
+        for (mask = 0; mask < i; mask = (mask << 1) | 1)
+            ;
+        while (i > 0) {
+            const uint32_t j = bg->next_uint32(bg->state) & mask;
+            const int take = j <= i;
+            const uint64_t at = take ? j : i;
+            const int64_t t = perm[i];
+
+            perm[i] = perm[at];
+            perm[at] = t;
+            i -= take;
+            mask >>= i <= mask >> 1;
         }
     } else {
         /* rng.integers(0, n, count) */

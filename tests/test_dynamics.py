@@ -481,6 +481,40 @@ def test_kernel_gaussian_draws_reach_numpys_tail():
     assert np.abs(noise).max() > 3.6541528853610088
 
 
+#: 1, 2, 3, each 2^k - 1, 2^k, 2^k + 1 up to 4097 (where the shuffle's mask narrows) and 10^4.
+MATCHING_SIZES = sorted({1, 2, 3, 10_000} | {2**k + d for k in range(1, 13) for d in (-1, 0, 1)})
+
+
+@needs_kernel
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(n=st.sampled_from(MATCHING_SIZES),
+       code=st.sampled_from([dynamics._ZERO, dynamics._GAUSSIAN]), prior=st.integers(0, 2),
+       seed=st.integers(0, 2**64 - 1))
+def test_kernel_shuffle_is_numpys_from_any_state(n, code, prior, seed):
+    """A synchronous round's draw in the kernel is rng.permutation(n), then
+    rng.normal(0.0, 1.0, n - n % 2) with the Gaussian code, in bytes and in
+    the whole generator state, from any state: after 0 to 2 draws of 32 bits
+    (PCG64 then holds a buffered half or not) and twice in a row.  n = 1
+    draws nothing."""
+    rng, twin = make_rng(seed), make_rng(seed)
+    for _ in range(prior):
+        rng.integers(0, 7, dtype=np.uint32)
+        twin.integers(0, 7, dtype=np.uint32)
+    before = twin.bit_generator.state
+    m = n - n % 2
+    for _ in range(2):
+        agents, noise = np.zeros(n, np.int64), np.zeros(m)
+        dynamics._kernel.draw(rng.bit_generator.capsule, True, n, n, code, 1.0, agents, noise,
+                              None)
+        expected = twin.permutation(n)
+        expected_noise = twin.normal(0.0, 1.0, m) if code == dynamics._GAUSSIAN else np.zeros(m)
+        assert agents.tobytes() == expected.tobytes()
+        assert noise.tobytes() == expected_noise.tobytes()
+        assert rng.bit_generator.state == twin.bit_generator.state
+    if n == 1:
+        assert rng.bit_generator.state == before
+
+
 FLOORDIV_CASES = [
     -1.0, -3.0, -5.0, -7.0, -2.0**52 - 1, 2.0**52 + 1, -0.0, 0.0, 1.0, 3.0,
     float(2**53 + 1), -float(2**53 + 1), 2.0**53 + 2, -(2.0**53 + 2),
@@ -841,12 +875,14 @@ def test_kernel_library_is_built_once_and_cached(tmp_path, monkeypatch):
 @needs_compiler
 def test_kernel_compiles_without_warnings(tmp_path):
     """The kernel's integer and float code stays clean under -Wall -Wextra,
+    and it is portable C99 (-std=c99 -Wpedantic refuses GNU extensions),
     built by the command that builds the module the engines load."""
-    command = _native.compiler_command(shutil.which("cc"), str(tmp_path / "kernel.so"),
-                                       "-Wall", "-Wextra", "-Werror")
-    done = subprocess.run(command, input=_native.SOURCE.read_bytes(), capture_output=True,
-                          timeout=300)
-    assert done.returncode == 0, done.stderr.decode(errors="replace")
+    for flags in [("-Wall", "-Wextra"), ("-std=c99", "-Wpedantic")]:
+        command = _native.compiler_command(shutil.which("cc"), str(tmp_path / "kernel.so"),
+                                           *flags, "-Werror")
+        done = subprocess.run(command, input=_native.SOURCE.read_bytes(), capture_output=True,
+                              timeout=300)
+        assert done.returncode == 0, f"{flags}: {done.stderr.decode(errors='replace')}"
 
 
 @needs_compiler
