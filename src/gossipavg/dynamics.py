@@ -21,7 +21,7 @@ interaction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple, Optional, Union
 
 import numpy as np
@@ -129,11 +129,10 @@ class Interaction(NamedTuple):
     round_j: int
 
 
-@dataclass
-class StepEvent:
+class StepEvent(NamedTuple):
     """All interactions of one step: a single pair (sequential) or a matching."""
 
-    interactions: list[Interaction] = field(default_factory=list)
+    interactions: list[Interaction]
 
 
 def parallel_time(t_sequential: int, n: int) -> float:

@@ -16,7 +16,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional, Sequence, Union
+from typing import NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -283,8 +283,7 @@ def load_config(path) -> ExperimentConfig:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Histogram:
+class Histogram(NamedTuple):
     """Counts over strictly increasing bin edges."""
 
     bin_edges: tuple[float, ...]
@@ -292,8 +291,7 @@ class Histogram:
     total: int
 
 
-@dataclass(frozen=True)
-class DecompositionRecord:
+class DecompositionRecord(NamedTuple):
     accumulator: DecompositionAccumulator
     bound_holds: bool
 
@@ -348,12 +346,9 @@ def run_single(config: ExperimentConfig, run_index: int) -> TraceRecord:
         mean, phibar = engine.refresh()
         if open_t0 is not None and b == ends[open_t0]:
             s_prime, s_star, s_minus = engine.end_decomposition()
-            acc = DecompositionAccumulator(
-                t0=open_t0, t1=b,
-                s_prime=s_prime, s_star=s_star, s_minus=s_minus,
-            )
+            acc = DecompositionAccumulator(open_t0, b, s_prime, s_star, s_minus)
             holds = check_decomposition_bound(acc, open_phi0, phibar)
-            trace.decompositions.append(DecompositionRecord(accumulator=acc, bound_holds=holds))
+            trace.decompositions.append(DecompositionRecord(acc, holds))
             open_t0 = None
         trace.snapshots.append(_snapshot_from_engine(engine.values, b, x0, mean, phibar))
         if b in ends:
@@ -423,16 +418,15 @@ def histogram_of(values: Sequence[float], bins: Optional[int] = None) -> Histogr
 
     ``bins=None`` selects the bin count by the Freedman-Diaconis rule (at
     least 2); an explicit count must be >= 2.  All-equal values collapse to
-    a single bin regardless.
+    a single bin whatever the count.
     """
+    if bins is not None and bins < 2:
+        raise ParameterError(f"bins must be >= 2, got {bins}")
     arr = np.asarray(values, dtype=float)
     lo, hi = float(arr.min()), float(arr.max())
     if hi <= lo:
         return Histogram((lo, lo + 1.0), (len(arr),), len(arr))
-    spec = "fd" if bins is None else bins
-    if bins is not None and bins < 2:
-        raise ParameterError(f"bins must be >= 2, got {bins}")
-    edges = np.histogram_bin_edges(arr, bins=spec)
+    edges = np.histogram_bin_edges(arr, bins="fd" if bins is None else bins)
     if len(edges) < 3:
         edges = np.histogram_bin_edges(arr, bins=2)
     counts, edges = np.histogram(arr, bins=edges)
@@ -480,8 +474,7 @@ def survival_fit(hist: Histogram) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DriftReport:
+class DriftReport(NamedTuple):
     empirical_variance: float
     theory_variance: float
     exceed_fraction_upper: float
@@ -574,8 +567,8 @@ def fig_b_config(master_seed: int = FIG_B_SEED) -> ExperimentConfig:
 # serialization
 # ---------------------------------------------------------------------------
 
-TRACE_COLUMNS = ("step", "tss", "phi_bar", "phi", "running_avg", "drift", "parallel_time")
-DECOMP_COLUMNS = ("t0", "t1", "s_prime", "s_star", "s_minus", "bound_holds")
+TRACE_COLUMNS = (*PotentialSnapshot._fields, "parallel_time")
+DECOMP_COLUMNS = (*DecompositionAccumulator._fields, "bound_holds")
 
 
 def _write_csv(path, columns: Sequence[str], row: str, rows, eol: str = "\r\n") -> None:
@@ -594,13 +587,12 @@ def emit_csv(trace: TraceRecord, path) -> None:
     """Write the snapshot trace as CSV; floats carry 17 significant digits."""
     n = trace.n
     _write_csv(path, TRACE_COLUMNS, "%d" + ",%.17g" * (len(TRACE_COLUMNS) - 1),
-               ((s.step, s.tss, s.phi_bar, s.phi, s.running_avg, s.drift,
-                 parallel_time(s.step, n)) for s in trace.snapshots))
+               ((*s, parallel_time(s.step, n)) for s in trace.snapshots))
 
 
 def emit_decomposition_csv(trace: TraceRecord, path) -> None:
     _write_csv(path, DECOMP_COLUMNS, "%d,%d,%.17g,%.17g,%.17g,%s",
-               ((*dataclasses.astuple(rec.accumulator), str(rec.bound_holds).lower())
+               ((*rec.accumulator, str(rec.bound_holds).lower())
                 for rec in trace.decompositions))
 
 
@@ -609,7 +601,8 @@ def read_trace_csv(path) -> list[PotentialSnapshot]:
     import csv  # only this reader needs it
 
     with open(path, newline="") as fh:
-        return [PotentialSnapshot(int(row["step"]), *(float(row[c]) for c in TRACE_COLUMNS[1:6]))
+        return [PotentialSnapshot(int(row["step"]),
+                                  *(float(row[c]) for c in PotentialSnapshot._fields[1:]))
                 for row in csv.DictReader(fh)]
 
 
@@ -620,14 +613,14 @@ def run_entry(trace: TraceRecord) -> dict:
     values = trace.final_population
     return {
         "run_index": trace.run_index,
-        "final": {**dataclasses.asdict(final), "parallel_time": parallel_time(final.step, trace.n)},
+        "final": {**final._asdict(), "parallel_time": parallel_time(final.step, trace.n)},
         "final_values": {
             "min": float(values.min()),
             "max": float(values.max()),
             "mean": float(values.mean()),
         },
         "decompositions": [
-            {**dataclasses.asdict(rec.accumulator), "bound_holds": rec.bound_holds}
+            {**rec.accumulator._asdict(), "bound_holds": rec.bound_holds}
             for rec in trace.decompositions
         ],
     }

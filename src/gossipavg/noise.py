@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -66,8 +66,7 @@ class Zero:
 NoiseModel = Union[Gaussian, DiscreteGeometric, Zero]
 
 
-@dataclass(frozen=True)
-class NoiseMoments:
+class NoiseMoments(NamedTuple):
     """Closed-form moments of a noise model and its derived step variables.
 
     ``variance`` is the model's nominal sigma^2; ``e_nprime`` = E[N'] and

@@ -16,8 +16,7 @@ resulting closed-form bound on the end-of-interval potential.
 
 from __future__ import annotations
 
-import dataclasses
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -25,9 +24,9 @@ from .dynamics import Population, StepEvent, _decomposition_step
 from .errors import ModelMismatchError, ParameterError
 
 
-@dataclass(frozen=True)
-class PotentialSnapshot:
-    """Potentials and averages of one recorded step."""
+class PotentialSnapshot(NamedTuple):
+    """Potentials and averages of one recorded step; its fields are the
+    trace CSV's columns, in order, before ``parallel_time``."""
 
     step: int
     tss: float
@@ -37,9 +36,9 @@ class PotentialSnapshot:
     drift: float
 
 
-@dataclass(frozen=True)
-class DecompositionAccumulator:
-    """Running S', S*, S^- sums over the interval (t0, t1]."""
+class DecompositionAccumulator(NamedTuple):
+    """Running S', S*, S^- sums over the interval (t0, t1]; its fields are
+    the decomposition CSV's columns, in order, before ``bound_holds``."""
 
     t0: int
     t1: int
@@ -76,14 +75,8 @@ def phi(pop: Population) -> float:
 def _snapshot_of(values: np.ndarray, step: int, initial_average: float, mean: float,
                  phibar: float) -> PotentialSnapshot:
     """The snapshot of ``values`` at ``step``, given their mean and phi_bar."""
-    return PotentialSnapshot(
-        step=step,
-        tss=_sum_sq(values, initial_average),
-        phi_bar=phibar,
-        phi=2.0 * len(values) * phibar,
-        running_avg=mean,
-        drift=mean - initial_average,
-    )
+    return PotentialSnapshot(step, _sum_sq(values, initial_average), phibar,
+                             2.0 * len(values) * phibar, mean, mean - initial_average)
 
 
 def snapshot(pop: Population) -> PotentialSnapshot:
@@ -133,8 +126,7 @@ def accumulate_decomposition(
         float(pre_step_pop.values[it.i]), float(pre_step_pop.values[it.j]),
         it.noise_j + it.round_i, it.noise_i + it.round_j,  # received by i and by j
         pre_step_pop.running_average(), tracked, 1.0 / pre_step_pop.n)
-    return dataclasses.replace(acc, t1=acc.t1 + 1, s_prime=s_prime, s_star=s_star,
-                               s_minus=s_minus)
+    return acc._replace(t1=acc.t1 + 1, s_prime=s_prime, s_star=s_star, s_minus=s_minus)
 
 
 def check_decomposition_bound(

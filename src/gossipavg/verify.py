@@ -237,14 +237,9 @@ def _check_replay() -> tuple[str, bool, str]:
 def _check_determinism() -> tuple[str, bool, str]:
     cfg = _config(n=50, init=harness.UniformInit(0.0, 10.0), steps=2000,
                   master_seed=VERIFY_SEED + 70, record_every=500, runs=2)
-    a = harness.run_experiment(cfg)
-    b = harness.run_experiment(cfg)
-    same = all(
-        sa == sb
-        for ta, tb in zip(a, b)
-        for sa, sb in zip(ta.snapshots, tb.snapshots)
-    )
-    return "determinism", same, "two ensembles, snapshot-identical"
+    a, b = ([(t.snapshots, t.decompositions, t.final_population.tobytes())
+             for t in harness.run_experiment(cfg)] for _ in range(2))
+    return "determinism", a == b, "two ensembles, snapshot-identical"
 
 
 def _check_drift() -> tuple[str, bool, str]:

@@ -22,6 +22,7 @@ from gossipavg import (
     Gaussian,
     InsufficientDataError,
     ModelMismatchError,
+    ParameterError,
     Real,
     UniformInit,
     Zero,
@@ -379,6 +380,14 @@ def test_distance_histogram_rejects_single_bin():
         distance_histogram(init_population([0.0, 1.0, 2.0]), bins=1)
 
 
+def test_histograms_reject_a_single_bin_on_all_equal_values():
+    """The bin count is checked before all-equal values collapse to one bin."""
+    with pytest.raises(ParameterError, match="bins must be >= 2, got 1"):
+        histogram_of([5.0, 5.0], bins=1)
+    with pytest.raises(ParameterError, match="bins must be >= 2, got 1"):
+        distance_histogram(init_population([5.0] * 7), bins=1)
+
+
 def test_histogram_mass_conservation():
     rng = np.random.default_rng(1)
     pop = init_population(rng.normal(0, 2, 5000))
@@ -501,6 +510,25 @@ def test_csv_bytes_are_those_of_csv_writer(tmp_path):
                                            (acc.s_prime, acc.s_star, acc.s_minus)),
                          str(rec.bound_holds).lower()])
     assert path.read_bytes() == want.getvalue().encode()
+
+
+def test_one_schema_for_the_csvs_and_the_summary(tmp_path):
+    """The snapshot's fields are the trace CSV's first columns and the keys of
+    the summary's final, in order; the accumulator's fields are those of each
+    decomposition entry; every row's first cells are the snapshot's values."""
+    config = small_config(n=100, steps=1000, record_every=100,
+                          decomposition_intervals=((0, 500), (500, 1000)))
+    trace = run_single(config, 0)
+    entry = run_and_emit(tmp_path, config, 0)
+    assert entry == run_entry(trace)
+    with open(tmp_path / "trace_run0000.csv", newline="") as fh:
+        header, *rows = csv.reader(fh)
+    assert tuple(entry["final"]) == TRACE_COLUMNS == tuple(header)
+    assert [tuple(d) for d in entry["decompositions"]] == [DECOMP_COLUMNS] * 2
+    assert len(rows) == len(trace.snapshots) == 11
+    for row, snap in zip(rows, trace.snapshots):
+        step, *floats = tuple(snap)
+        assert row[:6] == ["%d" % step, *("%.17g" % x for x in floats)]
 
 
 def test_decomposition_csv(tmp_path):

@@ -14,8 +14,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gossipavg import (DiscreteGeometric, Gaussian, Zero, dynamics, make_rng, one_step_delta,
-                       sample_batch, verify)
+from gossipavg import (DiscreteGeometric, Gaussian, Zero, dynamics, harness, make_rng,
+                       one_step_delta, sample_batch, verify)
 
 needs_kernel = pytest.mark.skipif(dynamics._kernel is None, reason="no compiled kernel")
 
@@ -180,6 +180,22 @@ def test_verification_output_is_golden():
     lines = []
     assert verify.run_verification(lines.append) is True
     assert lines == VERIFY_LINES
+
+
+def test_determinism_check_compares_whole_ensembles(monkeypatch):
+    """A second ensemble whose run 1 lost its last snapshot is not identical."""
+    run_experiment, calls = harness.run_experiment, []
+
+    def second_call_drops_a_snapshot(*args, **kwargs):
+        traces = run_experiment(*args, **kwargs)
+        calls.append(len(traces))
+        if len(calls) == 2:
+            traces[1].snapshots.pop()
+        return traces
+
+    monkeypatch.setattr(harness, "run_experiment", second_call_drops_a_snapshot)
+    assert verify._check_determinism()[:2] == ("determinism", False)
+    assert calls == [2, 2]
 
 
 MEMORY_PROBE = """
