@@ -8,11 +8,14 @@ exact sums, a superaccumulator in portable C99 (no ``__int128``).
 It is built once with the system C compiler, ``Python.h`` and numpy's
 headers, and cached as ``$XDG_CACHE_HOME/gossipavg/kernel-<sha256><EXT_SUFFIX>``
 (``~/.cache`` when the variable is unset; the temporary directory if neither
-can be written).  The name hashes the source, the flags, ``EXT_SUFFIX``,
-``numpy.__version__`` and the bytes of ``libnpyrandom.a``, so an edited
-source or another numpy is rebuilt, never a stale sampler loaded.  The flags
-keep IEEE double semantics (no fused multiply-add, no fast-math), which the
-kernel needs to match the Python reference loop bit for bit.
+can be written); a build then deletes all but the newest KEEP libraries of
+that directory.  The compiler and ``Python.h`` are looked up only for a
+build, so a cached load imports no ``sysconfig``.  The name hashes the
+source, the flags, ``EXT_SUFFIX``, ``numpy.__version__`` and the bytes of
+``libnpyrandom.a``, so an edited source or another numpy is rebuilt, never
+a stale sampler loaded.  The flags keep IEEE double semantics (no fused
+multiply-add, no fast-math), which the kernel needs to match the Python
+reference loop bit for bit.
 """
 
 from __future__ import annotations
@@ -20,10 +23,9 @@ from __future__ import annotations
 import hashlib
 import os
 import shutil
-import sysconfig
 import tempfile
 import warnings
-from importlib.machinery import ExtensionFileLoader
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
 from importlib.util import module_from_spec, spec_from_loader
 from pathlib import Path
 from types import ModuleType
@@ -33,9 +35,19 @@ import numpy
 
 SOURCE = Path(__file__).with_name("_kernel.c")
 FLAGS = ("-O2", "-shared", "-fPIC", "-ffp-contract=off")
-#: What a build reads besides the source and numpy's headers.
-PYTHON_H = Path(sysconfig.get_paths()["include"], "Python.h")
 SAMPLERS = Path(numpy.__file__).parent / "random" / "lib" / "libnpyrandom.a"
+#: The interpreter's extension suffix, ``sysconfig``'s ``EXT_SUFFIX``.
+EXT_SUFFIX = EXTENSION_SUFFIXES[0]
+#: Libraries a build leaves in its cache directory, itself included: enough
+#: for a few checkouts of other sources to alternate without rebuilding.
+KEEP = 4
+
+
+def _python_h() -> Path:
+    """What a build reads besides the source and numpy's headers."""
+    import sysconfig  # only a build needs it
+
+    return Path(sysconfig.get_paths()["include"], "Python.h")
 
 
 def _cache_dirs() -> Iterator[Path]:
@@ -55,15 +67,14 @@ def library_name(source: bytes, samplers: bytes, numpy_version: str) -> str:
     """File name of the module built from ``source``, linked against the
     ``samplers`` archive of numpy ``numpy_version``."""
     key = hashlib.sha256(b"\0".join([
-        source, " ".join(FLAGS).encode(), sysconfig.get_config_var("EXT_SUFFIX").encode(),
-        numpy_version.encode(), samplers]))
-    return f"kernel-{key.hexdigest()}{sysconfig.get_config_var('EXT_SUFFIX')}"
+        source, " ".join(FLAGS).encode(), EXT_SUFFIX.encode(), numpy_version.encode(), samplers]))
+    return f"kernel-{key.hexdigest()}{EXT_SUFFIX}"
 
 
 def compiler_command(cc: str, output: str, *extra: str) -> list[str]:
     """The command that compiles the source, given on stdin, into the
     module ``output``; ``extra`` flags (warnings, say) go after FLAGS."""
-    return [cc, *FLAGS, *extra, f"-I{PYTHON_H.parent}", f"-I{numpy.get_include()}", "-x", "c",
+    return [cc, *FLAGS, *extra, f"-I{_python_h().parent}", f"-I{numpy.get_include()}", "-x", "c",
             "-", "-x", "none", str(SAMPLERS), "-o", output, "-lm"]
 
 
@@ -88,6 +99,34 @@ def _build(cc: str, source: bytes, path: Path) -> None:
             os.unlink(tmp)
 
 
+def _build_tools() -> tuple[Optional[str], Optional[str]]:
+    """The C compiler on PATH and what a build lacks, None when nothing."""
+    cc = shutil.which("cc")
+    if cc is None:
+        return None, "no C compiler 'cc' on PATH"
+    python_h = _python_h()
+    return cc, None if python_h.is_file() else f"no Python.h at {python_h}"
+
+
+def _evict(path: Path) -> None:
+    """Delete the kernel libraries beside ``path``, just built, beyond the
+    newest KEEP by mtime.  A concurrent build's ``*.tmp`` file does not match,
+    and a file that another process removed first is skipped."""
+    others = []
+    for other in path.parent.glob(f"kernel-*{EXT_SUFFIX}"):
+        if other != path:
+            try:
+                others.append((other.stat().st_mtime_ns, other))
+            except OSError:  # removed by another process meanwhile
+                pass
+    others.sort(reverse=True)
+    for _, old in others[KEEP - 1:]:
+        try:
+            old.unlink()
+        except OSError:  # as above; a failed eviction never fails the load
+            pass
+
+
 def _import(path: Path) -> ModuleType:
     # the init function, PyInit__kernel, follows the name, not the file's
     loader = ExtensionFileLoader(f"{__package__}._kernel", str(path))
@@ -105,17 +144,17 @@ def load() -> Optional[ModuleType]:
     then run numpy's draws and their Python reference loop.
     """
     source = SOURCE.read_bytes()
-    cc = shutil.which("cc")
-    missing = ("no C compiler 'cc' on PATH" if cc is None else
-               None if PYTHON_H.is_file() else f"no Python.h at {PYTHON_H}")
-    problem = missing
+    tools = problem = None
     for cache in _cache_dirs():
         try:  # a missing libnpyrandom.a fails here, in every cache
             path = cache / library_name(source, SAMPLERS.read_bytes(), numpy.__version__)
             if not path.exists():
+                cc, missing = tools = tools or _build_tools()
                 if missing:
+                    problem = problem or missing
                     continue
                 _build(cc, source, path)
+                _evict(path)
             return _import(path)
         except (OSError, ImportError) as exc:
             problem = f"{type(exc).__name__}: {exc}"

@@ -184,8 +184,8 @@ def moments(model: NoiseModel) -> NoiseMoments:
         # Var(X^2) = 2 sigma^4 for each of the two independent squares
         return NoiseMoments(0.0, s2, 2.0 * s2, 2.0 * s2, 4.0 * s2 * s2)
     p = model.p
+    mag = _magnitude_pmf(p)  # refuses a p too small first; below about 1e-162 p * p is 0
     variance = (1.0 - p) / (p * p)
-    mag = _magnitude_pmf(p)
     k = np.arange(len(mag), dtype=float)
     e2 = float(np.sum(k**2 * mag))
     e4 = float(np.sum(k**4 * mag))

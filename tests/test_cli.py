@@ -230,6 +230,7 @@ def test_replicate_fig_a_without_enough_tail_data_writes_no_fit(tmp_path, capsys
         (["--noise", "discrete:0.8", "--t", "1000000000000"],
          "--noise: discrete p = 0.8 at t = 1000000000000: the N' quantile lies in the tail "
          "of mass 1e-12 "),
+        (["--noise", "discrete:1e-300"], "--noise: discrete p = 1e-300 is too small: "),
     ],
 )
 def test_bounds_malformed_number_exits_2_naming_the_argument(capsys, args, named):
@@ -243,6 +244,7 @@ def test_bounds_malformed_number_exits_2_naming_the_argument(capsys, args, named
     {"kind": "gaussian", "sigma2": 1e200},  # the bounds' z squares past the float range
     {"kind": "gaussian", "sigma2": 1e307},  # and so do the potentials' sums of squares
     {"kind": "discrete_geometric", "p": 1e-5},  # the N' table would take terabytes
+    {"kind": "discrete_geometric", "p": 1e-300},  # and p * p underflows to 0
 ])
 def test_run_refuses_a_noise_scale_the_bounds_cannot_take_before_any_step(
         tmp_path, config_path, capsys, monkeypatch, noise):
@@ -293,12 +295,14 @@ def test_verify_passes():
 
 
 def test_cli_import_leaves_pool_and_build_modules_unloaded():
-    """Only `--jobs > 1`, a kernel build, `verify` and reading a trace CSV
-    need these; the other commands do not pay for importing them."""
+    """Only `--jobs > 1`, a kernel build, `verify`, reading a trace CSV and
+    a run without a seed need these; the other commands do not pay for
+    importing them."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=src)
     probe = ("import sys, gossipavg.cli; print(sorted(m for m in ('concurrent.futures', "
-             "'multiprocessing', 'subprocess', 'gossipavg.verify', 'csv') if m in sys.modules))")
+             "'multiprocessing', 'subprocess', 'gossipavg.verify', 'csv', 'sysconfig', 'secrets') "
+             "if m in sys.modules))")
     done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                           text=True, check=True)
     assert done.stdout.strip() == "[]"
@@ -348,6 +352,69 @@ def test_run_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
         outputs.append({p.name: p.read_bytes() for p in out.iterdir()})
     assert sorted(outputs[0]) == ["summary.json", "trace_run0000.csv"]
     assert outputs[0] == outputs[1]
+
+
+def _cli_process(args: list[str], unbuffered: bool, **streams) -> subprocess.Popen:
+    """``python -m gossipavg.cli args`` in a child process, with
+    PYTHONUNBUFFERED set only if ``unbuffered``; ``streams`` go to Popen."""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return subprocess.Popen([sys.executable, "-m", "gossipavg.cli", *args], env=env, **streams)
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("noise,code", [({"kind": "zero"}, 0), ({"kind": "zero", "x": 1}, 2)],
+                         ids=["run", "config-error"])
+def test_cli_process_prints_what_main_prints_and_exits_with_its_code(tmp_path, capsys,
+                                                                     unbuffered, noise, code):
+    """The command ends without the interpreter's teardown, after flushing:
+    each stream, to a file or to a pipe, holds all that main() prints."""
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({**BASE_CONFIG, "noise": noise}))
+    args = ["run", "--config", str(path), "--out", str(tmp_path / "out"), "--jobs", "1"]
+    assert main(args) == code
+    expected = dict(zip(("stdout", "stderr"), capsys.readouterr()))
+    assert expected["stderr"].count("\n") == 1  # the small-noise warning or the config error
+    assert expected["stdout"].count("\n") == (2 if code == 0 else 0)
+    for to_file, to_pipe in (("stdout", "stderr"), ("stderr", "stdout")):
+        with open(tmp_path / to_file, "w+") as fh:
+            proc = _cli_process(args, unbuffered, **{to_file: fh, to_pipe: subprocess.PIPE},
+                                text=True)
+            piped = proc.communicate(timeout=120)[to_pipe == "stderr"]
+            fh.seek(0)
+            written = fh.read()
+        assert proc.returncode == code
+        assert expected[to_file] == written and expected[to_pipe] == piped
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_cli_process_reports_a_full_stdout_as_one_io_error_line(tmp_path, config_path,
+                                                                unbuffered):
+    """Buffered, the output reaches the device only at the final flush; that
+    write's failure is main's `i/o error` line and exit 1 too."""
+    with open("/dev/full", "w") as full:
+        proc = _cli_process(["run", "--config", str(config_path), "--out", str(tmp_path / "out"),
+                             "--jobs", "1"], unbuffered, stdout=full, stderr=subprocess.PIPE,
+                            text=True)
+        err = proc.communicate(timeout=120)[1]
+    assert proc.returncode == 1
+    assert err.startswith("i/o error: ") and err.count("\n") == 1
+
+
+@pytest.mark.skipif(not hasattr(os, "killpg"), reason="no process groups")
+def test_cli_process_with_a_pool_leaves_no_process_behind(tmp_path, config_path):
+    """`--jobs 2` joins its workers before main returns, so ending the
+    process at once leaves none of them running."""
+    proc = _cli_process(["run", "--config", str(config_path), "--out", str(tmp_path / "out"),
+                         "--jobs", "2"], False, stdout=subprocess.PIPE,
+                        stderr=subprocess.PIPE, start_new_session=True)
+    proc.communicate(timeout=120)
+    assert proc.returncode == 0
+    with pytest.raises(ProcessLookupError):
+        os.killpg(proc.pid, 0)  # the session's group: the command and its workers
 
 
 def test_jobs_defaults_to_the_cpus_the_process_may_use(monkeypatch):

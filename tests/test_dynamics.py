@@ -3,6 +3,7 @@
 import functools
 import itertools
 import math
+import os
 import shutil
 import struct
 import subprocess
@@ -872,6 +873,51 @@ def test_kernel_library_is_built_once_and_cached(tmp_path, monkeypatch):
     assert path.stat().st_mtime_ns == stamp
 
 
+def test_kernel_cache_keeps_the_newest_libraries(tmp_path, monkeypatch):
+    """A build deletes the libraries of its cache directory beyond the
+    newest KEEP by mtime, so two checkouts that alternate build once each; a
+    concurrent build's temporary file and a library that another process
+    removed are left alone.  The build and the import are stubbed."""
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    python_h, source, samplers = tmp_path / "Python.h", tmp_path / "_kernel.c", tmp_path / "lib.a"
+    python_h.touch()
+    samplers.touch()
+    monkeypatch.setattr(shutil, "which", lambda name: "cc")
+    monkeypatch.setattr(_native, "_python_h", lambda: python_h)
+    monkeypatch.setattr(_native, "SOURCE", source)
+    monkeypatch.setattr(_native, "SAMPLERS", samplers)
+    built = []
+
+    def build(cc, text, path):
+        built.append(text)
+        path.write_bytes(text)
+        os.utime(path, ns=(len(built), len(built)))  # mtimes in build order
+
+    monkeypatch.setattr(_native, "_build", build)
+    monkeypatch.setattr(_native, "_import", lambda path: path.read_bytes())
+    cache = tmp_path / "gossipavg"
+    cache.mkdir()
+    pending = cache / f"kernel-building{_native.EXT_SUFFIX}.x1y2.tmp"
+    pending.touch()
+    removed = cache / f"kernel-removed{_native.EXT_SUFFIX}"
+    removed.symlink_to(tmp_path / "absent")  # stat fails, as on a file deleted meanwhile
+
+    def load(text):
+        source.write_bytes(text)
+        assert _native.load() == text
+
+    for text in [b"parent", b"change"] * 3:
+        load(text)
+    assert built == [b"parent", b"change"]
+    texts = [b"source %d" % k for k in range(_native.KEEP + 2)]
+    for text in texts:
+        load(text)
+    libraries = [path.read_bytes() for path in cache.glob(f"kernel-*{_native.EXT_SUFFIX}")
+                 if path.exists()]
+    assert sorted(libraries) == texts[-_native.KEEP:]
+    assert pending.exists() and removed.is_symlink()
+
+
 @needs_compiler
 def test_kernel_compiles_without_warnings(tmp_path):
     """The kernel's integer and float code stays clean under -Wall -Wextra,
@@ -919,7 +965,7 @@ def test_kernel_falls_back_with_one_warning(tmp_path, monkeypatch):
     missing = tmp_path / "missing"
     for name, owner, attr, value in [
             ("cc", shutil, "which", lambda name: None),
-            ("Python.h", _native, "PYTHON_H", missing / "Python.h"),
+            ("Python.h", _native, "_python_h", lambda: missing / "Python.h"),
             ("libnpyrandom.a", _native, "SAMPLERS", missing / "libnpyrandom.a")]:
         with monkeypatch.context() as patch:
             patch.setattr(owner, attr, value)
