@@ -9,6 +9,10 @@
  * (standard_normal()), and the rest in numpy's function on the same draws.
  * Its permutations make random_interval's draws inline and apply each one
  * without a branch; indices above 2^32 - 1 still call random_interval.
+ * discrete_folds() and discrete_noise() map the uniforms that draw() leaves
+ * for the discrete model as noise.sample_batch does, around the one step
+ * left to numpy: an in-place np.log1p of the folds, whose SIMD results
+ * libm's log1p does not reproduce.
  * onestep_cases() draws the inputs of verify's one-step check the same way:
  * per case, the values of rng.integers(2, 33), rng.uniform(-spread, spread,
  * n), rng.choice(n, 2, replace=False) and rng.normal(0, sigma, 2), packed
@@ -676,9 +680,9 @@ static int get_count(PyObject *obj, const char *name, Py_ssize_t *out)
 enum { NOISE_ZERO, NOISE_GAUSSIAN, NOISE_UNIFORMS };
 
 /* Fill noise[0..m) by noise code (zeros; normal(0, scale) per value, as
- * rng.normal(0.0, scale, m); or uniforms, as rng.random(m), for Python to map
- * to the discrete model), then, where coins is not NULL, coins[0..m) with
- * uniforms, as rng.random(m). */
+ * rng.normal(0.0, scale, m); or uniforms, as rng.random(m), which
+ * discrete_folds() and discrete_noise() then map to the discrete model), then,
+ * where coins is not NULL, coins[0..m) with uniforms, as rng.random(m). */
 static void draw_noise_and_coins(bitgen_t *bg, Py_ssize_t m, int code, double scale,
                                  double *noise, double *coins)
 {
@@ -767,6 +771,93 @@ static PyObject *draw(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
         random_bounded_uint64_fill(bg, 0, (uint64_t)n - 1, count, false, views[0].buf);
     }
     draw_noise_and_coins(bg, m, code, scale, views[1].buf, views[2].buf);
+    release(views, held);
+    Py_RETURN_NONE;
+}
+
+/* discrete_folds(uniforms, folds, m): folds[k] = -|2u - 1| for each uniform
+ * u, computed as noise.sample_batch's ufuncs compute it, for an in-place
+ * np.log1p; the fold -1 of u = 0 is written as 0.0, whose logarithm, 0
+ * instead of -inf, gives discrete_noise() the same +-0 and numpy no
+ * divide-by-zero. */
+static PyObject *discrete_folds(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    Py_buffer views[2];
+    int held = 0;
+    Py_ssize_t m;
+    const double *u;
+    double *folds;
+
+    (void)self;
+    if (check_nargs("discrete_folds", nargs, 3) || get_count(args[2], "m", &m))
+        return NULL;
+    if (get_buffer(args[0], &views[held++], "uniforms", 'd', 0, m) ||
+        get_buffer(args[1], &views[held++], "folds", 'd', 1, m)) {
+        release(views, held);
+        return NULL;
+    }
+    u = views[0].buf;
+    folds = views[1].buf;
+    for (Py_ssize_t k = 0; k < m; k++) {
+        const double f = -fabs(u[k] * 2.0 - 1.0);
+
+        folds[k] = f == -1.0 ? 0.0 : f;
+    }
+    release(views, held);
+    Py_RETURN_NONE;
+}
+
+/* discrete_noise(noise, logs, m, log_q): overwrite each uniform u in
+ * noise[0..m) with copysign(floor(log / log_q), u - 0.5), log being
+ * logs[k], the np.log1p of its fold, and log_q = log1p(-p) < 0; a quotient
+ * that is not finite gives magnitude 0.  This is noise.sample_batch's map
+ * bit for bit.  Below 2^52 the floor is the truncation t through int64,
+ * less 1 where t > q, as round_half() takes it; at or above, a finite
+ * quotient is already an integer.  log_q = -inf (p = 1) writes +0.0, as
+ * sample_batch does. */
+static PyObject *discrete_noise(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    Py_buffer views[2];
+    int held = 0;
+    Py_ssize_t m;
+    double log_q, *noise;
+    const double *logs;
+
+    (void)self;
+    if (check_nargs("discrete_noise", nargs, 4) || get_count(args[2], "m", &m))
+        return NULL;
+    log_q = PyFloat_AsDouble(args[3]);
+    if (PyErr_Occurred())
+        return NULL;
+    if (!(log_q < 0.0)) {
+        PyErr_Format(PyExc_ValueError, "discrete_noise(): log1p(-p) must be negative, got %R",
+                     args[3]);
+        return NULL;
+    }
+    if (get_buffer(args[0], &views[held++], "noise", 'd', 1, m) ||
+        get_buffer(args[1], &views[held++], "logs", 'd', 0, m)) {
+        release(views, held);
+        return NULL;
+    }
+    noise = views[0].buf;
+    logs = views[1].buf;
+    if (isinf(log_q)) {
+        memset(noise, 0, (size_t)m * sizeof *noise);
+    } else {
+        for (Py_ssize_t k = 0; k < m; k++) {
+            const double q = logs[k] / log_q;
+            double mag;
+
+            if (fabs(q) < 0x1p52) {
+                const double t = (double)(int64_t)q;
+
+                mag = t - (double)(t > q);
+            } else {
+                mag = isfinite(q) ? q : 0.0;
+            }
+            noise[k] = copysign(mag, noise[k] - 0.5);
+        }
+    }
     release(views, held);
     Py_RETURN_NONE;
 }
@@ -964,6 +1055,8 @@ static PyObject *floordiv(PyObject *self, PyObject *const *args, Py_ssize_t narg
 
 static PyMethodDef methods[] = {
     {"draw", FASTCALL(draw), "One chunk's pairs or permutation, noise and coins."},
+    {"discrete_folds", FASTCALL(discrete_folds), "The folds of the discrete noise's uniforms."},
+    {"discrete_noise", FASTCALL(discrete_noise), "The discrete noise from its uniforms' logs."},
     {"onestep_cases", FASTCALL(onestep_cases), "The inputs of verify's one-step cases."},
     {"pair_chunk", FASTCALL(pair_chunk), "Apply a batch of exchanges in place."},
     {"exact_moments", FASTCALL(exact_moments), "Correctly rounded mean and potential."},

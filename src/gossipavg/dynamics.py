@@ -182,7 +182,8 @@ def _step(pop: Population, count: int, matching: bool, model: NoiseModel, rule: 
     """One step of ``count`` agents through the engines' own chunk."""
     # the step API keeps no trackers, so the tracker state passed is discarded
     event = StepEvent(_draw_and_apply(pop.values, count, matching, model, rng, _rule_flags(rule),
-                                      False, np.zeros(5), _buffers(count), True))
+                                      False, np.zeros(5), _buffers(count), True,
+                                      _noise_params(model)))
     pop.step_count += 1
     return event
 
@@ -232,8 +233,30 @@ def replay_event(pop: Population, event: StepEvent, rule: UpdateRule) -> None:
 _kernel = _native.load()
 
 #: The kernel's noise draws (``NOISE_*`` in ``_kernel.c``): none, normal(0,
-#: scale) per value, or uniforms that ``sample_batch`` maps to the discrete model.
+#: scale) per value, or uniforms that ``_discrete_noise`` maps to the discrete
+#: model.
 _ZERO, _GAUSSIAN, _UNIFORMS = range(3)
+
+
+def _noise_params(model: NoiseModel) -> tuple[int, float]:
+    """The kernel's noise code for ``model`` and its parameter: the Gaussian's
+    scale, the discrete model's log1p(-p) (-inf at p = 1), 0.0 for Zero."""
+    if isinstance(model, Gaussian):
+        return _GAUSSIAN, math.sqrt(model.sigma2)
+    if isinstance(model, Zero):
+        return _ZERO, 0.0
+    return _UNIFORMS, math.log1p(-model.p) if model.p < 1.0 else -math.inf
+
+
+def _discrete_noise(noise: np.ndarray, folds: np.ndarray, m: int, log_q: float) -> None:
+    """Map the uniforms in ``noise[:m]`` to the discrete model in place, as
+    ``sample_batch`` would have mapped them, bit for bit: the kernel folds
+    them into ``folds``, numpy's ``log1p`` (SIMD code that libm does not
+    reproduce) takes their logarithms in place, and the kernel finishes."""
+    _kernel.discrete_folds(noise, folds, m)
+    logs = folds[:m]
+    np.log1p(logs, out=logs)
+    _kernel.discrete_noise(noise, folds, m, log_q)
 
 
 def _exact(values: np.ndarray, with_phibar: bool = True) -> tuple[float, Optional[float]]:
@@ -315,20 +338,25 @@ def _pairs_reference(values, pairs, noise, coins, flags, decomp, state, offsets)
     state[:] = (mean, *tracked)
 
 
-def _buffers(size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The agents, noise, coins and offsets buffers of a chunk of up to ``size`` agents."""
-    return np.zeros(size, np.int64), np.zeros(size), np.zeros(size), np.zeros(size, np.int8)
+def _buffers(size: int) -> tuple[np.ndarray, ...]:
+    """The agents, noise, coins, offsets and (discrete noise only) folds
+    buffers of a chunk of up to ``size`` agents."""
+    return (np.zeros(size, np.int64), np.zeros(size), np.zeros(size), np.zeros(size, np.int8),
+            np.zeros(size))
 
 
 def _draw_and_apply(values: np.ndarray, count: int, matching: bool, model: NoiseModel,
                     rng: np.random.Generator, flags, decomp: bool, state: np.ndarray,
-                    buffers, collect: bool) -> list:
+                    buffers, collect: bool, noise_params: Optional[tuple[int, float]] = None
+                    ) -> list:
     """Draw ``count`` agents into ``buffers`` (uniform picks with replacement
     or, ``matching``, a permutation of all n), then the noise, then the coins
     of the exchanges (agents[2k], agents[2k+1]), and apply them to ``values``
     in order.  An odd last agent self-pairs.  ``state`` is the float64 array
     [mean, phi_bar, S', S*, S^-], updated in place (the last four only when
     ``decomp``).  With ``collect``, returns each pair's Interaction.
+    ``noise_params`` is ``_noise_params(model)``, which callers compute once;
+    without it, it is computed here.
 
     The kernel's draws, on ``rng.bit_generator.capsule`` with numpy's C
     samplers, are the numpy calls' values, leaving the same generator state.
@@ -336,17 +364,15 @@ def _draw_and_apply(values: np.ndarray, count: int, matching: bool, model: Noise
     before either changes a value."""
     n = len(values)
     m = count - count % 2
-    agents, noise, coins, offsets = buffers
+    agents, noise, coins, offsets, folds = buffers
     coins = coins if flags[0] else None
     offsets = offsets if collect else None
     if _kernel is not None:
-        code = (_GAUSSIAN if isinstance(model, Gaussian) else
-                _ZERO if isinstance(model, Zero) else _UNIFORMS)
-        scale = math.sqrt(model.sigma2) if code == _GAUSSIAN else 0.0
-        _kernel.draw(rng.bit_generator.capsule, matching, n, count, code, scale, agents, noise,
+        code, param = noise_params or _noise_params(model)
+        _kernel.draw(rng.bit_generator.capsule, matching, n, count, code, param, agents, noise,
                      coins)
         if code == _UNIFORMS:
-            sample_batch(model, rng, m, noise[:m])
+            _discrete_noise(noise, folds, m, param)
         _kernel.pair_chunk(values, agents, noise, coins, m, flags, decomp, state, offsets)
     else:
         agents[:count] = rng.permutation(n) if matching else rng.integers(0, n, size=count)
@@ -372,8 +398,9 @@ class _Engine:
     """What both engines share: the values, the trackers in ``state``, the
     exact recomputation that checks and resyncs them, the buffers each
     chunk's draws fill, and the chunk loop.  ``state`` is [mean, phi_bar,
-    S', S*, S^-] in ``pair_chunk``'s layout; phi_bar and the sums are live
-    only while a decomposition window is open (``_decomp``).  A subclass
+    S', S*, S^-] in ``pair_chunk``'s layout; the trackers are live only
+    while a decomposition window is open (``_decomp``), the one reader of
+    the mean tracker, and hold no meaning outside one.  A subclass
     holds only data: its ``_unit``, whether a step draws a ``_matching``,
     and its ``_schedule``."""
 
@@ -385,6 +412,7 @@ class _Engine:
         self.model = model
         self.rng = rng
         self.flags = _rule_flags(rule)
+        self._noise = _noise_params(model)
         self.values = np.array(pop.values, dtype=np.float64)
         self.n = len(self.values)
         self.state = np.zeros(5)
@@ -392,29 +420,31 @@ class _Engine:
         self._decomp = False
         self._resync_every, self._chunk, self._per_step = self._schedule(self.n)
         self._buffers = _buffers(min(self._chunk, self._resync_every) * self._per_step)
-        self._resync(False)
+        self._since_resync = 0
 
     def _resync(self, check: bool,
-                exact: Optional[tuple[float, float]] = None) -> tuple[float, Optional[float]]:
-        """Write the exact mean, and while ``_decomp`` the exact potential, into
-        ``state``; no other code writes exact values there.  ``exact``, the
-        (mean, potential) of the current values, is taken instead of computing
-        them.  With ``check`` the potential is always computed, and a live
-        tracker off its exact value by more than DRIFT_TOL raises
-        NumericalDriftError first."""
-        mean, phibar = exact or _exact(self.values, check or self._decomp)
-        if check:  # ``item`` is the cheapest read of one tracker as a Python float
-            tracked = self.state.item(0)
-            if abs(tracked - mean) > DRIFT_TOL * (1.0 + abs(mean)):
-                self._drifted("running-mean", tracked, mean)
-            if self._decomp:
+                exact: Optional[tuple[float, float]] = None) -> Optional[tuple[float, float]]:
+        """End a resync interval.  While ``_decomp``, write the exact mean and
+        potential into ``state``; no other code writes exact values there, and
+        outside a window no output reads the trackers, so nothing is summed
+        for them.  ``exact``, the (mean, potential) of the current values, is
+        taken instead of computing them.  With ``check`` both are computed and
+        returned, and while ``_decomp`` a tracker off its exact value by more
+        than DRIFT_TOL raises NumericalDriftError first."""
+        self._since_resync = 0
+        if not (check or self._decomp):
+            return None
+        mean, phibar = exact or _exact(self.values)
+        if self._decomp:
+            if check:  # ``item`` is the cheapest read of one tracker as a Python float
+                tracked = self.state.item(0)
+                if abs(tracked - mean) > DRIFT_TOL * (1.0 + abs(mean)):
+                    self._drifted("running-mean", tracked, mean)
                 tracked = self.state.item(1)
                 if abs(tracked - phibar) > DRIFT_TOL * (1.0 + abs(phibar)):
                     self._drifted("potential", tracked, phibar)
-        self.state[0] = mean  # item by item: a slice assignment costs 4 times as much
-        if self._decomp:
+            self.state[0] = mean  # item by item: a slice assignment costs 4 times as much
             self.state[1] = phibar
-        self._since_resync = 0
         return mean, phibar
 
     def _drifted(self, name: str, tracked: float, exact: float) -> None:
@@ -422,7 +452,8 @@ class _Engine:
                                   f"at {self._unit} {self.step}")
 
     def refresh(self) -> tuple[float, float]:
-        """Recompute mean and potential; verify and resync the trackers."""
+        """Recompute the exact mean and potential and return them; while a
+        window is open, verify and resync the trackers."""
         return self._resync(True)
 
     def advance(self, steps: int, collect: Optional[list] = None) -> None:
@@ -440,7 +471,8 @@ class _Engine:
             b = min(self._chunk, steps - done, self._resync_every - self._since_resync)
             interactions = _draw_and_apply(self.values, b * self._per_step, self._matching,
                                            self.model, self.rng, self.flags, self._decomp,
-                                           self.state, self._buffers, collect is not None)
+                                           self.state, self._buffers, collect is not None,
+                                           self._noise)
             if collect is not None:
                 per = len(interactions) // b
                 collect.extend(StepEvent(interactions[k:k + per])
@@ -451,10 +483,11 @@ class _Engine:
 
 
 class SequentialEngine(_Engine):
-    """Drives one sequential run: one pair per step.  The mean tracker follows
-    the value deltas and is resynced every ``max(n, 1024)`` steps; while a
-    decomposition window is open, phi_bar follows the exact one-step change
-    formula about it and is resynced with it."""
+    """Drives one sequential run: one pair per step.  A resync falls due every
+    ``max(n, 1024)`` steps and ends a chunk there.  While a decomposition
+    window is open, the mean tracker follows the value deltas, phi_bar the
+    exact one-step change formula about it, and the resync overwrites both
+    with their exact values."""
 
     @staticmethod
     def _schedule(n: int) -> tuple[int, int, int]:
@@ -476,8 +509,9 @@ class SequentialEngine(_Engine):
 
 class SynchronousEngine(_Engine):
     """Drives one synchronous run; a step is a round, a random perfect matching
-    of all n agents.  The mean tracker is resynced every ``4096 // n`` rounds
-    (every round from n = 2049 on)."""
+    of all n agents, and a chunk.  A resync falls due every ``4096 // n``
+    rounds (every round from n = 2049 on); with no window to track, it sums
+    nothing."""
 
     _unit = "round"
     _matching = True

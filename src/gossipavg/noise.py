@@ -80,22 +80,21 @@ class NoiseMoments(NamedTuple):
     var_nprime: float
 
 
-def sample_batch(model: NoiseModel, rng: np.random.Generator, size: int,
-                 uniforms: Optional[np.ndarray] = None) -> np.ndarray:
+def sample_batch(model: NoiseModel, rng: np.random.Generator, size: int) -> np.ndarray:
     """Draw ``size`` independent samples from ``model``.
 
     The discrete model is sampled by inverse CDF from a single uniform per
     draw (sign from the uniform's half, magnitude from the folded
     remainder), so the stream consumption is one value per sample, whatever
-    the batch size.  Given ``uniforms``, ``size`` values already drawn from
-    ``rng`` as ``rng.random(size)`` would (the compiled kernel's draw of the
-    discrete model), it maps those instead and returns them, overwritten.
+    the batch size.  The engines' compiled kernel maps its own draws of
+    those uniforms bit for bit as this does (``dynamics._discrete_noise``);
+    this is its oracle and the engines' draw without the kernel.
     """
     if isinstance(model, Zero):
         return np.zeros(size)
     if isinstance(model, Gaussian):
         return rng.normal(0.0, math.sqrt(model.sigma2), size=size)
-    u = rng.random(size) if uniforms is None else uniforms
+    u = rng.random(size)
     if model.p >= 1.0:
         u.fill(0.0)
         return u

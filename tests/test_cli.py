@@ -557,6 +557,26 @@ def test_tracker_drift_exits_2_with_one_line(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("scheduler", ["sequential", "synchronous"])
+def test_a_windowless_run_does_not_stop_on_the_mean_tracker(tmp_path, capsys, scheduler):
+    """Values of +-1e150 about a mean of 0 push the running-mean tracker far
+    past DRIFT_TOL (1 + |mean|), but without a decomposition window no output
+    reads it: the run finishes, and its trace keeps the potential identities."""
+    config = dict(BASE_CONFIG, n=3, init={"kind": "explicit", "values": [1e150, -1e150, 0.0]},
+                  scheduler=scheduler, steps=100, record_every=100, decomposition_intervals=[],
+                  runs=1, master_seed=1)
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(path), "--out", str(out), "--jobs", "1"]) == 0
+    assert capsys.readouterr().err == ""
+    rows = np.loadtxt(out / "trace_run0000.csv", delimiter=",", skiprows=1, ndmin=2)
+    assert [int(row[0]) for row in rows] == [0, 100]
+    for step, tss, phi_bar, phi, running_avg, drift, _ in rows:
+        assert phi == pytest.approx(2 * 3 * phi_bar, rel=1e-9)
+        assert tss == pytest.approx(phi_bar + 3 * drift**2, rel=1e-9)
+
+
 def test_tracker_drift_in_a_pool_worker_exits_2_with_one_line(tmp_path, capsys):
     """The drift of run 0 comes back from the pool as the same one line, and
     no summary.json is written (CSVs of other runs may be)."""

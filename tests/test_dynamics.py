@@ -268,9 +268,10 @@ def test_synchronous_cutoff_and_rounding_invariants():
 
 
 @pytest.mark.parametrize("engine_cls,n,every,decomp,honest,drift_at,then,tracker,bump", [
-    pytest.param(SequentialEngine, 50, 1024, False, 5000, 0, 0, 0, 1.0, id="sequential-mean"),
-    # at n > 4096 a resync is due every round; it runs before the next round,
-    # so the refresh after a round still checks the tracked mean
+    pytest.param(SequentialEngine, 50, 1024, True, 5000, 0, 0, 0, 1.0, id="sequential-mean"),
+    # at n > 4096 a resync is due every round and runs before the next round;
+    # with no window (the synchronous engine opens none) no output reads the
+    # mean tracker, so the refresh after a round neither checks nor raises
     pytest.param(SynchronousEngine, 5000, 1, False, 3, 0, 1, 0, 1.0, id="synchronous-mean"),
     # at n = 2000 the refresh at step 2000 ends a resync interval: the resync
     # due there runs before the next chunk, so it does not overwrite the
@@ -282,9 +283,10 @@ def test_synchronous_cutoff_and_rounding_invariants():
 ])
 def test_refresh_checks_each_tracker(engine_cls, n, every, decomp, honest, drift_at, then,
                                      tracker, bump):
-    """A refresh passes on honest trackers and raises on a tracker pushed off
-    its exact value by ``bump``, far past DRIFT_TOL (the potential is about
-    1.7e6 at n = 2000, so 1.0 would be within it)."""
+    """In a window, a refresh passes on honest trackers and raises on a
+    tracker pushed off its exact value by ``bump``, far past DRIFT_TOL (the
+    potential is about 1.7e6 at n = 2000, so 1.0 would be within it).
+    Outside one, it returns the exact values and checks no tracker."""
     pop = init_population(make_rng(31).uniform(0, 100, n))
     engine = engine_cls(pop, Gaussian(1.0), Real(), make_rng(32))
     assert engine._resync_every == every
@@ -295,36 +297,53 @@ def test_refresh_checks_each_tracker(engine_cls, n, every, decomp, honest, drift
     engine.advance(drift_at)
     engine.state[tracker] += bump
     engine.advance(then)
-    with pytest.raises(NumericalDriftError, match=("running-mean", "potential")[tracker]):
-        engine.refresh()
+    if decomp:
+        with pytest.raises(NumericalDriftError, match=("running-mean", "potential")[tracker]):
+            engine.refresh()
+    else:
+        assert engine.refresh() == dynamics._exact(engine.values)
 
 
-@pytest.mark.parametrize("engine_cls,every", [(SequentialEngine, 1024), (SynchronousEngine, 64)],
+@pytest.mark.parametrize("engine_cls,every,window",
+                         [(SequentialEngine, 1024, True), (SynchronousEngine, 64, False)],
                          ids=["sequential", "synchronous"])
-def test_advance_resyncs_every_interval(monkeypatch, engine_cls, every):
-    """One long advance resyncs the mean tracker on the values after every
-    ``_resync_every`` steps (rounds), as advancing one interval at a time shows."""
+def test_advance_resyncs_every_interval(monkeypatch, engine_cls, every, window):
+    """One long advance resyncs on the values after every ``_resync_every``
+    steps (rounds), as advancing one interval at a time shows.  Each resync
+    sums the values exactly while a window is open (sequential) and not at
+    all without one (synchronous, which opens none)."""
     start = make_rng(34).uniform(0, 100, 64)
     twin = engine_cls(init_population(start), Gaussian(1.0), Real(), make_rng(35))
     assert twin._resync_every == every
+    engine = engine_cls(init_population(start), Gaussian(1.0), Real(), make_rng(35))
+    if window:
+        twin.begin_decomposition()
+        engine.begin_decomposition()
     due = []
     for _ in range(3):
         twin.advance(every)
         due.append(twin.values.copy())
-    engine = engine_cls(init_population(start), Gaussian(1.0), Real(), make_rng(35))
-    seen = []
-    exact = dynamics._exact
+    resyncs, sums = [], []
+    resync, exact = engine_cls._resync, dynamics._exact
 
-    def spy(values, with_phibar):
+    def resync_spy(self, check, exact=None):
+        assert self is engine and not check
+        resyncs.append(self.values.copy())
+        return resync(self, check, exact)
+
+    def exact_spy(values, with_phibar=True):
         assert values is engine.values
-        seen.append(values.copy())
+        sums.append(values.copy())
         return exact(values, with_phibar)
 
-    monkeypatch.setattr(dynamics, "_exact", spy)
+    monkeypatch.setattr(engine_cls, "_resync", resync_spy)
+    monkeypatch.setattr(dynamics, "_exact", exact_spy)
     engine.advance(3 * every + 8)
     monkeypatch.undo()
-    assert len(seen) == 3
-    assert all(np.array_equal(a, b) for a, b in zip(seen, due))
+    assert len(resyncs) == 3
+    assert all(np.array_equal(a, b) for a, b in zip(resyncs, due))
+    assert len(sums) == (3 if window else 0)
+    assert all(np.array_equal(a, b) for a, b in zip(sums, due))
     assert engine._since_resync == 8
     twin.advance(8)
     assert engine.values.tobytes() == twin.values.tobytes()
@@ -347,7 +366,7 @@ def test_same_seed_same_trajectory():
 # ---------------------------------------------------------------------------
 
 ORACLE_RULES = [Real(), DiscreteRounding(), Cutoff(1.0, 10.0), Cutoff(1.0, 10.0, rounding=True)]
-ORACLE_NOISES = [Gaussian(1.0), DiscreteGeometric(0.8), Zero()]
+ORACLE_NOISES = [Gaussian(1.0), DiscreteGeometric(0.8), DiscreteGeometric(1.0), Zero()]
 
 needs_kernel = pytest.mark.skipif(dynamics._kernel is None, reason="no compiled kernel")
 
@@ -792,6 +811,39 @@ def test_kernel_draw_checks_its_arguments_before_it_draws():
     with pytest.raises(TypeError):
         dynamics._kernel.draw(rng.bit_generator.capsule, False, 4, 4, 1, 1.0, pairs, noise)
     assert rng.bit_generator.state == before
+
+
+@needs_kernel
+def test_kernel_discrete_map_checks_its_arguments_before_it_writes():
+    """The two entries around numpy's ``log1p`` refuse, before any value
+    changes, a short, mistyped, strided or read-only buffer, a negative
+    count, a log1p(-p) that is no negative number, and a wrong argument
+    count."""
+    u = make_rng(0).random(4)
+    noise, folds = u.copy(), np.full(4, -0.5)
+    frozen = np.zeros(4)
+    frozen.flags.writeable = False
+    bad_buffers = [
+        (noise[:3], folds), (noise, folds[:3]), (noise.astype(np.float32), folds),
+        (noise, folds.astype(np.float32)), (noise, np.zeros(8)[::2]), (np.zeros(8)[::2], folds),
+    ]
+    for args in [*bad_buffers, (noise, frozen)]:
+        with pytest.raises((TypeError, ValueError)):
+            dynamics._kernel.discrete_folds(*args, 4)
+    for args in [*bad_buffers, (frozen, folds)]:
+        with pytest.raises((TypeError, ValueError)):
+            dynamics._kernel.discrete_noise(*args, 4, -0.25)
+    with pytest.raises(ValueError):
+        dynamics._kernel.discrete_folds(noise, folds, -1)
+    for count, log_q in [(-1, -0.25), (4, 0.0), (4, -0.0), (4, 0.5), (4, math.nan),
+                         (4, math.inf), (4, "x"), (4.0, -0.25)]:
+        with pytest.raises((TypeError, ValueError)):
+            dynamics._kernel.discrete_noise(noise, folds, count, log_q)
+    with pytest.raises(TypeError):
+        dynamics._kernel.discrete_folds(noise, folds)
+    with pytest.raises(TypeError):
+        dynamics._kernel.discrete_noise(noise, folds, 4)
+    assert noise.tobytes() == u.tobytes() and folds.tolist() == [-0.5] * 4
 
 
 @pytest.mark.parametrize("state", [

@@ -281,9 +281,10 @@ def test_decomposition_records_on_trace():
 
 
 def test_a_window_opens_on_the_refreshs_exact_sums(monkeypatch):
-    """An ensemble-shaped run computes the exact sums once at construction and
-    once per refresh (101 records); the window opened at step 0 takes the
-    refresh's, and its trace is that of a window that computes its own."""
+    """An ensemble-shaped run computes the exact sums once per refresh (101
+    records) and not at construction, before any window; the window opened
+    at step 0 takes the refresh's, and its trace is that of a window that
+    computes its own."""
     config = small_config(n=100, init=UniformInit(0.0, 100.0), steps=10**4, record_every=100,
                           decomposition_intervals=((0, 10**4),))
     calls = []
@@ -295,12 +296,12 @@ def test_a_window_opens_on_the_refreshs_exact_sums(monkeypatch):
 
     monkeypatch.setattr(dynamics, "_exact", spy)
     traces = [run_single(config, 0)]
-    assert len(calls) == 102
+    assert len(calls) == 101
     begin = dynamics.SequentialEngine.begin_decomposition
     monkeypatch.setattr(dynamics.SequentialEngine, "begin_decomposition",
                         lambda engine, exact=None: begin(engine))
     traces.append(run_single(config, 0))
-    assert len(calls) == 102 + 103
+    assert len(calls) == 101 + 102
     first, second = ((t.snapshots, t.decompositions, t.final_population.tobytes())
                      for t in traces)
     assert first == second

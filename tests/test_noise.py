@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from gossipavg import noise
+from gossipavg import dynamics, noise
 from gossipavg import (
     DiscreteGeometric,
     Gaussian,
@@ -297,6 +297,52 @@ def test_discrete_sampler_matches_out_of_place_form_at_edge_uniforms():
     for p in (0.8, 0.5, 1e-9, 1.0):
         got = sample_batch(DiscreteGeometric(p), _FixedUniforms(u), len(u))
         assert got.tobytes() == _discrete_sample_oracle(p, np.array(u)).tobytes(), p
+
+
+def _kernel_map(p, u):
+    """The engines' compiled map of the uniforms ``u`` to DiscreteGeometric(p),
+    in buffers of exactly ``len(u)`` values."""
+    out, folds = np.array(u, dtype=float), np.zeros(len(u))
+    dynamics._discrete_noise(out, folds, len(out), dynamics._noise_params(DiscreteGeometric(p))[1])
+    return out
+
+
+@pytest.mark.skipif(dynamics._kernel is None, reason="no compiled kernel")
+@pytest.mark.parametrize("p", [0.8, 0.5, 0.01, 0.999, 1e-9, 5e-324, 1.0])
+def test_kernel_discrete_map_is_the_samplers(p):
+    """The kernel's map of the discrete model, around numpy's ``log1p``, is
+    ``sample_batch``'s byte for byte, signed zeros included: on one
+    generator's uniforms at sizes around the SIMD widths, at the edge
+    uniforms of the out-of-place test (raising no floating-point flag in
+    numpy), and after the kernel's own draw of the pairs, the uniforms and
+    the coins, which leaves the generator's state where the numpy calls
+    leave it."""
+    model = DiscreteGeometric(p)
+    edge = [0.0, 0.5, np.nextafter(0.5, 0.0), np.nextafter(0.5, 1.0), 2.0**-53, 1.0 - 2.0**-53,
+            0.25, 0.75, 0.1, 0.9]
+    with np.errstate(over="ignore"):  # sample_batch's quotient overflows at p = 5e-324
+        for size in SAMPLER_SIZES:
+            for seed in range(3):
+                rng, twin = make_rng(seed), make_rng(seed)
+                got = _kernel_map(p, rng.random(size))
+                assert got.tobytes() == sample_batch(model, twin, size).tobytes(), (size, seed)
+                assert rng.bit_generator.state == twin.bit_generator.state
+        with np.errstate(all="raise"):  # u = 0 folds to 0.0, so log1p sees no -1
+            got = _kernel_map(p, edge)
+        assert got.tobytes() == sample_batch(model, _FixedUniforms(edge), len(edge)).tobytes()
+        code, log_q = dynamics._noise_params(model)
+        for count in (1, 2, 7, 2048, 4097):
+            m = count - count % 2
+            rng, twin = make_rng(count), make_rng(count)
+            agents, drawn, coins, _, folds = dynamics._buffers(count)
+            dynamics._kernel.draw(rng.bit_generator.capsule, False, 1000, count, code, log_q,
+                                  agents, drawn, coins)
+            dynamics._discrete_noise(drawn, folds, m, log_q)
+            expected = (twin.integers(0, 1000, size=count), sample_batch(model, twin, m),
+                        twin.random(m))
+            got = (agents, drawn[:m], coins[:m])
+            assert [a.tobytes() for a in got] == [e.tobytes() for e in expected], count
+            assert rng.bit_generator.state == twin.bit_generator.state
 
 
 @pytest.mark.parametrize("p", [0.8, 0.5, 0.05, 0.01])
