@@ -9,10 +9,9 @@
  * (standard_normal()), and the rest in numpy's function on the same draws.
  * Its permutations make random_interval's draws inline and apply each one
  * without a branch; indices above 2^32 - 1 still call random_interval.
- * discrete_folds() and discrete_noise() map the uniforms that draw() leaves
- * for the discrete model as noise.sample_batch does, around the one step
- * left to numpy: an in-place np.log1p of the folds, whose SIMD results
- * libm's log1p does not reproduce.
+ * discrete_map() maps the uniforms that draw() leaves for the discrete model
+ * as noise.sample_batch does, calling numpy for its one step: an in-place
+ * np.log1p of the folds, whose SIMD results libm's log1p does not reproduce.
  * onestep_cases() draws the inputs of verify's one-step check the same way:
  * per case, the values of rng.integers(2, 33), rng.uniform(-spread, spread,
  * n), rng.choice(n, 2, replace=False) and rng.normal(0, sigma, 2), packed
@@ -21,6 +20,15 @@
  * place, exactly as the Python reference loop in dynamics.py does
  * (_pairs_reference, which calls _receive once for each agent of a pair,
  * then _decomposition_step).
+ * run() makes a whole run's boundary loop in one call, as the Python loop
+ * _Engine._record does over draw(), the discrete map, pair_chunk() and
+ * exact_moments(), whose static code it shares: the chunks and resyncs,
+ * the tracker checks at each record step, the decomposition windows and the
+ * snapshot rows.  It calls back into numpy twice, through the C API, where
+ * the Python loop calls numpy: np.log1p for the discrete map, and np.dot on
+ * a work array of values - initial average for each snapshot's tss, so
+ * both are numpy's bits (np.dot's order of summation depends on the BLAS
+ * and its threads).  Where the exact sums decline, it calls dynamics._exact.
  * exact_moments() computes the mean and the potential about it from
  * correctly rounded sums, exactly as the math.fsum body of dynamics._exact:
  * a superaccumulator adds every summand exactly into integer bins, carries,
@@ -37,9 +45,12 @@
  * it checks every buffer (format, dimension, contiguity, length, writability
  * where it writes), every pair index and every scalar, and raises TypeError,
  * ValueError, OverflowError or IndexError before it touches any buffer or
- * draws.
- * None of them releases the GIL: the calls are short, and the generator is
- * not locked against other threads, as the engines never share one.
+ * draws; run() can fail later only where a call into Python (numpy,
+ * math.fsum or a signal handler) raises.
+ * None of them releases the GIL while it works: the calls are short or call
+ * back into Python, and the generator is not locked against other threads,
+ * as the engines never share one.  run() only lets a waiting thread take the
+ * GIL between its chunks, touching nothing while it is released.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -137,18 +148,25 @@ static double round_half(double s, double u, int8_t *offset)
     return s * 0.5;
 }
 
+/* An update rule, dynamics._rule_flags(rule): round, clamp into [vmin, vmax]. */
+struct rule {
+    int do_round, do_clamp;
+    double vmin, vmax;
+};
+
 /* Apply npairs exchanges (idx[2k], idx[2k+1]) to x[0..n) in order.
  *
  * noise[2k] is agent idx[2k]'s outgoing channel noise and coins[2k] its
- * rounding coin (coins may be NULL unless do_round).  A self-pair is skipped.
+ * rounding coin (coins may be NULL unless the rule rounds).  A self-pair is skipped.
  * state holds {mean, phibar, s_prime, s_star, s_minus} and is updated in
  * place; the last four only when decomp is set.  If offsets is not NULL, the
  * rounding offset of each agent is written to it (0 for a self-pair). */
 static void apply_pairs(double *x, int64_t n, const int64_t *idx, const double *noise,
-                        const double *coins, int64_t npairs, int do_round, int do_clamp,
-                        double vmin, double vmax, int decomp, double *state,
-                        int8_t *offsets)
+                        const double *coins, int64_t npairs, const struct rule *rule,
+                        int decomp, double *state, int8_t *offsets)
 {
+    const int do_round = rule->do_round, do_clamp = rule->do_clamp;
+    const double vmin = rule->vmin, vmax = rule->vmax;
     double mean = state[0], phibar = state[1];
     double sp = state[2], ss = state[3], sm = state[4];
     const double inv_n = 1.0 / (double)n;
@@ -386,24 +404,23 @@ static int exact_sum(const double *x, int64_t n, int squares, double mean, doubl
     return 0;
 }
 
-/* out[0] = fsum(x[0..n)) / n, the mean; if with_phibar, also
- * out[1] = fsum((x[k] - mean) * (x[k] - mean)), each square rounded on its
- * own.  Both equal math.fsum bit for bit: a correctly rounded sum is
- * unique.  Returns 0 on success; nonzero, with out untouched, on n < 1 and
- * where exact_sum() declines, where the caller recomputes with math.fsum
- * (which then returns or raises what it does). */
-static int moments(const double *x, int64_t n, int with_phibar, double *out)
+/* out[0] = fsum(x[0..n)) / n, the mean, and out[1] = fsum((x[k] - mean) *
+ * (x[k] - mean)), each square rounded on its own: both equal math.fsum bit
+ * for bit, a correctly rounded sum being unique.  Returns 0 on success;
+ * nonzero, with out untouched, on n < 1 and where exact_sum() declines, where
+ * the caller recomputes with math.fsum (which then returns or raises what it
+ * does). */
+static int moments(const double *x, int64_t n, double *out)
 {
-    double sum, phibar = 0.0, mean;
+    double sum, phibar, mean;
 
     if (n < 1 || exact_sum(x, n, 0, 0.0, &sum))
         return 1;
     mean = sum / (double)n;
-    if (with_phibar && exact_sum(x, n, 1, mean, &phibar))
+    if (exact_sum(x, n, 1, mean, &phibar))
         return 1;
     out[0] = mean;
-    if (with_phibar)
-        out[1] = phibar;
+    out[1] = phibar;
     return 0;
 }
 
@@ -677,11 +694,25 @@ static int get_count(PyObject *obj, const char *name, Py_ssize_t *out)
     return -1;
 }
 
+/* The rule of a flags tuple (do_round, do_clamp, vmin, vmax). */
+static int get_rule(PyObject *flags, struct rule *rule)
+{
+    if (!PyTuple_Check(flags) || PyTuple_GET_SIZE(flags) != 4) {
+        PyErr_SetString(PyExc_TypeError, "flags must be (do_round, do_clamp, vmin, vmax)");
+        return -1;
+    }
+    rule->do_round = PyObject_IsTrue(PyTuple_GET_ITEM(flags, 0));
+    rule->do_clamp = PyObject_IsTrue(PyTuple_GET_ITEM(flags, 1));
+    rule->vmin = PyFloat_AsDouble(PyTuple_GET_ITEM(flags, 2));
+    rule->vmax = PyFloat_AsDouble(PyTuple_GET_ITEM(flags, 3));
+    return PyErr_Occurred() ? -1 : 0;
+}
+
 enum { NOISE_ZERO, NOISE_GAUSSIAN, NOISE_UNIFORMS };
 
 /* Fill noise[0..m) by noise code (zeros; normal(0, scale) per value, as
  * rng.normal(0.0, scale, m); or uniforms, as rng.random(m), which
- * discrete_folds() and discrete_noise() then map to the discrete model), then,
+ * map_discrete() then maps to the discrete model), then,
  * where coins is not NULL, coins[0..m) with uniforms, as rng.random(m). */
 static void draw_noise_and_coins(bitgen_t *bg, Py_ssize_t m, int code, double scale,
                                  double *noise, double *coins)
@@ -698,10 +729,54 @@ static void draw_noise_and_coins(bitgen_t *bg, Py_ssize_t m, int code, double sc
         random_standard_uniform_fill(bg, m, coins);
 }
 
+/* One chunk's draws: count uniform agents in [0, n) or, if matching, a
+ * permutation of all n (count == n) into agents, then noise[0..m) and, where
+ * coins is not NULL, coins[0..m), m the agents of the whole pairs. */
+static void draw_chunk(bitgen_t *bg, int matching, Py_ssize_t n, Py_ssize_t count, int code,
+                       double scale, int64_t *agents, double *noise, double *coins)
+{
+    if (matching) {
+        /* rng.permutation(n): arange, then numpy's Fisher-Yates from the top.
+         * random_interval(bg, i) draws j = next_uint32 & mask, mask the least
+         * 2^k - 1 >= i, until j <= i (next_uint64 above 2^32 - 1).  Below 2^32
+         * the loop makes those draws itself, and a rejected j swaps perm[i]
+         * with itself and keeps i, so no branch depends on the draw. */
+        int64_t *perm = agents;
+        uint64_t i = (uint64_t)n - 1;
+        uint32_t mask;
+
+        for (Py_ssize_t k = 0; k < n; k++)
+            perm[k] = k;
+        for (; i > UINT32_MAX; i--) {
+            const uint64_t j = random_interval(bg, i);
+            const int64_t t = perm[i];
+
+            perm[i] = perm[j];
+            perm[j] = t;
+        }
+        for (mask = 0; mask < i; mask = (mask << 1) | 1)
+            ;
+        while (i > 0) {
+            const uint32_t j = bg->next_uint32(bg->state) & mask;
+            const int take = j <= i;
+            const uint64_t at = take ? j : i;
+            const int64_t t = perm[i];
+
+            perm[i] = perm[at];
+            perm[at] = t;
+            i -= take;
+            mask >>= i <= mask >> 1;
+        }
+    } else {
+        /* rng.integers(0, n, count) */
+        random_bounded_uint64_fill(bg, 0, (uint64_t)n - 1, count, false, (uint64_t *)agents);
+    }
+    draw_noise_and_coins(bg, count - count % 2, code, scale, noise, coins);
+}
+
 /* draw(capsule, matching, n, count, noise code, scale, pairs, noise, coins or
- * None): count uniform agents in [0, n) or, if matching, a permutation of
- * all n (count == n).  The pairs buffer takes count agents, the noise and
- * coins buffers one value per agent of each whole pair. */
+ * None): draw_chunk() into the buffers.  The pairs buffer takes count agents,
+ * the noise and coins buffers one value per agent of each whole pair. */
 static PyObject *draw(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
     bitgen_t *bg;
@@ -734,131 +809,100 @@ static PyObject *draw(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
         release(views, held);
         return NULL;
     }
-    if (matching) {
-        /* rng.permutation(n): arange, then numpy's Fisher-Yates from the top.
-         * random_interval(bg, i) draws j = next_uint32 & mask, mask the least
-         * 2^k - 1 >= i, until j <= i (next_uint64 above 2^32 - 1).  Below 2^32
-         * the loop makes those draws itself, and a rejected j swaps perm[i]
-         * with itself and keeps i, so no branch depends on the draw. */
-        int64_t *perm = views[0].buf;
-        uint64_t i = (uint64_t)n - 1;
-        uint32_t mask;
-
-        for (Py_ssize_t k = 0; k < n; k++)
-            perm[k] = k;
-        for (; i > UINT32_MAX; i--) {
-            const uint64_t j = random_interval(bg, i);
-            const int64_t t = perm[i];
-
-            perm[i] = perm[j];
-            perm[j] = t;
-        }
-        for (mask = 0; mask < i; mask = (mask << 1) | 1)
-            ;
-        while (i > 0) {
-            const uint32_t j = bg->next_uint32(bg->state) & mask;
-            const int take = j <= i;
-            const uint64_t at = take ? j : i;
-            const int64_t t = perm[i];
-
-            perm[i] = perm[at];
-            perm[at] = t;
-            i -= take;
-            mask >>= i <= mask >> 1;
-        }
-    } else {
-        /* rng.integers(0, n, count) */
-        random_bounded_uint64_fill(bg, 0, (uint64_t)n - 1, count, false, views[0].buf);
-    }
-    draw_noise_and_coins(bg, m, code, scale, views[1].buf, views[2].buf);
+    draw_chunk(bg, matching, n, count, code, scale, views[0].buf, views[1].buf, views[2].buf);
     release(views, held);
     Py_RETURN_NONE;
 }
 
-/* discrete_folds(uniforms, folds, m): folds[k] = -|2u - 1| for each uniform
- * u, computed as noise.sample_batch's ufuncs compute it, for an in-place
- * np.log1p; the fold -1 of u = 0 is written as 0.0, whose logarithm, 0
- * instead of -inf, gives discrete_noise() the same +-0 and numpy no
- * divide-by-zero. */
-static PyObject *discrete_folds(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
-{
-    Py_buffer views[2];
-    int held = 0;
-    Py_ssize_t m;
-    const double *u;
-    double *folds;
+/* numpy's log1p and dot, taken from the numpy module at module init.  The
+ * kernel calls them through the C API where the Python code calls numpy, so
+ * that the discrete map's logarithms and a snapshot's tss are numpy's values
+ * bit for bit: np.log1p is SIMD code that libm's log1p does not reproduce,
+ * and np.dot the BLAS ddot, whose order of summation (split across threads
+ * above 10^4 values, where more than one is allowed) no loop here repeats. */
+static PyObject *numpy_log1p, *numpy_dot;
 
-    (void)self;
-    if (check_nargs("discrete_folds", nargs, 3) || get_count(args[2], "m", &m))
-        return NULL;
-    if (get_buffer(args[0], &views[held++], "uniforms", 'd', 0, m) ||
-        get_buffer(args[1], &views[held++], "folds", 'd', 1, m)) {
-        release(views, held);
-        return NULL;
-    }
-    u = views[0].buf;
-    folds = views[1].buf;
+/* Map each uniform u of noise[0..m), as draw_chunk() leaves them for the
+ * discrete model, to copysign(floor(log1p(-|2u - 1|) / log_q), u - 0.5),
+ * log_q = log1p(-p) < 0, noise.sample_batch's map bit for bit: the folds
+ * -|2u - 1| go to folds[0..m) (folds_obj is their float64 array), computed
+ * as sample_batch's ufuncs compute them, with the fold -1 of u = 0 written as
+ * 0.0, whose logarithm, 0 instead of -inf, gives the same +-0 and numpy no
+ * divide-by-zero; np.log1p takes their logarithms in place; then each
+ * quotient's floor, a non-finite one giving magnitude 0.  Below 2^52 the
+ * floor is the truncation t through int64, less 1 where t > q, as
+ * round_half() takes it; at or above, a finite quotient is already an
+ * integer.  log_q = -inf (p = 1) writes +0.0, as sample_batch does.
+ * Returns 0, or -1 with an exception set where the call into numpy fails. */
+static int map_discrete(double *noise, PyObject *folds_obj, double *folds, Py_ssize_t m,
+                        double log_q)
+{
+    PyObject *logs, *args[2], *got;
+
     for (Py_ssize_t k = 0; k < m; k++) {
-        const double f = -fabs(u[k] * 2.0 - 1.0);
+        const double f = -fabs(noise[k] * 2.0 - 1.0);
 
         folds[k] = f == -1.0 ? 0.0 : f;
     }
-    release(views, held);
-    Py_RETURN_NONE;
+    logs = PySequence_GetSlice(folds_obj, 0, m);
+    if (!logs)
+        return -1;
+    args[0] = args[1] = logs; /* np.log1p(logs, logs): out= given positionally */
+    got = PyObject_Vectorcall(numpy_log1p, args, 2, NULL);
+    Py_DECREF(logs);
+    if (!got)
+        return -1;
+    Py_DECREF(got);
+    if (isinf(log_q)) {
+        memset(noise, 0, (size_t)m * sizeof *noise);
+        return 0;
+    }
+    for (Py_ssize_t k = 0; k < m; k++) {
+        const double q = folds[k] / log_q;
+        double mag;
+
+        if (fabs(q) < 0x1p52) {
+            const double t = (double)(int64_t)q;
+
+            mag = t - (double)(t > q);
+        } else {
+            mag = isfinite(q) ? q : 0.0;
+        }
+        noise[k] = copysign(mag, noise[k] - 0.5);
+    }
+    return 0;
 }
 
-/* discrete_noise(noise, logs, m, log_q): overwrite each uniform u in
- * noise[0..m) with copysign(floor(log / log_q), u - 0.5), log being
- * logs[k], the np.log1p of its fold, and log_q = log1p(-p) < 0; a quotient
- * that is not finite gives magnitude 0.  This is noise.sample_batch's map
- * bit for bit.  Below 2^52 the floor is the truncation t through int64,
- * less 1 where t > q, as round_half() takes it; at or above, a finite
- * quotient is already an integer.  log_q = -inf (p = 1) writes +0.0, as
- * sample_batch does. */
-static PyObject *discrete_noise(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+/* discrete_map(noise, folds, m, log_q): map_discrete() of noise[0..m), with
+ * folds a float64 array of at least m values, for a log_q = log1p(-p)
+ * below 0. */
+static PyObject *discrete_map(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
     Py_buffer views[2];
-    int held = 0;
+    int held = 0, failed;
     Py_ssize_t m;
-    double log_q, *noise;
-    const double *logs;
+    double log_q;
 
     (void)self;
-    if (check_nargs("discrete_noise", nargs, 4) || get_count(args[2], "m", &m))
+    if (check_nargs("discrete_map", nargs, 4) || get_count(args[2], "m", &m))
         return NULL;
     log_q = PyFloat_AsDouble(args[3]);
     if (PyErr_Occurred())
         return NULL;
     if (!(log_q < 0.0)) {
-        PyErr_Format(PyExc_ValueError, "discrete_noise(): log1p(-p) must be negative, got %R",
+        PyErr_Format(PyExc_ValueError, "discrete_map(): log1p(-p) must be negative, got %R",
                      args[3]);
         return NULL;
     }
     if (get_buffer(args[0], &views[held++], "noise", 'd', 1, m) ||
-        get_buffer(args[1], &views[held++], "logs", 'd', 0, m)) {
+        get_buffer(args[1], &views[held++], "folds", 'd', 1, m)) {
         release(views, held);
         return NULL;
     }
-    noise = views[0].buf;
-    logs = views[1].buf;
-    if (isinf(log_q)) {
-        memset(noise, 0, (size_t)m * sizeof *noise);
-    } else {
-        for (Py_ssize_t k = 0; k < m; k++) {
-            const double q = logs[k] / log_q;
-            double mag;
-
-            if (fabs(q) < 0x1p52) {
-                const double t = (double)(int64_t)q;
-
-                mag = t - (double)(t > q);
-            } else {
-                mag = isfinite(q) ? q : 0.0;
-            }
-            noise[k] = copysign(mag, noise[k] - 0.5);
-        }
-    }
+    failed = map_discrete(views[0].buf, args[1], views[1].buf, m, log_q);
     release(views, held);
+    if (failed)
+        return NULL;
     Py_RETURN_NONE;
 }
 
@@ -958,24 +1002,15 @@ static PyObject *onestep_cases(PyObject *self, PyObject *const *args, Py_ssize_t
 static PyObject *pair_chunk(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
     Py_buffer views[6];
-    int held = 0, do_round, do_clamp, decomp;
+    int held = 0, decomp;
     Py_ssize_t m, n;
-    double vmin, vmax;
-    PyObject *flags;
+    struct rule rule;
     const int64_t *idx;
 
     (void)self;
-    if (check_nargs("pair_chunk", nargs, 9) || get_count(args[4], "m", &m))
+    if (check_nargs("pair_chunk", nargs, 9) || get_count(args[4], "m", &m) ||
+        get_rule(args[5], &rule))
         return NULL;
-    flags = args[5];
-    if (!PyTuple_Check(flags) || PyTuple_GET_SIZE(flags) != 4) {
-        PyErr_SetString(PyExc_TypeError, "flags must be (do_round, do_clamp, vmin, vmax)");
-        return NULL;
-    }
-    do_round = PyObject_IsTrue(PyTuple_GET_ITEM(flags, 0));
-    do_clamp = PyObject_IsTrue(PyTuple_GET_ITEM(flags, 1));
-    vmin = PyFloat_AsDouble(PyTuple_GET_ITEM(flags, 2));
-    vmax = PyFloat_AsDouble(PyTuple_GET_ITEM(flags, 3));
     decomp = PyObject_IsTrue(args[6]);
     if (PyErr_Occurred())
         return NULL;
@@ -991,7 +1026,7 @@ static PyObject *pair_chunk(PyObject *self, PyObject *const *args, Py_ssize_t na
                      views[0].shape[0]);
         goto fail;
     }
-    if (do_round && !views[4].buf) {
+    if (rule.do_round && !views[4].buf) {
         PyErr_SetString(PyExc_ValueError, "a rounding rule needs coins");
         goto fail;
     }
@@ -1004,8 +1039,8 @@ static PyObject *pair_chunk(PyObject *self, PyObject *const *args, Py_ssize_t na
             goto fail;
         }
     }
-    apply_pairs(views[1].buf, n, idx, views[3].buf, views[4].buf, m / 2, do_round, do_clamp,
-                vmin, vmax, decomp, views[0].buf, views[5].buf);
+    apply_pairs(views[1].buf, n, idx, views[3].buf, views[4].buf, m / 2, &rule, decomp,
+                views[0].buf, views[5].buf);
     release(views, held);
     Py_RETURN_NONE;
 fail:
@@ -1013,27 +1048,333 @@ fail:
     return NULL;
 }
 
-/* exact_moments(values, with_phibar): (mean, phibar), phibar None unless
- * asked for; None where moments() declines, for the caller's math.fsum. */
+/* ------------------------------------------------------------------------
+ * A run's boundary loop in one call: run()
+ * ------------------------------------------------------------------------ */
+
+/* One engine (dynamics._Engine) as run() advances it. */
+struct engine {
+    bitgen_t *bg;
+    PyObject *values; /* the values array, for dynamics._exact */
+    double *x;
+    Py_ssize_t n;
+    double *state; /* mean, phibar, S', S*, S^- */
+    int64_t *agents;
+    double *noise, *coins; /* coins NULL where the rule does not round */
+    PyObject *folds;       /* the folds array, for np.log1p */
+    double *fold;
+    struct rule rule;
+    int code, matching, decomp;
+    double param, drift_tol;
+    Py_ssize_t resync_every, chunk, per_step, since_resync;
+    PyObject *exact; /* dynamics._exact, where moments() declines */
+    double drift[3]; /* a drifted tracker (0 the mean, 1 the potential), its value, the exact */
+};
+
+/* The exact mean and potential of the values into out[]: moments(), or
+ * where it declines dynamics._exact, whose math.fsum returns or raises what
+ * it does.  Returns 0, or -1 with an exception set. */
+static int exact_of(struct engine *e, double *out)
+{
+    PyObject *got;
+    int ok;
+
+    if (!moments(e->x, e->n, out))
+        return 0;
+    got = PyObject_CallOneArg(e->exact, e->values);
+    if (!got)
+        return -1;
+    ok = PyArg_ParseTuple(got, "dd", &out[0], &out[1]);
+    Py_DECREF(got);
+    return ok ? 0 : -1;
+}
+
+/* _Engine._resync: end a resync interval.  While a window is open, write the
+ * exact mean and potential into the trackers, after, with check, a drift
+ * check of each: a tracker off by more than drift_tol * (1 + |exact|) stops
+ * the run, with e->drift set.  With check, exact[] gets them in any case
+ * (exact may be NULL without).  Returns 0, 1 on a drift, or -1 with an
+ * exception set. */
+static int resync(struct engine *e, int check, double *exact)
+{
+    double own[2];
+
+    e->since_resync = 0;
+    if (!(check || e->decomp))
+        return 0;
+    if (!exact)
+        exact = own;
+    if (exact_of(e, exact))
+        return -1;
+    if (e->decomp) {
+        for (int k = 0; check && k < 2; k++) {
+            if (fabs(e->state[k] - exact[k]) > e->drift_tol * (1.0 + fabs(exact[k]))) {
+                e->drift[0] = k;
+                e->drift[1] = e->state[k];
+                e->drift[2] = exact[k];
+                return 1;
+            }
+        }
+        e->state[0] = exact[0];
+        e->state[1] = exact[1];
+    }
+    return 0;
+}
+
+/* _Engine._advance without collect: steps steps in chunks of at most chunk,
+ * none past a resync, a resync that fell due running before the next chunk.
+ * Before each chunk it does what the interpreter did between the Python
+ * loop's chunks: it lets a waiting Python thread take the GIL, and it runs
+ * the signal handlers, so that a long run neither stalls the caller's other
+ * threads nor ignores Ctrl-C.  Returns 0, or -1 with an exception set. */
+static int advance_by(struct engine *e, Py_ssize_t steps)
+{
+    for (Py_ssize_t done = 0, b; done < steps; done += b) {
+        Py_ssize_t count, m;
+
+        Py_BEGIN_ALLOW_THREADS
+        Py_END_ALLOW_THREADS
+        if (PyErr_CheckSignals() ||
+            (e->since_resync >= e->resync_every && resync(e, 0, NULL)))
+            return -1;
+        b = e->chunk;
+        if (b > steps - done)
+            b = steps - done;
+        if (b > e->resync_every - e->since_resync)
+            b = e->resync_every - e->since_resync;
+        count = b * e->per_step;
+        m = count - count % 2;
+        draw_chunk(e->bg, e->matching, e->n, count, e->code, e->param, e->agents, e->noise,
+                   e->coins);
+        if (e->code == NOISE_UNIFORMS && map_discrete(e->noise, e->folds, e->fold, m, e->param))
+            return -1;
+        apply_pairs(e->x, e->n, e->agents, e->noise, e->coins, m / 2, &e->rule, e->decomp,
+                    e->state, NULL);
+        e->since_resync += b;
+    }
+    return 0;
+}
+
+/* The snapshot row (step, tss, phibar, phi, mean, drift) of the values, with
+ * exact[] their mean and potential, as dynamics._snapshot_row makes it: tss
+ * is np.dot(d, d) of d = values - x0, written into diff (a float64 array of
+ * n values at d).  A new reference, or NULL with an exception set. */
+static PyObject *snapshot_row(const struct engine *e, Py_ssize_t step, double x0,
+                              const double *exact, PyObject *diff, double *d)
+{
+    PyObject *args[2], *dot;
+    double tss;
+
+    for (Py_ssize_t k = 0; k < e->n; k++)
+        d[k] = e->x[k] - x0;
+    args[0] = args[1] = diff;
+    dot = PyObject_Vectorcall(numpy_dot, args, 2, NULL);
+    if (!dot)
+        return NULL;
+    tss = PyFloat_AsDouble(dot);
+    Py_DECREF(dot);
+    if (tss == -1.0 && PyErr_Occurred())
+        return NULL;
+    return Py_BuildValue("(nddddd)", step, tss, exact[1], 2.0 * (double)e->n * exact[1],
+                         exact[0], exact[0] - x0);
+}
+
+/* Append item, a new reference or NULL, to list.  Returns 0, or -1 with an
+ * exception set. */
+static int append(PyObject *list, PyObject *item)
+{
+    int failed = !item || PyList_Append(list, item);
+
+    Py_XDECREF(item);
+    return failed ? -1 : 0;
+}
+
+/* A tuple of `size` items, or NULL with a TypeError naming it. */
+static PyObject *get_tuple(PyObject *obj, const char *name, Py_ssize_t size)
+{
+    if (PyTuple_Check(obj) && PyTuple_GET_SIZE(obj) == size)
+        return obj;
+    PyErr_Format(PyExc_TypeError, "%s must be a tuple of %zd items", name, size);
+    return NULL;
+}
+
+/* run(capsule, values, state, buffers, diff, flags, noise, schedule,
+ *     since_resync, decomp, x0, steps, record_every, windows, drift_tol, exact):
+ * dynamics._Engine._record's loop, the boundary loop of a run, in one call.
+ * buffers is the engine's (agents, noise, coins, offsets, folds), noise its
+ * (code, parameter), schedule (matching, resync interval, longest chunk,
+ * agents per step); since_resync and decomp are the engine's counter and
+ * window flag, x0 the initial average, windows the flat int64 (t0, t1)
+ * pairs, sorted and apart, within [0, steps].  At each record step, each
+ * multiple of record_every up to steps, steps itself and each t0 and t1,
+ * counted from the call, it advances in the engine's chunks and resyncs,
+ * checks and resyncs the trackers as refresh() does, closes a window that
+ * ends there, appends the snapshot row and opens a window that starts there
+ * on the same exact sums.  Returns (rows, closed, since_resync, decomp,
+ * drift): each closed window as (t0, t1, phi_bar(t0), phi_bar(t1), S', S*,
+ * S^-), and drift None, or (tracker, tracked, exact, step) for a tracker that
+ * drifted at a record step, where the run stopped. */
+static PyObject *run(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    struct engine e;
+    Py_buffer views[8];
+    int held = 0;
+    PyObject *buffers, *noise, *schedule, *rows = NULL, *closed = NULL, *drift = NULL;
+    PyObject *out = NULL;
+    Py_ssize_t steps, record_every, cap, need, nwin, next = 0, open = -1;
+    double x0, exact[2], phi0 = 0.0;
+    const int64_t *win;
+
+    (void)self;
+    if (check_nargs("run", nargs, 16))
+        return NULL;
+    e.bg = PyCapsule_GetPointer(args[0], "BitGenerator");
+    if (!e.bg || !(buffers = get_tuple(args[3], "buffers", 5)) || get_rule(args[5], &e.rule) ||
+        !(noise = get_tuple(args[6], "noise", 2)) ||
+        !(schedule = get_tuple(args[7], "schedule", 4)) ||
+        get_count(PyTuple_GET_ITEM(schedule, 1), "resync interval", &e.resync_every) ||
+        get_count(PyTuple_GET_ITEM(schedule, 2), "chunk", &e.chunk) ||
+        get_count(PyTuple_GET_ITEM(schedule, 3), "agents per step", &e.per_step) ||
+        get_count(args[8], "since_resync", &e.since_resync) ||
+        get_count(args[11], "steps", &steps) || get_count(args[12], "record_every", &record_every))
+        return NULL;
+    e.matching = PyObject_IsTrue(PyTuple_GET_ITEM(schedule, 0));
+    e.code = PyLong_AsLong(PyTuple_GET_ITEM(noise, 0));
+    e.param = PyFloat_AsDouble(PyTuple_GET_ITEM(noise, 1));
+    e.decomp = PyObject_IsTrue(args[9]);
+    x0 = PyFloat_AsDouble(args[10]);
+    e.drift_tol = PyFloat_AsDouble(args[14]);
+    if (PyErr_Occurred())
+        return NULL;
+    if (e.resync_every < 1 || e.chunk < 1 || e.per_step < 1 || record_every < 1 ||
+        e.code < NOISE_ZERO || e.code > NOISE_UNIFORMS ||
+        (e.code == NOISE_UNIFORMS && !(e.param < 0.0))) {
+        PyErr_SetString(PyExc_ValueError, "run(): a bad schedule, record_every or noise");
+        return NULL;
+    }
+    if (!PyCallable_Check(args[15])) {
+        PyErr_SetString(PyExc_TypeError, "run(): exact must be callable");
+        return NULL;
+    }
+    e.exact = args[15];
+    e.values = args[1];
+    cap = e.chunk < e.resync_every ? e.chunk : e.resync_every;
+    if (cap > PY_SSIZE_T_MAX / e.per_step) {
+        PyErr_SetString(PyExc_ValueError, "run(): chunks too large");
+        return NULL;
+    }
+    need = cap * e.per_step;
+    e.folds = PyTuple_GET_ITEM(buffers, 4);
+    if (get_buffer(args[1], &views[held++], "values", 'd', 1, 1) ||
+        get_buffer(args[2], &views[held++], "state", 'd', 1, 5) ||
+        get_buffer(PyTuple_GET_ITEM(buffers, 0), &views[held++], "agents", 'q', 1, need) ||
+        get_buffer(PyTuple_GET_ITEM(buffers, 1), &views[held++], "noise", 'd', 1, need) ||
+        get_optional(e.rule.do_round ? PyTuple_GET_ITEM(buffers, 2) : Py_None,
+                     &views[held++], "coins", 'd', need) ||
+        get_buffer(e.folds, &views[held++], "folds", 'd', 1, need) ||
+        get_buffer(args[13], &views[held++], "windows", 'q', 0, 0))
+        goto fail;
+    e.x = views[0].buf;
+    e.n = views[0].shape[0];
+    e.state = views[1].buf;
+    e.agents = views[2].buf;
+    e.noise = views[3].buf;
+    e.coins = views[4].buf;
+    e.fold = views[5].buf;
+    win = views[6].buf;
+    nwin = views[6].shape[0] / 2;
+    if (views[1].shape[0] != 5 || (e.rule.do_round && !e.coins) ||
+        (e.matching && (e.per_step != e.n || e.chunk != 1))) {
+        PyErr_SetString(PyExc_ValueError, "run(): state must hold the 5 trackers, a rounding "
+                        "rule needs coins, and a matching takes all n agents in each step");
+        goto fail;
+    }
+    if (views[6].shape[0] % 2) {
+        PyErr_SetString(PyExc_ValueError, "run(): windows must hold (t0, t1) pairs");
+        goto fail;
+    }
+    for (Py_ssize_t k = 0; k < 2 * nwin; k++) {
+        if ((k % 2 ? win[k] <= win[k - 1] : win[k] < (k ? win[k - 1] : 0)) || win[k] > steps) {
+            PyErr_SetString(PyExc_ValueError, "run(): windows must be sorted and apart, "
+                                              "t0 < t1, within [0, steps]");
+            goto fail;
+        }
+    }
+    if (get_buffer(args[4], &views[held++], "diff", 'd', 1, e.n) ||
+        !(rows = PyList_New(0)) || !(closed = PyList_New(0)))
+        goto fail;
+    for (Py_ssize_t b = 0, done = 0;;) {
+        int drifted;
+
+        if (advance_by(&e, b - done))
+            goto fail;
+        done = b;
+        drifted = resync(&e, 1, exact);
+        if (drifted < 0)
+            goto fail;
+        if (drifted) {
+            drift = Py_BuildValue("(iddn)", (int)e.drift[0], e.drift[1], e.drift[2], b);
+            break;
+        }
+        if (open >= 0 && b == win[2 * open + 1]) {
+            e.decomp = 0;
+            if (append(closed, Py_BuildValue("(nnddddd)", (Py_ssize_t)win[2 * open], b, phi0,
+                                             exact[1], e.state[2], e.state[3], e.state[4])))
+                goto fail;
+            open = -1;
+        }
+        if (append(rows, snapshot_row(&e, b, x0, exact, args[4], views[7].buf)))
+            goto fail;
+        if (next < nwin && win[2 * next] == b) {
+            /* begin_decomposition on the refresh's exact sums */
+            e.state[2] = e.state[3] = e.state[4] = 0.0;
+            e.decomp = 1;
+            e.since_resync = 0;
+            e.state[0] = exact[0];
+            e.state[1] = exact[1];
+            phi0 = exact[1];
+            open = next++;
+        }
+        if (b == steps) {
+            drift = Py_None;
+            Py_INCREF(drift);
+            break;
+        }
+        /* the earliest of the next multiple of record_every (or steps), the
+         * open window's end and the next window's start */
+        b -= b % record_every;
+        b = steps - b <= record_every ? steps : b + record_every;
+        if (open >= 0 && win[2 * open + 1] < b)
+            b = (Py_ssize_t)win[2 * open + 1];
+        if (next < nwin && win[2 * next] < b)
+            b = (Py_ssize_t)win[2 * next];
+    }
+fail:
+    release(views, held);
+    if (drift)
+        out = Py_BuildValue("(OOnON)", rows, closed, e.since_resync,
+                            e.decomp ? Py_True : Py_False, drift);
+    Py_XDECREF(rows);
+    Py_XDECREF(closed);
+    return out;
+}
+
+/* exact_moments(values): (mean, phibar), or None where moments() declines,
+ * for the caller's math.fsum. */
 static PyObject *exact_moments(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
     Py_buffer view;
-    int with_phibar, declined;
+    int declined;
     double out[2];
 
     (void)self;
-    if (check_nargs("exact_moments", nargs, 2))
+    if (check_nargs("exact_moments", nargs, 1) || get_buffer(args[0], &view, "values", 'd', 0, 0))
         return NULL;
-    with_phibar = PyObject_IsTrue(args[1]);
-    if (with_phibar < 0 || get_buffer(args[0], &view, "values", 'd', 0, 0))
-        return NULL;
-    declined = moments(view.buf, view.shape[0], with_phibar, out);
+    declined = moments(view.buf, view.shape[0], out);
     PyBuffer_Release(&view);
     if (declined)
         Py_RETURN_NONE;
-    if (with_phibar)
-        return Py_BuildValue("(dd)", out[0], out[1]);
-    return Py_BuildValue("(dO)", out[0], Py_None);
+    return Py_BuildValue("(dd)", out[0], out[1]);
 }
 
 /* py_floordiv(v, w): the C port of v // w, for the tests. */
@@ -1055,10 +1396,10 @@ static PyObject *floordiv(PyObject *self, PyObject *const *args, Py_ssize_t narg
 
 static PyMethodDef methods[] = {
     {"draw", FASTCALL(draw), "One chunk's pairs or permutation, noise and coins."},
-    {"discrete_folds", FASTCALL(discrete_folds), "The folds of the discrete noise's uniforms."},
-    {"discrete_noise", FASTCALL(discrete_noise), "The discrete noise from its uniforms' logs."},
+    {"discrete_map", FASTCALL(discrete_map), "The discrete noise from its uniforms."},
     {"onestep_cases", FASTCALL(onestep_cases), "The inputs of verify's one-step cases."},
     {"pair_chunk", FASTCALL(pair_chunk), "Apply a batch of exchanges in place."},
+    {"run", FASTCALL(run), "A run's boundary loop: chunks, resyncs, snapshots, windows."},
     {"exact_moments", FASTCALL(exact_moments), "Correctly rounded mean and potential."},
     {"py_floordiv", FASTCALL(floordiv), "Python's float floor division."},
     {NULL, NULL, 0, NULL},
@@ -1075,11 +1416,22 @@ static struct PyModuleDef module = {
 PyMODINIT_FUNC PyInit__kernel(void)
 {
     char why[200];
+    PyObject *numpy;
 
     calibrate();
     if (check_normal(why, sizeof why)) {
         PyErr_Format(PyExc_ImportError, "the normal check failed: %s", why);
         return NULL;
     }
+    numpy = PyImport_ImportModule("numpy");
+    if (!numpy)
+        return NULL;
+    Py_XDECREF(numpy_dot);
+    Py_XDECREF(numpy_log1p);
+    numpy_dot = PyObject_GetAttrString(numpy, "dot");
+    numpy_log1p = PyObject_GetAttrString(numpy, "log1p");
+    Py_DECREF(numpy);
+    if (!numpy_dot || !numpy_log1p)
+        return NULL;
     return PyModule_Create(&module);
 }

@@ -227,14 +227,15 @@ def replay_event(pop: Population, event: StepEvent, rule: UpdateRule) -> None:
 # batched engines
 # ---------------------------------------------------------------------------
 
-#: The compiled draws, pair loop and exact sums (``_kernel.c``), or None
-#: where they could not be built; the engines then draw with numpy, run
-#: ``_pairs_reference`` and ``_exact`` its ``math.fsum`` body.
+#: The compiled draws, pair loop, exact sums and run loop (``_kernel.c``), or
+#: None where they could not be built; the engines then draw with numpy, run
+#: ``_pairs_reference``, ``_exact`` its ``math.fsum`` body and
+#: ``_Engine._record``.
 _kernel = _native.load()
 
 #: The kernel's noise draws (``NOISE_*`` in ``_kernel.c``): none, normal(0,
-#: scale) per value, or uniforms that ``_discrete_noise`` maps to the discrete
-#: model.
+#: scale) per value, or uniforms that its ``discrete_map`` maps to the
+#: discrete model, as ``sample_batch`` does, bit for bit.
 _ZERO, _GAUSSIAN, _UNIFORMS = range(3)
 
 
@@ -248,19 +249,8 @@ def _noise_params(model: NoiseModel) -> tuple[int, float]:
     return _UNIFORMS, math.log1p(-model.p) if model.p < 1.0 else -math.inf
 
 
-def _discrete_noise(noise: np.ndarray, folds: np.ndarray, m: int, log_q: float) -> None:
-    """Map the uniforms in ``noise[:m]`` to the discrete model in place, as
-    ``sample_batch`` would have mapped them, bit for bit: the kernel folds
-    them into ``folds``, numpy's ``log1p`` (SIMD code that libm does not
-    reproduce) takes their logarithms in place, and the kernel finishes."""
-    _kernel.discrete_folds(noise, folds, m)
-    logs = folds[:m]
-    np.log1p(logs, out=logs)
-    _kernel.discrete_noise(noise, folds, m, log_q)
-
-
-def _exact(values: np.ndarray, with_phibar: bool = True) -> tuple[float, Optional[float]]:
-    """Mean and (if asked) potential about it, each from one correctly rounded sum.
+def _exact(values: np.ndarray) -> tuple[float, float]:
+    """Mean and potential about it, each from one correctly rounded sum.
 
     The squares are rounded one by one, as ``(x - m) * (x - m)`` would be.
     The kernel's ``exact_moments`` (a superaccumulator) gives ``math.fsum``'s
@@ -270,14 +260,23 @@ def _exact(values: np.ndarray, with_phibar: bool = True) -> tuple[float, Optiona
     whose biased exponent plus the bit length of n plus 2 exceeds 2046.
     """
     if _kernel is not None:
-        out = _kernel.exact_moments(values, with_phibar)
+        out = _kernel.exact_moments(values)
         if out is not None:
             return out
     mean = math.fsum(values.tolist()) / len(values)
-    if not with_phibar:
-        return mean, None
     d = values - mean
     return mean, math.fsum((d * d).tolist())
+
+
+def _sum_sq(values: np.ndarray, centre: float) -> float:
+    """Sum of (x_i - centre)^2, by numpy's dot product."""
+    d = values - centre
+    return float(np.dot(d, d))
+
+
+def _snapshot_row(values: np.ndarray, step: int, x0: float, mean: float, phibar: float) -> tuple:
+    """A ``PotentialSnapshot``'s fields, given the initial average x0, mean and phi_bar."""
+    return step, _sum_sq(values, x0), phibar, 2.0 * len(values) * phibar, mean, mean - x0
 
 
 def _decomposition_step(xi, xj, a, c, mean, tracked, inv_n):
@@ -372,7 +371,7 @@ def _draw_and_apply(values: np.ndarray, count: int, matching: bool, model: Noise
         _kernel.draw(rng.bit_generator.capsule, matching, n, count, code, param, agents, noise,
                      coins)
         if code == _UNIFORMS:
-            _discrete_noise(noise, folds, m, param)
+            _kernel.discrete_map(noise, folds, m, param)
         _kernel.pair_chunk(values, agents, noise, coins, m, flags, decomp, state, offsets)
     else:
         agents[:count] = rng.permutation(n) if matching else rng.integers(0, n, size=count)
@@ -397,10 +396,10 @@ def _draw_and_apply(values: np.ndarray, count: int, matching: bool, model: Noise
 class _Engine:
     """What both engines share: the values, the trackers in ``state``, the
     exact recomputation that checks and resyncs them, the buffers each
-    chunk's draws fill, and the chunk loop.  ``state`` is [mean, phi_bar,
-    S', S*, S^-] in ``pair_chunk``'s layout; the trackers are live only
-    while a decomposition window is open (``_decomp``), the one reader of
-    the mean tracker, and hold no meaning outside one.  A subclass
+    chunk's draws fill, the chunk loop and a run's boundary loop.  ``state``
+    is [mean, phi_bar, S', S*, S^-] in ``pair_chunk``'s layout; the trackers
+    are live only while a decomposition window is open (``_decomp``), the one
+    reader of the mean tracker, and hold no meaning outside one.  A subclass
     holds only data: its ``_unit``, whether a step draws a ``_matching``,
     and its ``_schedule``."""
 
@@ -415,6 +414,7 @@ class _Engine:
         self._noise = _noise_params(model)
         self.values = np.array(pop.values, dtype=np.float64)
         self.n = len(self.values)
+        self.initial_average = pop.initial_average
         self.state = np.zeros(5)
         self.step = pop.step_count
         self._decomp = False
@@ -439,15 +439,16 @@ class _Engine:
             if check:  # ``item`` is the cheapest read of one tracker as a Python float
                 tracked = self.state.item(0)
                 if abs(tracked - mean) > DRIFT_TOL * (1.0 + abs(mean)):
-                    self._drifted("running-mean", tracked, mean)
+                    self._drifted(0, tracked, mean)
                 tracked = self.state.item(1)
                 if abs(tracked - phibar) > DRIFT_TOL * (1.0 + abs(phibar)):
-                    self._drifted("potential", tracked, phibar)
+                    self._drifted(1, tracked, phibar)
             self.state[0] = mean  # item by item: a slice assignment costs 4 times as much
             self.state[1] = phibar
         return mean, phibar
 
-    def _drifted(self, name: str, tracked: float, exact: float) -> None:
+    def _drifted(self, tracker: int, tracked: float, exact: float) -> None:
+        name = ("running-mean", "potential")[tracker]
         raise NumericalDriftError(f"{name} tracker drifted: {tracked} vs {exact} "
                                   f"at {self._unit} {self.step}")
 
@@ -456,12 +457,33 @@ class _Engine:
         window is open, verify and resync the trackers."""
         return self._resync(True)
 
-    def advance(self, steps: int, collect: Optional[list] = None) -> None:
+    def advance(self, steps: int, collect: Optional[list] = None,
+                record_every: Optional[int] = None, windows=()) -> Optional[tuple[list, list]]:
+        """Run ``steps`` steps, appending one StepEvent per step to ``collect``.
+        With ``record_every``, run them as a run's boundary loop and return
+        what ``_record`` returns, in one call of the kernel's ``run`` where
+        there is a kernel, which leaves everything as ``_record`` leaves it."""
+        if record_every is None:
+            return self._advance(steps, collect)
+        if _kernel is None:
+            return self._record(steps, record_every, windows)
+        rows, closed, self._since_resync, self._decomp, drift = _kernel.run(
+            self.rng.bit_generator.capsule, self.values, self.state, self._buffers,
+            np.empty(self.n), self.flags, self._noise,
+            (self._matching, self._resync_every, self._chunk, self._per_step),
+            self._since_resync, self._decomp, self.initial_average, steps, record_every,
+            np.array(windows, np.int64).reshape(-1), DRIFT_TOL, _exact)
+        if drift is not None:  # (tracker, tracked, exact, step)
+            self.step += drift[3]
+            self._drifted(*drift[:3])
+        self.step += steps
+        return rows, closed
+
+    def _advance(self, steps: int, collect: Optional[list] = None) -> None:
         """Run ``steps`` steps in chunks of at most ``_chunk``, none past a
         resync.  A due resync runs before the next chunk rather than after the
         last one, so a ``refresh`` between the two (which resyncs too) replaces
-        it and still checks the trackers.  With ``collect``, appends one
-        StepEvent per step."""
+        it and still checks the trackers."""
         if steps <= 0:
             return
         done = 0
@@ -480,6 +502,27 @@ class _Engine:
             done += b
             self._since_resync += b
         self.step += steps
+
+    def _record(self, steps: int, record_every: int, windows) -> tuple[list, list]:
+        """The kernel's ``run`` in Python, and its oracle: at step 0, every
+        ``record_every`` steps, at ``steps`` and at each end of the sorted,
+        apart ``windows`` (t0, t1), counted from the current step, advance,
+        refresh, close a window that ends there, append the snapshot row and
+        open a window that starts there.  Returns the rows and each closed
+        window's (t0, t1, phi_bar(t0), phi_bar(t1), S', S*, S^-)."""
+        ends = dict(windows)  # t0 -> t1
+        start, rows, closed, opened = self.step, [], [], None  # opened: (t0, phi_bar(t0))
+        for b in sorted({*range(0, steps + 1, record_every), steps, *ends, *ends.values()}):
+            self._advance(start + b - self.step)
+            mean, phibar = self.refresh()
+            if opened and b == ends[opened[0]]:
+                closed.append((opened[0], b, opened[1], phibar, *self.end_decomposition()))
+                opened = None
+            rows.append(_snapshot_row(self.values, b, self.initial_average, mean, phibar))
+            if b in ends:
+                self.begin_decomposition((mean, phibar))
+                opened = b, phibar
+        return rows, closed
 
 
 class SequentialEngine(_Engine):

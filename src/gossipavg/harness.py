@@ -40,8 +40,6 @@ from .potentials import (
     PotentialSnapshot,
     check_decomposition_bound,
 )
-# the snapshot builder of run_single, timed under this name by perfbench/tracer.py
-from .potentials import _snapshot_of as _snapshot_from_engine
 from .seeding import GENERATOR_NAME, make_rng
 
 # ---------------------------------------------------------------------------
@@ -311,6 +309,9 @@ class TraceRecord:
 # running experiments
 # ---------------------------------------------------------------------------
 
+#: run_single's snapshot of an engine row, timed under this name by perfbench/tracer.py
+_snapshot_from_engine = PotentialSnapshot._make
+
 
 def _initial_values(config: ExperimentConfig, rng) -> np.ndarray:
     init = config.init
@@ -327,36 +328,20 @@ def initial_phi_bar(config: ExperimentConfig) -> float:
 
 
 def run_single(config: ExperimentConfig, run_index: int) -> TraceRecord:
-    """Execute one run of the ensemble; deterministic in (config, run_index)."""
+    """Execute one run of the ensemble; deterministic in (config, run_index).
+    The engine's ``advance`` runs its boundary loop (one kernel call where
+    there is a kernel); this makes its rows snapshots and its windows records."""
     rng = make_rng(config.master_seed, run_index)
-    pop = init_population(_initial_values(config, rng))
-    x0 = pop.initial_average
-
-    engine = ENGINES[config.scheduler](pop, config.noise, config.rule, rng)
-    ends = dict(config.decomposition_intervals)  # t0 -> t1
-    record_set = set(range(0, config.steps + 1, config.record_every))
-    record_set.add(config.steps)
-    boundaries = sorted(record_set | set(ends) | set(ends.values()))
-
-    trace = TraceRecord(run_index=run_index, n=config.n)
-    open_t0: Optional[int] = None
-    open_phi0 = 0.0
-    for b in boundaries:
-        engine.advance(b - engine.step)
-        mean, phibar = engine.refresh()
-        if open_t0 is not None and b == ends[open_t0]:
-            s_prime, s_star, s_minus = engine.end_decomposition()
-            acc = DecompositionAccumulator(open_t0, b, s_prime, s_star, s_minus)
-            holds = check_decomposition_bound(acc, open_phi0, phibar)
-            trace.decompositions.append(DecompositionRecord(acc, holds))
-            open_t0 = None
-        trace.snapshots.append(_snapshot_from_engine(engine.values, b, x0, mean, phibar))
-        if b in ends:
-            engine.begin_decomposition((mean, phibar))
-            open_t0, open_phi0 = b, phibar
-
-    trace.final_population = engine.values  # the engine is dropped here, so no copy
-    return trace
+    engine = ENGINES[config.scheduler](init_population(_initial_values(config, rng)),
+                                       config.noise, config.rule, rng)
+    rows, closed = engine.advance(config.steps, record_every=config.record_every,
+                                  windows=config.decomposition_intervals)
+    decompositions = []
+    for t0, t1, phi0, phi1, *sums in closed:
+        acc = DecompositionAccumulator(t0, t1, *sums)
+        decompositions.append(DecompositionRecord(acc, check_decomposition_bound(acc, phi0, phi1)))
+    return TraceRecord(run_index, config.n, list(map(_snapshot_from_engine, rows)),
+                       decompositions, engine.values)  # the engine is dropped: no copy
 
 
 def run_experiment(config: ExperimentConfig, jobs: int = 1, per_run=None) -> list:

@@ -87,7 +87,7 @@ def sample_batch(model: NoiseModel, rng: np.random.Generator, size: int) -> np.n
     draw (sign from the uniform's half, magnitude from the folded
     remainder), so the stream consumption is one value per sample, whatever
     the batch size.  The engines' compiled kernel maps its own draws of
-    those uniforms bit for bit as this does (``dynamics._discrete_noise``);
+    those uniforms bit for bit as this does (``_kernel.discrete_map``);
     this is its oracle and the engines' draw without the kernel.
     """
     if isinstance(model, Zero):

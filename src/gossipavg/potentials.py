@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dynamics import Population, StepEvent, _decomposition_step
+from .dynamics import Population, StepEvent, _decomposition_step, _snapshot_row, _sum_sq
 from .errors import ModelMismatchError, ParameterError
 
 
@@ -51,12 +51,6 @@ class DecompositionAccumulator(NamedTuple):
         return self.t1 - self.t0
 
 
-def _sum_sq(values: np.ndarray, centre: float) -> float:
-    """Sum of (x_i - centre)^2, by numpy's dot product."""
-    d = values - centre
-    return float(np.dot(d, d))
-
-
 def tss(pop: Population) -> float:
     """Total sum of squares about the frozen initial average."""
     return _sum_sq(pop.values, pop.initial_average)
@@ -72,17 +66,11 @@ def phi(pop: Population) -> float:
     return 2.0 * pop.n * phi_bar(pop)
 
 
-def _snapshot_of(values: np.ndarray, step: int, initial_average: float, mean: float,
-                 phibar: float) -> PotentialSnapshot:
-    """The snapshot of ``values`` at ``step``, given their mean and phi_bar."""
-    return PotentialSnapshot(step, _sum_sq(values, initial_average), phibar,
-                             2.0 * len(values) * phibar, mean, mean - initial_average)
-
-
 def snapshot(pop: Population) -> PotentialSnapshot:
     """Record all potentials of the population at its current step."""
-    return _snapshot_of(pop.values, pop.step_count, pop.initial_average,
-                        pop.running_average(), phi_bar(pop))
+    return PotentialSnapshot._make(_snapshot_row(pop.values, pop.step_count,
+                                                 pop.initial_average, pop.running_average(),
+                                                 phi_bar(pop)))
 
 
 def one_step_delta(x_i: float, x_j: float, n_i: float, n_j: float, mean: float, n: int) -> float:

@@ -5,15 +5,18 @@ import itertools
 import math
 import os
 import shutil
+import signal
 import struct
 import subprocess
 import sysconfig
 import tempfile
+import threading
+import time
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gossipavg import (
@@ -33,7 +36,7 @@ from gossipavg import (
     sequential_step,
     synchronous_step,
 )
-from gossipavg import _native, dynamics
+from gossipavg import _native, dynamics, harness
 from gossipavg.dynamics import Population, SequentialEngine, SynchronousEngine
 from gossipavg.errors import NumericalDriftError
 
@@ -331,10 +334,10 @@ def test_advance_resyncs_every_interval(monkeypatch, engine_cls, every, window):
         resyncs.append(self.values.copy())
         return resync(self, check, exact)
 
-    def exact_spy(values, with_phibar=True):
+    def exact_spy(values):
         assert values is engine.values
         sums.append(values.copy())
-        return exact(values, with_phibar)
+        return exact(values)
 
     monkeypatch.setattr(engine_cls, "_resync", resync_spy)
     monkeypatch.setattr(dynamics, "_exact", exact_spy)
@@ -438,6 +441,150 @@ def test_kernel_matches_reference_loop(scheduler, rule, model, n, integral, deco
     with mock.patch.object(dynamics, "_kernel", None):
         reference = _drive(*args)
     assert compiled == reference
+
+
+def _observed_run(config, kernel):
+    """``harness.run_single(config, 0)`` with ``kernel`` (None for the Python
+    loop): the repr of its snapshots and decomposition records (exact for
+    floats, signed zeros included) and its final values' bytes, or the
+    message of the NumericalDriftError it raised; and its generator's state
+    after the run."""
+    rngs = []
+
+    def spy(*args):
+        rngs.append(make_rng(*args))
+        return rngs[-1]
+
+    with mock.patch.object(dynamics, "_kernel", kernel), \
+            mock.patch.object(harness, "make_rng", spy):
+        try:
+            trace = harness.run_single(config, 0)
+        except NumericalDriftError as exc:
+            return str(exc), rngs[0].bit_generator.state
+    return ((repr(trace.snapshots), repr(trace.decompositions), trace.final_population.tobytes()),
+            rngs[0].bit_generator.state)
+
+
+@st.composite
+def _record_runs(draw):
+    """A run_single config: both schedulers, the oracle's rules and noises,
+    odd and even n, steps and record_every that do and do not divide each
+    other or the 1024-step resync, and sequential windows, adjacent or apart,
+    whose ends fall on record steps or between them, and which span periodic
+    resyncs where record steps are more than 1024 apart."""
+    scheduler = draw(st.sampled_from(["sequential", "synchronous"]))
+    steps = draw(st.one_of(st.integers(1, 3500), st.sampled_from([1024, 2048, 3072])))
+    windows = ()
+    if scheduler == "synchronous":
+        steps = 1 + steps // 10
+    else:
+        ends = draw(st.sampled_from([0, 2, 3, 6]))
+        cuts = sorted(set(draw(st.lists(st.integers(0, steps), min_size=ends, max_size=ends))))
+        if draw(st.booleans()):  # windows from step 0 to the end, so they span resyncs
+            cuts = sorted({0, *cuts, steps})
+        apart = draw(st.sampled_from([1, 2]))  # 1: each window starts where the last ended
+        windows = tuple(zip(cuts[:-1:apart], cuts[1::apart]))
+    record_every = draw(st.one_of(st.integers(1, steps),
+                                  st.sampled_from([r for r in (1, 100, 1024, 1500) if r <= steps])))
+    return harness.ExperimentConfig(
+        n=draw(st.sampled_from([2, 3, 8, 9, 40, 41])),
+        init=draw(st.sampled_from([harness.UniformInit(1.0, 10.0), harness.ConstantInit(5.0)])),
+        scheduler=scheduler, noise=draw(st.sampled_from(ORACLE_NOISES)),
+        rule=draw(st.sampled_from(ORACLE_RULES)), steps=steps,
+        master_seed=draw(st.integers(0, 2**64 - 1)), record_every=record_every,
+        decomposition_intervals=windows)
+
+
+#: The shape of the golden ``seq-resync-boundaries`` config: a record step on
+#: every due resync, inside a window.
+_RESYNC_BOUNDARIES = harness.ExperimentConfig(
+    n=40, init=harness.UniformInit(0.0, 10.0), scheduler="sequential", noise=Gaussian(1.0),
+    rule=Real(), steps=3072, master_seed=5, record_every=1024, decomposition_intervals=((0, 3072),))
+
+
+@needs_kernel
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(config=_record_runs(), drift_tol=st.sampled_from([dynamics.DRIFT_TOL, 0.0]))
+@example(config=_RESYNC_BOUNDARIES, drift_tol=dynamics.DRIFT_TOL)
+@example(config=_RESYNC_BOUNDARIES, drift_tol=0.0)
+def test_kernel_run_matches_the_python_loop(config, drift_tol):
+    """A run's boundary loop in one kernel call (``_kernel.run``) gives the
+    Python loop's snapshots, decomposition sums and bound checks, final
+    values and generator state, bit for bit.  At a drift tolerance of 0 a
+    window's trackers drift wherever they are not exact, and both raise the
+    same NumericalDriftError, at the same step, after the same draws."""
+    config.validate()
+    with mock.patch.object(dynamics, "DRIFT_TOL", drift_tol):
+        assert _observed_run(config, dynamics._kernel) == _observed_run(config, None)
+
+
+@needs_kernel
+def test_kernel_run_drifts_where_the_python_loop_does():
+    """Far from 0 (values near 1e12) the potential tracker loses its digits
+    and the run stops: the kernel raises the Python loop's message, at the
+    same step, after the same draws."""
+    config = harness.ExperimentConfig(
+        n=100, init=harness.UniformInit(1e12, 1e12 + 10), scheduler="sequential",
+        noise=Gaussian(1.0), rule=Real(), steps=5000, master_seed=1, record_every=100,
+        decomposition_intervals=((0, 5000),))
+    compiled = _observed_run(config, dynamics._kernel)
+    assert compiled == _observed_run(config, None)
+    assert compiled[0].startswith("potential tracker drifted")
+
+
+@needs_kernel
+@pytest.mark.skipif(not hasattr(signal, "setitimer"), reason="no interval timer")
+def test_kernel_run_stops_on_a_signal():
+    """A whole run is one kernel call, which runs the signal handlers before
+    each chunk: a handler that raises stops a run of 10^10 steps (minutes of
+    work) within moments, as it stops the Python loop between chunks."""
+    class Alarm(Exception):
+        pass
+
+    def ring(signum, frame):
+        raise Alarm
+
+    engine = SequentialEngine(init_population(np.arange(100.0)), Gaussian(1.0), Real(),
+                              make_rng(3))
+    previous = signal.signal(signal.SIGALRM, ring)
+    try:
+        signal.setitimer(signal.ITIMER_REAL, 0.05)
+        started = time.perf_counter()
+        with pytest.raises(Alarm):
+            engine.advance(10**10, record_every=10**10)
+        assert time.perf_counter() - started < 10.0
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@needs_kernel
+def test_kernel_run_lets_other_threads_run():
+    """A whole run is one kernel call, which lets a waiting Python thread take
+    the GIL before each chunk, as the interpreter did between the Python
+    loop's chunks: a thread that ticks every 5 ms keeps ticking through a
+    run of 10^7 steps, which it could not if the call held the GIL
+    throughout (its longest gap would be the run)."""
+    ticks, running = [], [True]
+
+    def tick():
+        while running[0]:
+            ticks.append(time.perf_counter())
+            time.sleep(0.005)
+
+    engine = SequentialEngine(init_population(np.arange(100.0)), Gaussian(1.0), Real(),
+                              make_rng(4))
+    ticker = threading.Thread(target=tick)
+    ticker.start()
+    try:
+        started = time.perf_counter()
+        engine.advance(10**7, record_every=10**7)
+        ended = time.perf_counter()
+    finally:
+        running[0] = False
+        ticker.join()
+    during = [started] + [t for t in ticks if started < t < ended] + [ended]
+    assert max(b - a for a, b in zip(during, during[1:])) < (ended - started) / 2
 
 
 @needs_kernel
@@ -638,48 +785,46 @@ EXACT_FINITE = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
                          st.floats(-1e6, 1e6), st.sampled_from(EXACT_EDGE_FLOATS))
 
 
-def _exact_outcome(values, with_phibar, kernel):
+def _exact_outcome(values, kernel):
     """float.hex of what ``_exact`` returns with ``kernel`` (None for the
     fsum body alone), or the type of what it raises."""
     try:
         with np.errstate(over="ignore", invalid="ignore"), \
                 mock.patch.object(dynamics, "_kernel", kernel):
-            mean, phibar = dynamics._exact(values, with_phibar)
+            mean, phibar = dynamics._exact(values)
     except (OverflowError, ValueError) as exc:
         return type(exc)
-    return mean.hex(), None if phibar is None else phibar.hex()
+    return mean.hex(), phibar.hex()
 
 
-def _assert_exact_matches_fsum(values, with_phibar):
+def _assert_exact_matches_fsum(values):
     """The compiled sums against the fsum body."""
     assert dynamics._kernel is not None
-    assert (_exact_outcome(values, with_phibar, dynamics._kernel)
-            == _exact_outcome(values, with_phibar, None))
+    assert _exact_outcome(values, dynamics._kernel) == _exact_outcome(values, None)
 
 
 @needs_kernel
 @settings(max_examples=400, deadline=None, derandomize=True, database=None)
-@given(values=st.lists(EXACT_FINITE, min_size=2, max_size=300), with_phibar=st.booleans())
-def test_compiled_exact_matches_fsum(values, with_phibar):
+@given(values=st.lists(EXACT_FINITE, min_size=2, max_size=300))
+def test_compiled_exact_matches_fsum(values):
     """``exact_moments`` returns math.fsum's correctly rounded sums bit for bit
     (or hands over to it where a sum or a square overflows)."""
-    _assert_exact_matches_fsum(np.array(values), with_phibar)
+    _assert_exact_matches_fsum(np.array(values))
 
 
 @needs_kernel
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(values=st.lists(st.one_of(EXACT_FINITE, st.sampled_from([math.inf, -math.inf, math.nan])),
-                       min_size=2, max_size=40),
-       with_phibar=st.booleans())
-def test_compiled_exact_matches_fsum_on_non_finite_values(values, with_phibar):
+                       min_size=2, max_size=40))
+def test_compiled_exact_matches_fsum_on_non_finite_values(values):
     """inf, -inf and NaN give fsum's value, OverflowError or ValueError."""
-    _assert_exact_matches_fsum(np.array(values), with_phibar)
+    _assert_exact_matches_fsum(np.array(values))
 
 
 def _exact_code(values):
-    """0 where ``exact_moments``, asked for the potential too, sums ``values``
-    itself; 1 where it declines (returns None)."""
-    return int(dynamics._kernel.exact_moments(values, True) is None)
+    """0 where ``exact_moments`` sums ``values`` itself; 1 where it declines
+    (returns None)."""
+    return int(dynamics._kernel.exact_moments(values) is None)
 
 
 @needs_kernel
@@ -696,11 +841,10 @@ def test_compiled_exact_sums_itself_and_declines_what_fsum_must_do():
                 [1.7e308, 1.7e308, -1.7e308], [1e200, -1e200], many_partials]
     for values in declined:
         assert code(np.array(values)) != 0
-        for with_phibar in (True, False):
-            _assert_exact_matches_fsum(np.array(values), with_phibar)
+        _assert_exact_matches_fsum(np.array(values))
     kernel = dynamics._kernel
-    assert _exact_outcome(np.array([1.7e308, 1.7e308, -1.7e308]), False, kernel) is OverflowError
-    assert _exact_outcome(np.array([math.inf, -math.inf]), True, kernel) is ValueError
+    assert _exact_outcome(np.array([1.7e308, 1.7e308, -1.7e308]), kernel) is OverflowError
+    assert _exact_outcome(np.array([math.inf, -math.inf]), kernel) is ValueError
 
 
 @functools.lru_cache(maxsize=1)
@@ -731,12 +875,15 @@ def _adversarial_sums():
 
 @needs_kernel
 @pytest.mark.parametrize("case", list(_adversarial_sums()))
-@pytest.mark.parametrize("with_phibar", [True, False])
-def test_compiled_exact_matches_fsum_on_adversarial_sums(case, with_phibar):
+@pytest.mark.parametrize("negated", [True, False])
+def test_compiled_exact_matches_fsum_on_adversarial_sums(case, negated):
     """Cancelling huge pairs, subnormals, exponents from 2^-1000 to 2^1000,
-    runs of zeros, values near 1e12 and 10^6 values: the compiled sums equal
-    the fsum body by float.hex (where the squares overflow, both are fsum's)."""
-    _assert_exact_matches_fsum(_adversarial_sums()[case], with_phibar)
+    runs of zeros, values near 1e12 and 10^6 values, as given and negated
+    (the same squares, and the mirror of each mean, which a negative total
+    rounds through the kernel's negated chunks): the compiled sums equal the
+    fsum body by float.hex (where the squares overflow, both are fsum's)."""
+    values = _adversarial_sums()[case]
+    _assert_exact_matches_fsum(-values if negated else values)
 
 
 @needs_kernel
@@ -751,7 +898,7 @@ def test_compiled_exact_sums_every_finite_input_it_can():
     assert len(set(np.frexp(spread * spread)[1])) > 32
     for values in (rng.uniform(0.0, 100.0, 10 ** 4), rng.uniform(0.0, 100.0, 10 ** 6), spread):
         assert _exact_code(values) == 0
-        _assert_exact_matches_fsum(values, True)
+        _assert_exact_matches_fsum(values)
 
 
 @needs_kernel
@@ -762,7 +909,7 @@ def test_kernel_takes_only_arrays_it_can_take(monkeypatch):
     does without a kernel."""
     frozen = np.arange(4.0)
     frozen.flags.writeable = False
-    assert dynamics._exact(frozen, True) == (1.5, 5.0)  # only read
+    assert dynamics._exact(frozen) == (1.5, 5.0)  # only read
     state, pairs, noise = np.zeros(5), np.array([0, 1]), np.zeros(2)
     flags = dynamics._rule_flags(Real())
     for bad in (frozen, np.arange(8.0)[::2], np.arange(4, dtype=np.float32),
@@ -772,15 +919,15 @@ def test_kernel_takes_only_arrays_it_can_take(monkeypatch):
             dynamics._kernel.pair_chunk(bad, pairs, noise, None, 2, flags, False, state, None)
         if bad is not frozen:
             with pytest.raises((TypeError, ValueError)):
-                dynamics._kernel.exact_moments(bad, True)
+                dynamics._kernel.exact_moments(bad)
         assert bad.tobytes() == before and state.tolist() == [0.0] * 5
     for bad_pairs in (np.array([0, 4]), np.array([-1, 0]), np.array([0, 1], dtype=np.int32)):
         with pytest.raises((TypeError, IndexError)):
             dynamics._kernel.pair_chunk(np.arange(4.0), bad_pairs, noise, None, 2, flags, False,
                                         state, None)
-    assert dynamics._kernel.exact_moments(np.zeros(0), True) is None
+    assert dynamics._kernel.exact_moments(np.zeros(0)) is None
     monkeypatch.setattr(dynamics, "_kernel", None)
-    assert dynamics._exact(np.arange(4.0), True) == (1.5, 5.0)
+    assert dynamics._exact(np.arange(4.0)) == (1.5, 5.0)
 
 
 @needs_kernel
@@ -815,10 +962,9 @@ def test_kernel_draw_checks_its_arguments_before_it_draws():
 
 @needs_kernel
 def test_kernel_discrete_map_checks_its_arguments_before_it_writes():
-    """The two entries around numpy's ``log1p`` refuse, before any value
-    changes, a short, mistyped, strided or read-only buffer, a negative
-    count, a log1p(-p) that is no negative number, and a wrong argument
-    count."""
+    """The entry around numpy's ``log1p`` refuses, before any value changes,
+    a short, mistyped, strided or read-only buffer, a negative count, a
+    log1p(-p) that is no negative number, and a wrong argument count."""
     u = make_rng(0).random(4)
     noise, folds = u.copy(), np.full(4, -0.5)
     frozen = np.zeros(4)
@@ -826,23 +972,17 @@ def test_kernel_discrete_map_checks_its_arguments_before_it_writes():
     bad_buffers = [
         (noise[:3], folds), (noise, folds[:3]), (noise.astype(np.float32), folds),
         (noise, folds.astype(np.float32)), (noise, np.zeros(8)[::2]), (np.zeros(8)[::2], folds),
+        (noise, frozen), (frozen, folds),
     ]
-    for args in [*bad_buffers, (noise, frozen)]:
+    for args in bad_buffers:
         with pytest.raises((TypeError, ValueError)):
-            dynamics._kernel.discrete_folds(*args, 4)
-    for args in [*bad_buffers, (frozen, folds)]:
-        with pytest.raises((TypeError, ValueError)):
-            dynamics._kernel.discrete_noise(*args, 4, -0.25)
-    with pytest.raises(ValueError):
-        dynamics._kernel.discrete_folds(noise, folds, -1)
+            dynamics._kernel.discrete_map(*args, 4, -0.25)
     for count, log_q in [(-1, -0.25), (4, 0.0), (4, -0.0), (4, 0.5), (4, math.nan),
                          (4, math.inf), (4, "x"), (4.0, -0.25)]:
         with pytest.raises((TypeError, ValueError)):
-            dynamics._kernel.discrete_noise(noise, folds, count, log_q)
+            dynamics._kernel.discrete_map(noise, folds, count, log_q)
     with pytest.raises(TypeError):
-        dynamics._kernel.discrete_folds(noise, folds)
-    with pytest.raises(TypeError):
-        dynamics._kernel.discrete_noise(noise, folds, 4)
+        dynamics._kernel.discrete_map(noise, folds, 4)
     assert noise.tobytes() == u.tobytes() and folds.tolist() == [-0.5] * 4
 
 

@@ -5,6 +5,10 @@ import io
 import itertools
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -262,6 +266,42 @@ def test_snapshot_identities_on_traces():
             assert s.tss == pytest.approx(s.phi_bar + trace.n * s.drift**2, rel=1e-9, abs=1e-12)
 
 
+#: A snapshot at n = 10^4 + 1 after 3000 steps: its tss, numpy's dot of the
+#: differences, and the naive, pairwise (np.sum) and correctly rounded sums
+#: of their squares, each as float.hex.
+TSS_BY_NUMPYS_DOT = """
+import math
+import numpy as np
+from gossipavg import Gaussian, Real, init_population, make_rng
+from gossipavg.dynamics import SequentialEngine
+engine = SequentialEngine(init_population(make_rng(0).uniform(0.0, 100.0, 10**4 + 1)),
+                          Gaussian(1.0), Real(), make_rng(100))
+rows, _ = engine.advance(3000, record_every=1000)
+d = engine.values - engine.initial_average
+squares = d * d
+naive = 0.0
+for v in squares.tolist():
+    naive += v
+print(*(x.hex() for x in (rows[-1][1], float(np.dot(d, d)), naive, float(np.sum(squares)),
+                          math.fsum(squares.tolist()))))
+"""
+
+
+def test_snapshot_tss_is_numpys_dot_with_threads():
+    """A snapshot's tss is ``float(np.dot(d, d))`` of d = values - initial
+    average, bit for bit, also where numpy's BLAS splits the sum over two
+    threads (OPENBLAS_NUM_THREADS=2, set before numpy loads, above 10^4
+    values; README, Threads): the kernel calls numpy's dot and does not sum
+    the squares itself, in any of the orders it could."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="2",
+               PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    done = subprocess.run([sys.executable, "-c", TSS_BY_NUMPYS_DOT], env=env,
+                          capture_output=True, text=True, check=True, timeout=120)
+    tss, dot, *own_sums = done.stdout.split()
+    assert tss == dot
+    assert dot not in own_sums
+
+
 def test_decomposition_records_on_trace():
     config = small_config(
         n=100,
@@ -284,27 +324,30 @@ def test_a_window_opens_on_the_refreshs_exact_sums(monkeypatch):
     """An ensemble-shaped run computes the exact sums once per refresh (101
     records) and not at construction, before any window; the window opened
     at step 0 takes the refresh's, and its trace is that of a window that
-    computes its own."""
+    computes its own.  The sums are counted on the Python loop, since the
+    kernel's ``run`` takes them inside its one call; its trace is the same."""
     config = small_config(n=100, init=UniformInit(0.0, 100.0), steps=10**4, record_every=100,
                           decomposition_intervals=((0, 10**4),))
+    compiled = run_single(config, 0)
+    monkeypatch.setattr(dynamics, "_kernel", None)
     calls = []
     exact = dynamics._exact
 
-    def spy(values, with_phibar=True):
-        calls.append(with_phibar)
-        return exact(values, with_phibar)
+    def spy(values):
+        calls.append(values)
+        return exact(values)
 
     monkeypatch.setattr(dynamics, "_exact", spy)
-    traces = [run_single(config, 0)]
+    traces = [compiled, run_single(config, 0)]
     assert len(calls) == 101
     begin = dynamics.SequentialEngine.begin_decomposition
     monkeypatch.setattr(dynamics.SequentialEngine, "begin_decomposition",
                         lambda engine, exact=None: begin(engine))
     traces.append(run_single(config, 0))
     assert len(calls) == 101 + 102
-    first, second = ((t.snapshots, t.decompositions, t.final_population.tobytes())
-                     for t in traces)
-    assert first == second
+    first, *others = ((t.snapshots, t.decompositions, t.final_population.tobytes())
+                      for t in traces)
+    assert others == [first, first]
 
 
 def test_parallel_jobs_match_serial():

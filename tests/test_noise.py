@@ -303,7 +303,8 @@ def _kernel_map(p, u):
     """The engines' compiled map of the uniforms ``u`` to DiscreteGeometric(p),
     in buffers of exactly ``len(u)`` values."""
     out, folds = np.array(u, dtype=float), np.zeros(len(u))
-    dynamics._discrete_noise(out, folds, len(out), dynamics._noise_params(DiscreteGeometric(p))[1])
+    dynamics._kernel.discrete_map(out, folds, len(out),
+                                  dynamics._noise_params(DiscreteGeometric(p))[1])
     return out
 
 
@@ -337,7 +338,7 @@ def test_kernel_discrete_map_is_the_samplers(p):
             agents, drawn, coins, _, folds = dynamics._buffers(count)
             dynamics._kernel.draw(rng.bit_generator.capsule, False, 1000, count, code, log_q,
                                   agents, drawn, coins)
-            dynamics._discrete_noise(drawn, folds, m, log_q)
+            dynamics._kernel.discrete_map(drawn, folds, m, log_q)
             expected = (twin.integers(0, 1000, size=count), sample_batch(model, twin, m),
                         twin.random(m))
             got = (agents, drawn[:m], coins[:m])
