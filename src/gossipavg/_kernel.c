@@ -24,11 +24,13 @@
  * _Engine._record does over draw(), the discrete map, pair_chunk() and
  * exact_moments(), whose static code it shares: the chunks and resyncs,
  * the tracker checks at each record step, the decomposition windows and the
- * snapshot rows.  It calls back into numpy twice, through the C API, where
- * the Python loop calls numpy: np.log1p for the discrete map, and np.dot on
- * a work array of values - initial average for each snapshot's tss, so
- * both are numpy's bits (np.dot's order of summation depends on the BLAS
- * and its threads).  Where the exact sums decline, it calls dynamics._exact.
+ * snapshot rows, in the order of one schedule (struct schedule), which its
+ * producer thread, where it has one, walks too.  It calls back into numpy
+ * twice, through the C API, where the Python loop calls numpy: np.log1p for
+ * the discrete map, and np.dot on a work array of values - initial average
+ * for each snapshot's tss, so both are numpy's bits (np.dot's order of
+ * summation depends on the BLAS and its threads).  Where the exact sums
+ * decline, it calls dynamics._exact.
  * exact_moments() computes the mean and the potential about it from
  * correctly rounded sums, exactly as the math.fsum body of dynamics._exact:
  * a superaccumulator adds every summand exactly into integer bins, carries,
@@ -48,9 +50,14 @@
  * draws; run() can fail later only where a call into Python (numpy,
  * math.fsum or a signal handler) raises.
  * None of them releases the GIL while it works: the calls are short or call
- * back into Python, and the generator is not locked against other threads,
- * as the engines never share one.  run() only lets a waiting thread take the
- * GIL between its chunks, touching nothing while it is released.
+ * back into Python.  run() lets a waiting thread take the GIL between its
+ * chunks, touching nothing while it is released.  Where its caller asks
+ * (ahead), a producer thread, which touches no Python object, draws run()'s
+ * chunks ahead while run() applies them (see struct ring), and run() joins
+ * it before it returns.  That is the one place where two threads share a
+ * generator, and dynamics._Engine.advance holds the generator's own lock
+ * (rng.bit_generator.lock) around such a call; the other entries do not
+ * lock it, as the engines never share one.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -58,9 +65,13 @@
 
 #include <inttypes.h>
 #include <math.h>
+#include <pthread.h>
+#include <sched.h>
+#include <signal.h>
 #include <stdbool.h>
 #include <stdint.h>
 #include <string.h>
+#include <time.h>
 
 #include "numpy/random/distributions.h"
 
@@ -112,30 +123,20 @@ static double pick(int c, double a, double b)
     return out;
 }
 
-/* s / 2 rounded up (coin u < 0.5) or down when s is not even; the offset
- * records +1, -1, or 0 when s / 2 is stored as is.
- *
- * Python's s // 2.0 (py_floordiv) costs a libm fmod.  Where h = s * 0.5 is
- * exact and |h| < 2^52 -- s is zero, or 2^-1021 <= |s| < 2^53 -- it equals
- * floor(h), taken here from the truncation t of h through int64: s is even
- * exactly when t == h, and floor(h) is t, less 1 where t > h.  Every other s
- * takes py_floordiv: at s = -2^-1074, for one, s * 0.5 rounds to -0.0, whose
- * floor is -0.0 where Python gives -1.0. */
-static double round_half(double s, double u, int8_t *offset)
+#if defined(__GNUC__)
+#define NOINLINE __attribute__((noinline))
+#else
+#define NOINLINE
+#endif
+
+/* round_half() for every s that its fast path leaves: Python's s // 2.0
+ * (py_floordiv), then the same rounding.  Out of line, so that the compiler
+ * inlines the fast path into apply_pairs() rather than calling round_half()
+ * and saving the pair loop's registers around each call. */
+static NOINLINE double round_half_rare(double s, double u, int8_t *offset)
 {
-    const double a = fabs(s);
-    double f;
+    const double f = py_floordiv(s, 2.0);
 
-    if (a < 0x1p53 && (a >= 0x1p-1021 || s == 0.0)) {
-        const double h = s * 0.5;
-        const double t = (double)(int64_t)h;
-        const int odd = t != h;
-        const int up = odd & (u < 0.5);
-
-        *offset = (int8_t)(up + up - odd);
-        return pick(odd, t - (double)(t > h) + (double)up, h);
-    }
-    f = py_floordiv(s, 2.0);
     if (s != 2.0 * f) {
         if (u < 0.5) {
             *offset = 1;
@@ -146,6 +147,31 @@ static double round_half(double s, double u, int8_t *offset)
     }
     *offset = 0;
     return s * 0.5;
+}
+
+/* s / 2 rounded up (coin u < 0.5) or down when s is not even; the offset
+ * records +1, -1, or 0 when s / 2 is stored as is.
+ *
+ * Python's s // 2.0 (py_floordiv) costs a libm fmod.  Where h = s * 0.5 is
+ * exact and |h| < 2^52 -- s is zero, or 2^-1021 <= |s| < 2^53 -- it equals
+ * floor(h), taken here from the truncation t of h through int64: s is even
+ * exactly when t == h, and floor(h) is t, less 1 where t > h.  Every other s
+ * takes round_half_rare(): at s = -2^-1074, for one, s * 0.5 rounds to -0.0,
+ * whose floor is -0.0 where Python gives -1.0. */
+static inline double round_half(double s, double u, int8_t *offset)
+{
+    const double a = fabs(s);
+
+    if (a < 0x1p53 && (a >= 0x1p-1021 || s == 0.0)) {
+        const double h = s * 0.5;
+        const double t = (double)(int64_t)h;
+        const int odd = t != h;
+        const int up = odd & (u < 0.5);
+
+        *offset = (int8_t)(up + up - odd);
+        return pick(odd, t - (double)(t > h) + (double)up, h);
+    }
+    return round_half_rare(s, u, offset);
 }
 
 /* An update rule, dynamics._rule_flags(rule): round, clamp into [vmin, vmax]. */
@@ -1066,7 +1092,7 @@ struct engine {
     struct rule rule;
     int code, matching, decomp;
     double param, drift_tol;
-    Py_ssize_t resync_every, chunk, per_step, since_resync;
+    Py_ssize_t per_step;
     PyObject *exact; /* dynamics._exact, where moments() declines */
     double drift[3]; /* a drifted tracker (0 the mean, 1 the potential), its value, the exact */
 };
@@ -1089,17 +1115,16 @@ static int exact_of(struct engine *e, double *out)
     return ok ? 0 : -1;
 }
 
-/* _Engine._resync: end a resync interval.  While a window is open, write the
- * exact mean and potential into the trackers, after, with check, a drift
- * check of each: a tracker off by more than drift_tol * (1 + |exact|) stops
- * the run, with e->drift set.  With check, exact[] gets them in any case
- * (exact may be NULL without).  Returns 0, 1 on a drift, or -1 with an
- * exception set. */
+/* _Engine._resync, less its counter, which the schedule keeps: while a
+ * window is open, write the exact mean and potential into the trackers,
+ * after, with check, a drift check of each: a tracker off by more than
+ * drift_tol * (1 + |exact|) stops the run, with e->drift set.  With check,
+ * exact[] gets them in any case (exact may be NULL without).  Returns 0, 1
+ * on a drift, or -1 with an exception set. */
 static int resync(struct engine *e, int check, double *exact)
 {
     double own[2];
 
-    e->since_resync = 0;
     if (!(check || e->decomp))
         return 0;
     if (!exact)
@@ -1121,38 +1146,259 @@ static int resync(struct engine *e, int check, double *exact)
     return 0;
 }
 
-/* _Engine._advance without collect: steps steps in chunks of at most chunk,
- * none past a resync, a resync that fell due running before the next chunk.
- * Before each chunk it does what the interpreter did between the Python
- * loop's chunks: it lets a waiting Python thread take the GIL, and it runs
- * the signal handlers, so that a long run neither stalls the caller's other
- * threads nor ignores Ctrl-C.  Returns 0, or -1 with an exception set. */
-static int advance_by(struct engine *e, Py_ssize_t steps)
-{
-    for (Py_ssize_t done = 0, b; done < steps; done += b) {
-        Py_ssize_t count, m;
+/* A run's schedule, _Engine._record's over _Engine._advance's: the record
+ * steps 0, each multiple of record_every up to steps, steps itself and each
+ * window end (ends, the flat sorted (t0, t1) pairs), and between two of them
+ * chunks of at most `chunk` steps, none past a resync.  A resync falls due
+ * every resync_every steps, counted from the last record step, which
+ * resyncs too, and runs before the next chunk.  run() walks it, and so does
+ * its producer, on a copy: the chunks it draws ahead are the run's chunks. */
+struct schedule {
+    Py_ssize_t steps, record_every, chunk, resync_every, nends;
+    const int64_t *ends;
+    Py_ssize_t done, target, since_resync;
+    Py_ssize_t w;  /* the ends before ends[w] are past */
+    int recorded;  /* whether the record step at target was given */
+};
 
-        Py_BEGIN_ALLOW_THREADS
-        Py_END_ALLOW_THREADS
-        if (PyErr_CheckSignals() ||
-            (e->since_resync >= e->resync_every && resync(e, 0, NULL)))
-            return -1;
-        b = e->chunk;
-        if (b > steps - done)
-            b = steps - done;
-        if (b > e->resync_every - e->since_resync)
-            b = e->resync_every - e->since_resync;
-        count = b * e->per_step;
-        m = count - count % 2;
-        draw_chunk(e->bg, e->matching, e->n, count, e->code, e->param, e->agents, e->noise,
-                   e->coins);
-        if (e->code == NOISE_UNIFORMS && map_discrete(e->noise, e->folds, e->fold, m, e->param))
-            return -1;
-        apply_pairs(e->x, e->n, e->agents, e->noise, e->coins, m / 2, &e->rule, e->decomp,
-                    e->state, NULL);
-        e->since_resync += b;
+enum { SCHED_CHUNK, SCHED_RECORD, SCHED_END };
+
+/* The schedule's next event: the record step at s->done (SCHED_RECORD), a
+ * chunk of *b steps, after a resync where *due (SCHED_CHUNK), or, after the
+ * record at steps, SCHED_END. */
+static int sched_next(struct schedule *s, Py_ssize_t *b, int *due)
+{
+    if (s->done == s->target) {
+        Py_ssize_t t;
+
+        if (!s->recorded) {
+            s->recorded = 1;
+            s->since_resync = 0;
+            return SCHED_RECORD;
+        }
+        if (s->done == s->steps)
+            return SCHED_END;
+        /* the earliest of the next multiple of record_every (or steps) and
+         * the next window end */
+        t = s->done - s->done % s->record_every;
+        s->target = s->steps - t <= s->record_every ? s->steps : t + s->record_every;
+        while (s->w < s->nends && s->ends[s->w] <= s->done)
+            s->w++;
+        if (s->w < s->nends && s->ends[s->w] < s->target)
+            s->target = (Py_ssize_t)s->ends[s->w];
+        s->recorded = 0;
     }
-    return 0;
+    *due = s->since_resync >= s->resync_every;
+    if (*due)
+        s->since_resync = 0;
+    *b = s->chunk;
+    if (*b > s->target - s->done)
+        *b = s->target - s->done;
+    if (*b > s->resync_every - s->since_resync)
+        *b = s->resync_every - s->since_resync;
+    s->done += *b;
+    s->since_resync += *b;
+    return SCHED_CHUNK;
+}
+
+/* ------------------------------------------------------------------------
+ * Draws made ahead: a producer thread and a ring of chunks
+ * ------------------------------------------------------------------------ */
+
+/* A chunk's draws never depend on the values, so with a second CPU a
+ * producer thread can make them while run()'s thread maps the discrete
+ * noise, applies the pairs and records: it walks a copy of the run's
+ * schedule and draws each chunk, on the same bitgen_t and in the same
+ * order, into slot k % RING of a ring.  One thread writes each counter:
+ * `made`, the chunks drawn, the producer; `used`, the chunks applied, and
+ * `stop`, run()'s thread.  A wait spins on its counter, yielding the CPU,
+ * for up to SPIN_NS, then blocks on the condition variable, and a writer
+ * wakes a blocked thread.  On a 2-vCPU guest, blocking at once lost the
+ * gain, the woken producer being placed on run()'s CPU, and so did naps of
+ * 20 to 100 us; a spin without the yield cost up to SPIN_NS per hand-off
+ * where the scheduler kept both threads on one CPU (a 1 ms spin made one
+ * fig-b run 0.57 s against 0.08 s inline).  That guest also often started
+ * the producer on run()'s CPU and left it there, so the producer moves
+ * itself once, at its start (start_away()), and keeps the caller's
+ * affinity mask.  The producer never touches a
+ * Python object, and it is started with every signal blocked, so that the
+ * handlers run in the thread that checks them.  It is a joinable POSIX
+ * thread: CPython's PyThread_start_new_thread starts detached ones, which
+ * no call can join, and the producer must be gone when run() returns. */
+#define RING 8
+#define SPIN_NS 1000000
+
+struct ring {
+    struct schedule plan;    /* the producer's walk */
+    const struct engine *e;  /* read only: its generator, schedule and noise */
+    Py_ssize_t cap;          /* the agents of the longest chunk */
+    int64_t *agents;         /* RING slots of cap each, then as many of noise */
+    double *noise, *coins;   /* and of coins, where the rule rounds */
+    Py_ssize_t made, used, stop, sleepers;
+    int away; /* the CPU run()'s thread ran on at the start, or -1 */
+    pthread_mutex_t mu;
+    pthread_cond_t cv;
+    pthread_t thread;
+};
+
+static Py_ssize_t load(const Py_ssize_t *p)
+{
+    return __atomic_load_n(p, __ATOMIC_SEQ_CST);
+}
+
+static int ready(const struct ring *r, const Py_ssize_t *counter, Py_ssize_t want)
+{
+    return load(counter) >= want || load(&r->stop);
+}
+
+/* Wait until *counter reaches want or the run stops: yield the CPU for up
+ * to SPIN_NS, which lets the other thread run where the two share one, then
+ * sleep until post() wakes it.  Returns nonzero where the run stops. */
+static int wait_for(struct ring *r, const Py_ssize_t *counter, Py_ssize_t want)
+{
+    struct timespec t0, t;
+
+    if (ready(r, counter, want))
+        return load(&r->stop) != 0;
+    clock_gettime(CLOCK_MONOTONIC, &t0);
+    while (!ready(r, counter, want)) {
+        clock_gettime(CLOCK_MONOTONIC, &t);
+        if ((int64_t)(t.tv_sec - t0.tv_sec) * 1000000000 + (t.tv_nsec - t0.tv_nsec) < SPIN_NS) {
+            sched_yield();
+            continue;
+        }
+        /* counted as a sleeper before the last check: a post() after that
+         * check sees it, and wakes it once it waits */
+        pthread_mutex_lock(&r->mu);
+        __atomic_add_fetch(&r->sleepers, 1, __ATOMIC_SEQ_CST);
+        while (!ready(r, counter, want))
+            pthread_cond_wait(&r->cv, &r->mu);
+        __atomic_sub_fetch(&r->sleepers, 1, __ATOMIC_SEQ_CST);
+        pthread_mutex_unlock(&r->mu);
+    }
+    return load(&r->stop) != 0;
+}
+
+/* Set *counter to value, then wake any thread that sleeps in wait_for(). */
+static void post(struct ring *r, Py_ssize_t *counter, Py_ssize_t value)
+{
+    __atomic_store_n(counter, value, __ATOMIC_SEQ_CST);
+    if (load(&r->sleepers)) {
+        pthread_mutex_lock(&r->mu);
+        pthread_cond_broadcast(&r->cv);
+        pthread_mutex_unlock(&r->mu);
+    }
+}
+
+/* Slot k's buffers. */
+static void slot(const struct ring *r, Py_ssize_t k, int64_t **agents, double **noise,
+                 double **coins)
+{
+    const Py_ssize_t at = k % RING * r->cap;
+
+    *agents = r->agents + at;
+    *noise = r->noise + at;
+    *coins = r->coins ? r->coins + at : NULL;
+}
+
+/* Move the calling thread off CPU `away` where its affinity mask allows
+ * another: narrow the mask to the others, which migrates it, then restore
+ * the mask at once.  The thread is not pinned; only its start is placed. */
+static void start_away(int away)
+{
+#ifdef __linux__
+    cpu_set_t mask, others;
+
+    if (away < 0 || away >= CPU_SETSIZE || sched_getaffinity(0, sizeof mask, &mask))
+        return;
+    others = mask;
+    CPU_CLR(away, &others);
+    if (CPU_COUNT(&others) && !sched_setaffinity(0, sizeof others, &others))
+        sched_setaffinity(0, sizeof mask, &mask);
+#else
+    (void)away;
+#endif
+}
+
+/* The producer: start away from run()'s CPU, then draw chunk after chunk of
+ * the schedule, each into its slot once run()'s thread has applied the
+ * chunk RING before it. */
+static void *produce(void *arg)
+{
+    struct ring *r = arg;
+    const struct engine *e = r->e;
+    Py_ssize_t b, made = 0;
+    int64_t *agents;
+    double *noise, *coins;
+    int due, kind;
+
+    start_away(r->away);
+    while ((kind = sched_next(&r->plan, &b, &due)) != SCHED_END) {
+        if (kind == SCHED_RECORD)
+            continue;
+        if (wait_for(r, &r->used, made - RING + 1))
+            break;
+        slot(r, made, &agents, &noise, &coins);
+        draw_chunk(e->bg, e->matching, e->n, b * e->per_step, e->code, e->param, agents, noise,
+                   coins);
+        post(r, &r->made, ++made);
+    }
+    return NULL;
+}
+
+/* Start a producer on plan, a schedule not yet walked, whose chunks take at
+ * most cap agents.  NULL where it cannot (no memory or no thread), and the
+ * run then draws its chunks itself. */
+static struct ring *start_ring(const struct engine *e, const struct schedule *plan,
+                               Py_ssize_t cap)
+{
+    const Py_ssize_t arrays = e->coins ? 3 : 2;
+    struct ring *r;
+    sigset_t all, old;
+    int failed;
+
+    if (cap > PY_SSIZE_T_MAX / RING / arrays / (Py_ssize_t)sizeof(double) ||
+        !(r = PyMem_RawCalloc(1, sizeof *r)))
+        return NULL;
+    r->plan = *plan;
+    r->e = e;
+#ifdef __linux__
+    r->away = sched_getcpu();
+#else
+    r->away = -1;
+#endif
+    r->cap = cap;
+    r->agents = PyMem_RawMalloc((size_t)(arrays * RING * cap) * sizeof(double));
+    if (r->agents && !pthread_mutex_init(&r->mu, NULL)) {
+        if (!pthread_cond_init(&r->cv, NULL)) {
+            r->noise = (double *)(r->agents + RING * cap);
+            r->coins = e->coins ? r->noise + RING * cap : NULL;
+            sigfillset(&all);
+            pthread_sigmask(SIG_BLOCK, &all, &old);
+            failed = pthread_create(&r->thread, NULL, produce, r);
+            pthread_sigmask(SIG_SETMASK, &old, NULL);
+            if (!failed)
+                return r;
+            pthread_cond_destroy(&r->cv);
+        }
+        pthread_mutex_destroy(&r->mu);
+    }
+    PyMem_RawFree(r->agents);
+    PyMem_RawFree(r);
+    return NULL;
+}
+
+/* Stop the producer, wait for it to end and free the ring. */
+static void stop_ring(struct ring *r)
+{
+    post(r, &r->stop, 1);
+    Py_BEGIN_ALLOW_THREADS
+    pthread_join(r->thread, NULL);
+    Py_END_ALLOW_THREADS
+    pthread_cond_destroy(&r->cv);
+    pthread_mutex_destroy(&r->mu);
+    PyMem_RawFree(r->agents);
+    PyMem_RawFree(r);
 }
 
 /* The snapshot row (step, tss, phibar, phi, mean, drift) of the values, with
@@ -1198,30 +1444,39 @@ static PyObject *get_tuple(PyObject *obj, const char *name, Py_ssize_t size)
     return NULL;
 }
 
-/* run(capsule, values, state, buffers, diff, flags, noise, schedule,
- *     since_resync, decomp, x0, steps, record_every, windows, drift_tol, exact):
+/* run(capsule, values, state, buffers, diff, flags, noise, schedule, decomp,
+ *     x0, steps, record_every, windows, drift_tol, exact, ahead):
  * dynamics._Engine._record's loop, the boundary loop of a run, in one call.
  * buffers is the engine's (agents, noise, coins, offsets, folds), noise its
  * (code, parameter), schedule (matching, resync interval, longest chunk,
- * agents per step); since_resync and decomp are the engine's counter and
- * window flag, x0 the initial average, windows the flat int64 (t0, t1)
- * pairs, sorted and apart, within [0, steps].  At each record step, each
+ * agents per step); decomp is the engine's window flag, x0 the initial
+ * average, windows the flat int64 (t0, t1) pairs, sorted and apart, within
+ * [0, steps].  At each record step, each
  * multiple of record_every up to steps, steps itself and each t0 and t1,
  * counted from the call, it advances in the engine's chunks and resyncs,
  * checks and resyncs the trackers as refresh() does, closes a window that
  * ends there, appends the snapshot row and opens a window that starts there
- * on the same exact sums.  Returns (rows, closed, since_resync, decomp,
- * drift): each closed window as (t0, t1, phi_bar(t0), phi_bar(t1), S', S*,
- * S^-), and drift None, or (tracker, tracked, exact, step) for a tracker that
- * drifted at a record step, where the run stopped. */
+ * on the same exact sums.  Before each chunk it does what the interpreter did
+ * between the Python loop's chunks: it lets a waiting Python thread take the
+ * GIL, and it runs the signal handlers, so that a long run neither stalls
+ * the caller's other threads nor ignores Ctrl-C.  With ahead, and no window
+ * open or to open, a producer thread draws the chunks (see struct ring), and
+ * it has ended when the call returns; where an exception ends the call, the
+ * generator may then be up to RING chunks ahead of the values.  Returns
+ * (rows, closed, since_resync, decomp, drift): each closed window as (t0, t1,
+ * phi_bar(t0), phi_bar(t1), S', S*, S^-), and drift None, or (tracker,
+ * tracked, exact, step) for a tracker that drifted at a record step, where
+ * the run stopped. */
 static PyObject *run(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
     struct engine e;
+    struct schedule plan = {0};
+    struct ring *ring = NULL;
     Py_buffer views[8];
-    int held = 0;
+    int held = 0, ahead;
     PyObject *buffers, *noise, *schedule, *rows = NULL, *closed = NULL, *drift = NULL;
     PyObject *out = NULL;
-    Py_ssize_t steps, record_every, cap, need, nwin, next = 0, open = -1;
+    Py_ssize_t cap, need, nwin, next = 0, open = -1, chunks = 0;
     double x0, exact[2], phi0 = 0.0;
     const int64_t *win;
 
@@ -1232,33 +1487,34 @@ static PyObject *run(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
     if (!e.bg || !(buffers = get_tuple(args[3], "buffers", 5)) || get_rule(args[5], &e.rule) ||
         !(noise = get_tuple(args[6], "noise", 2)) ||
         !(schedule = get_tuple(args[7], "schedule", 4)) ||
-        get_count(PyTuple_GET_ITEM(schedule, 1), "resync interval", &e.resync_every) ||
-        get_count(PyTuple_GET_ITEM(schedule, 2), "chunk", &e.chunk) ||
+        get_count(PyTuple_GET_ITEM(schedule, 1), "resync interval", &plan.resync_every) ||
+        get_count(PyTuple_GET_ITEM(schedule, 2), "chunk", &plan.chunk) ||
         get_count(PyTuple_GET_ITEM(schedule, 3), "agents per step", &e.per_step) ||
-        get_count(args[8], "since_resync", &e.since_resync) ||
-        get_count(args[11], "steps", &steps) || get_count(args[12], "record_every", &record_every))
+        get_count(args[10], "steps", &plan.steps) ||
+        get_count(args[11], "record_every", &plan.record_every))
         return NULL;
     e.matching = PyObject_IsTrue(PyTuple_GET_ITEM(schedule, 0));
     e.code = PyLong_AsLong(PyTuple_GET_ITEM(noise, 0));
     e.param = PyFloat_AsDouble(PyTuple_GET_ITEM(noise, 1));
-    e.decomp = PyObject_IsTrue(args[9]);
-    x0 = PyFloat_AsDouble(args[10]);
-    e.drift_tol = PyFloat_AsDouble(args[14]);
+    e.decomp = PyObject_IsTrue(args[8]);
+    x0 = PyFloat_AsDouble(args[9]);
+    e.drift_tol = PyFloat_AsDouble(args[13]);
+    ahead = PyObject_IsTrue(args[15]);
     if (PyErr_Occurred())
         return NULL;
-    if (e.resync_every < 1 || e.chunk < 1 || e.per_step < 1 || record_every < 1 ||
+    if (plan.resync_every < 1 || plan.chunk < 1 || e.per_step < 1 || plan.record_every < 1 ||
         e.code < NOISE_ZERO || e.code > NOISE_UNIFORMS ||
         (e.code == NOISE_UNIFORMS && !(e.param < 0.0))) {
         PyErr_SetString(PyExc_ValueError, "run(): a bad schedule, record_every or noise");
         return NULL;
     }
-    if (!PyCallable_Check(args[15])) {
+    if (!PyCallable_Check(args[14])) {
         PyErr_SetString(PyExc_TypeError, "run(): exact must be callable");
         return NULL;
     }
-    e.exact = args[15];
+    e.exact = args[14];
     e.values = args[1];
-    cap = e.chunk < e.resync_every ? e.chunk : e.resync_every;
+    cap = plan.chunk < plan.resync_every ? plan.chunk : plan.resync_every;
     if (cap > PY_SSIZE_T_MAX / e.per_step) {
         PyErr_SetString(PyExc_ValueError, "run(): chunks too large");
         return NULL;
@@ -1272,7 +1528,7 @@ static PyObject *run(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
         get_optional(e.rule.do_round ? PyTuple_GET_ITEM(buffers, 2) : Py_None,
                      &views[held++], "coins", 'd', need) ||
         get_buffer(e.folds, &views[held++], "folds", 'd', 1, need) ||
-        get_buffer(args[13], &views[held++], "windows", 'q', 0, 0))
+        get_buffer(args[12], &views[held++], "windows", 'q', 0, 0))
         goto fail;
     e.x = views[0].buf;
     e.n = views[0].shape[0];
@@ -1284,7 +1540,7 @@ static PyObject *run(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
     win = views[6].buf;
     nwin = views[6].shape[0] / 2;
     if (views[1].shape[0] != 5 || (e.rule.do_round && !e.coins) ||
-        (e.matching && (e.per_step != e.n || e.chunk != 1))) {
+        (e.matching && (e.per_step != e.n || plan.chunk != 1))) {
         PyErr_SetString(PyExc_ValueError, "run(): state must hold the 5 trackers, a rounding "
                         "rule needs coins, and a matching takes all n agents in each step");
         goto fail;
@@ -1294,7 +1550,8 @@ static PyObject *run(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
         goto fail;
     }
     for (Py_ssize_t k = 0; k < 2 * nwin; k++) {
-        if ((k % 2 ? win[k] <= win[k - 1] : win[k] < (k ? win[k - 1] : 0)) || win[k] > steps) {
+        if ((k % 2 ? win[k] <= win[k - 1] : win[k] < (k ? win[k - 1] : 0)) ||
+            win[k] > plan.steps) {
             PyErr_SetString(PyExc_ValueError, "run(): windows must be sorted and apart, "
                                               "t0 < t1, within [0, steps]");
             goto fail;
@@ -1303,12 +1560,47 @@ static PyObject *run(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
     if (get_buffer(args[4], &views[held++], "diff", 'd', 1, e.n) ||
         !(rows = PyList_New(0)) || !(closed = PyList_New(0)))
         goto fail;
-    for (Py_ssize_t b = 0, done = 0;;) {
-        int drifted;
+    plan.ends = win;
+    plan.nends = 2 * nwin;
+    /* only a window's tracker check stops a run early, stranding drawn chunks */
+    if (ahead && !nwin && !e.decomp)
+        ring = start_ring(&e, &plan, need);
+    for (;;) {
+        Py_ssize_t b, count, m;
+        int due, drifted;
+        const int kind = sched_next(&plan, &b, &due);
 
-        if (advance_by(&e, b - done))
-            goto fail;
-        done = b;
+        if (kind == SCHED_CHUNK) {
+            int64_t *agents = e.agents;
+            double *noise = e.noise, *coins = e.coins;
+
+            Py_BEGIN_ALLOW_THREADS
+            if (ring)
+                wait_for(ring, &ring->made, chunks + 1);
+            Py_END_ALLOW_THREADS
+            if (PyErr_CheckSignals() || (due && resync(&e, 0, NULL)))
+                goto fail;
+            count = b * e.per_step;
+            m = count - count % 2;
+            if (ring)
+                slot(ring, chunks, &agents, &noise, &coins);
+            else
+                draw_chunk(e.bg, e.matching, e.n, count, e.code, e.param, agents, noise, coins);
+            if (e.code == NOISE_UNIFORMS && map_discrete(noise, e.folds, e.fold, m, e.param))
+                goto fail;
+            apply_pairs(e.x, e.n, agents, noise, coins, m / 2, &e.rule, e.decomp, e.state, NULL);
+            chunks++;
+            if (ring)
+                post(ring, &ring->used, chunks);
+            continue;
+        }
+        if (kind == SCHED_END) {
+            drift = Py_None;
+            Py_INCREF(drift);
+            break;
+        }
+        /* a record step, b = plan.done */
+        b = plan.done;
         drifted = resync(&e, 1, exact);
         if (drifted < 0)
             goto fail;
@@ -1329,30 +1621,18 @@ static PyObject *run(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
             /* begin_decomposition on the refresh's exact sums */
             e.state[2] = e.state[3] = e.state[4] = 0.0;
             e.decomp = 1;
-            e.since_resync = 0;
             e.state[0] = exact[0];
             e.state[1] = exact[1];
             phi0 = exact[1];
             open = next++;
         }
-        if (b == steps) {
-            drift = Py_None;
-            Py_INCREF(drift);
-            break;
-        }
-        /* the earliest of the next multiple of record_every (or steps), the
-         * open window's end and the next window's start */
-        b -= b % record_every;
-        b = steps - b <= record_every ? steps : b + record_every;
-        if (open >= 0 && win[2 * open + 1] < b)
-            b = (Py_ssize_t)win[2 * open + 1];
-        if (next < nwin && win[2 * next] < b)
-            b = (Py_ssize_t)win[2 * next];
     }
 fail:
+    if (ring)
+        stop_ring(ring);
     release(views, held);
     if (drift)
-        out = Py_BuildValue("(OOnON)", rows, closed, e.since_resync,
+        out = Py_BuildValue("(OOnON)", rows, closed, plan.since_resync,
                             e.decomp ? Py_True : Py_False, drift);
     Py_XDECREF(rows);
     Py_XDECREF(closed);

@@ -214,14 +214,6 @@ def _cmd_verify(args) -> int:
     return 0 if ok else 1
 
 
-def _usable_cpus() -> int:
-    """The CPUs this process may run on: the size of its affinity mask where
-    the OS has one (1 under `taskset -c 0`), else the machine's count."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gossipavg",
@@ -237,7 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
                            help="override a config field (dotted path, repeatable)")
         p.add_argument("--out", default="out", help="output directory (default: out)")
         p.add_argument("--seed", type=int, default=None, help="override the master seed")
-        p.add_argument("--jobs", type=int, default=_usable_cpus(),
+        p.add_argument("--jobs", type=int, default=harness.usable_cpus(),
                        help="accepted and ignored: this command makes one run" if one_run
                        else "parallel runs (default: available cores)")
 

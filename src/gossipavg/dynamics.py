@@ -458,21 +458,33 @@ class _Engine:
         return self._resync(True)
 
     def advance(self, steps: int, collect: Optional[list] = None,
-                record_every: Optional[int] = None, windows=()) -> Optional[tuple[list, list]]:
+                record_every: Optional[int] = None, windows=(),
+                ahead: bool = False) -> Optional[tuple[list, list]]:
         """Run ``steps`` steps, appending one StepEvent per step to ``collect``.
         With ``record_every``, run them as a run's boundary loop and return
         what ``_record`` returns, in one call of the kernel's ``run`` where
-        there is a kernel, which leaves everything as ``_record`` leaves it."""
+        there is a kernel, which leaves everything as ``_record`` leaves it.
+        With ``ahead`` (``harness.draws_ahead`` decides), and no window, a
+        second thread draws the chunks while this one applies them, holding
+        the generator's lock; where another thread holds it, or there is a
+        window, the run draws its chunks itself.  Either way gives the same
+        bits."""
         if record_every is None:
             return self._advance(steps, collect)
         if _kernel is None:
             return self._record(steps, record_every, windows)
-        rows, closed, self._since_resync, self._decomp, drift = _kernel.run(
-            self.rng.bit_generator.capsule, self.values, self.state, self._buffers,
-            np.empty(self.n), self.flags, self._noise,
-            (self._matching, self._resync_every, self._chunk, self._per_step),
-            self._since_resync, self._decomp, self.initial_average, steps, record_every,
-            np.array(windows, np.int64).reshape(-1), DRIFT_TOL, _exact)
+        lock = self.rng.bit_generator.lock
+        ahead = ahead and lock.acquire(blocking=False)
+        try:
+            rows, closed, self._since_resync, self._decomp, drift = _kernel.run(
+                self.rng.bit_generator.capsule, self.values, self.state, self._buffers,
+                np.empty(self.n), self.flags, self._noise,
+                (self._matching, self._resync_every, self._chunk, self._per_step),
+                self._decomp, self.initial_average, steps, record_every,
+                np.array(windows, np.int64).reshape(-1), DRIFT_TOL, _exact, ahead)
+        finally:
+            if ahead:
+                lock.release()
         if drift is not None:  # (tracker, tracked, exact, step)
             self.step += drift[3]
             self._drifted(*drift[:3])

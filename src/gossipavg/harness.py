@@ -14,6 +14,8 @@ import contextlib
 import dataclasses
 import json
 import math
+import os
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NamedTuple, Optional, Sequence, Union
@@ -327,15 +329,56 @@ def initial_phi_bar(config: ExperimentConfig) -> float:
     return _exact(_initial_values(config, make_rng(config.master_seed, 0)))[1]
 
 
+def usable_cpus() -> int:
+    """The CPUs this process may run on: the size of its affinity mask where
+    the OS has one (1 under `taskset -c 0`), else the machine's count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _in_a_pool() -> bool:
+    """Whether multiprocessing started this process, as it starts the pool
+    workers of ``run_experiment``; such a worker has the module loaded."""
+    mp = sys.modules.get("multiprocessing")
+    return mp is not None and mp.parent_process() is not None
+
+
+#: The least agents in a run's chunks, and in the whole run, for its draws
+#: to be made ahead: below either, the hand-offs and the thread's start cost
+#: what the overlap saves (measured in-process on a 2-core Xeon: 512-agent
+#: chunks and runs of 2^17 to 2^18 agents in 2048-agent chunks gained
+#: nothing, fig-b's 4·10^6 agents in 2048-agent chunks a quarter).
+AHEAD_CHUNK_AGENTS = 1024
+AHEAD_RUN_AGENTS = 1 << 20
+
+
+def draws_ahead(config: ExperimentConfig, cpus: int, pooled: bool) -> bool:
+    """Whether a run of ``config`` has a second thread draw its chunks while
+    the engine applies them (``_Engine.advance``'s ``ahead``): where this
+    process may use 2 CPUs and is not a pool worker (``pooled``: the pool's
+    processes share the CPUs), the run opens no decomposition window (only a
+    window's tracker check stops a run early), and its chunks are large and
+    many enough.  Its chunks hold ``record_every`` steps at most, less where
+    the schedule cuts them shorter.  The bits are the same either way."""
+    resync_every, chunk, per_step = ENGINES[config.scheduler]._schedule(config.n)
+    chunk_agents = min(chunk, resync_every, config.record_every) * per_step
+    return (cpus >= 2 and not pooled and not config.decomposition_intervals
+            and chunk_agents >= AHEAD_CHUNK_AGENTS
+            and config.steps * per_step >= AHEAD_RUN_AGENTS)
+
+
 def run_single(config: ExperimentConfig, run_index: int) -> TraceRecord:
     """Execute one run of the ensemble; deterministic in (config, run_index).
     The engine's ``advance`` runs its boundary loop (one kernel call where
-    there is a kernel); this makes its rows snapshots and its windows records."""
+    there is a kernel), with its draws made ahead where ``draws_ahead``
+    says; this makes its rows snapshots and its windows records."""
     rng = make_rng(config.master_seed, run_index)
     engine = ENGINES[config.scheduler](init_population(_initial_values(config, rng)),
                                        config.noise, config.rule, rng)
     rows, closed = engine.advance(config.steps, record_every=config.record_every,
-                                  windows=config.decomposition_intervals)
+                                  windows=config.decomposition_intervals,
+                                  ahead=draws_ahead(config, usable_cpus(), _in_a_pool()))
     decompositions = []
     for t0, t1, phi0, phi1, *sums in closed:
         acc = DecompositionAccumulator(t0, t1, *sums)

@@ -587,6 +587,202 @@ def test_kernel_run_lets_other_threads_run():
     assert max(b - a for a, b in zip(during, during[1:])) < (ended - started) / 2
 
 
+def _run_drawn(config, ahead):
+    """``_observed_run(config, dynamics._kernel)`` with ``harness.draws_ahead``
+    forced to ``ahead``, and whether it asked the kernel's ``run`` for a
+    producer."""
+    asked = []
+
+    def run(*args):
+        asked.append(args[-1])
+        return kernel.run(*args)
+
+    kernel = dynamics._kernel
+    with mock.patch.object(harness, "draws_ahead", lambda *facts: ahead), \
+            mock.patch.object(dynamics, "_kernel", mock.Mock(wraps=kernel, run=run)):
+        observed = _observed_run(config, dynamics._kernel)
+    assert asked == [ahead]
+    return observed
+
+
+@st.composite
+def _windowless_runs(draw):
+    """A windowless run_single config of many chunks, so that the 8-slot ring
+    wraps: both schedulers, the oracle's rules and noises, record_every that
+    does or does not divide steps, and record steps on and off the resyncs
+    (every 1024 sequential steps, every 4096 // n rounds)."""
+    scheduler = draw(st.sampled_from(["sequential", "synchronous"]))
+    n = draw(st.sampled_from([2, 3, 40, 41, 1000]))
+    if scheduler == "sequential":
+        steps = draw(st.one_of(st.integers(1, 30_000), st.sampled_from([1024, 10_240])))
+        every = [1024, 2048, 3000, 512]
+    else:
+        steps = draw(st.integers(1, 300))
+        every = [4096 // n, 2 * (4096 // n), 7]
+    every = [r for r in every if 1 <= r <= steps]
+    record_every = draw(st.one_of(st.integers(max(1, steps // 40), steps), st.sampled_from(every))
+                        if every else st.integers(max(1, steps // 40), steps))
+    init = draw(st.sampled_from([harness.UniformInit(1.0, 10.0), harness.ConstantInit(5.0)]))
+    return harness.ExperimentConfig(
+        n=n, init=init, scheduler=scheduler, noise=draw(st.sampled_from(ORACLE_NOISES)),
+        rule=draw(st.sampled_from(ORACLE_RULES)), steps=steps,
+        master_seed=draw(st.integers(0, 2**64 - 1)), record_every=record_every)
+
+
+def _at_the_size_limit(steps):
+    """A sequential run whose chunks hold harness.AHEAD_CHUNK_AGENTS agents,
+    of ``steps`` steps."""
+    return harness.ExperimentConfig(
+        n=1000, init=harness.ConstantInit(10.0), scheduler="sequential",
+        noise=DiscreteGeometric(0.8), rule=Cutoff(1.0, 10.0, rounding=True), steps=steps,
+        master_seed=7, record_every=harness.AHEAD_CHUNK_AGENTS // 2)
+
+
+_BELOW_THE_LIMIT = _at_the_size_limit(harness.AHEAD_RUN_AGENTS // 2 - 1)
+_AT_THE_LIMIT = _at_the_size_limit(harness.AHEAD_RUN_AGENTS // 2)
+
+
+@needs_kernel
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(config=_windowless_runs())
+@example(config=_BELOW_THE_LIMIT)
+@example(config=_AT_THE_LIMIT)
+def test_a_run_drawn_ahead_is_the_run_drawn_inline(config):
+    """A run whose chunks a producer thread draws ahead gives the snapshots,
+    final values and generator state of the run that draws them itself, bit
+    for bit: the producer walks the run's own schedule, so it draws exactly
+    the run's chunks, in order, on the same generator."""
+    config.validate()
+    assert _run_drawn(config, True) == _run_drawn(config, False)
+
+
+def test_the_size_limit_examples_straddle_the_rule():
+    assert not harness.draws_ahead(_BELOW_THE_LIMIT, 2, False)
+    assert harness.draws_ahead(_AT_THE_LIMIT, 2, False)
+
+
+needs_tasks = pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
+                                 reason="no /proc/self/task")
+
+
+def _threads():
+    return len(os.listdir("/proc/self/task"))
+
+
+def _affinities():
+    """Each thread's allowed CPUs, as /proc lists them."""
+    masks = set()
+    for task in os.listdir("/proc/self/task"):
+        try:
+            with open(f"/proc/self/task/{task}/status") as status:
+                masks.update(line for line in status if line.startswith("Cpus_allowed_list"))
+        except OSError:  # a thread that ended meanwhile
+            pass
+    return masks
+
+
+def _long_engine(seed):
+    return SequentialEngine(init_population(np.arange(1000.0)), Gaussian(1.0), Real(),
+                            make_rng(seed))
+
+
+@needs_kernel
+@needs_tasks
+def test_no_thread_outlives_a_run_drawn_ahead():
+    """The producer exists while a run draws ahead (a watcher thread counts
+    it), with the process's affinity mask (it moves itself off the caller's
+    CPU once, at its start, and restores its mask), and it has ended when
+    ``run`` returns."""
+    _long_engine(1).advance(10**4, record_every=10**4, ahead=True)  # any lazy thread starts
+    before, mask, seen, running = _threads(), _affinities(), [], [True]
+
+    def watch():
+        while running[0]:
+            seen.append((_threads(), _affinities()))
+            time.sleep(0.001)
+
+    watcher = threading.Thread(target=watch)
+    watcher.start()
+    try:
+        _long_engine(2).advance(2 * 10**6, record_every=10**6, ahead=True)
+    finally:
+        running[0] = False
+        watcher.join(timeout=10)
+    assert not watcher.is_alive()
+    during = [masks for count, masks in seen if count == before + 2]  # the watcher, the producer
+    assert during and max(count for count, _ in seen) == before + 2
+    assert during[-1] == mask
+    assert _threads() == before
+
+
+@needs_kernel
+@needs_tasks
+@pytest.mark.skipif(not hasattr(signal, "setitimer"), reason="no interval timer")
+def test_no_thread_outlives_a_run_drawn_ahead_that_a_signal_stops():
+    """As test_kernel_run_stops_on_a_signal, with the draws made ahead: the
+    handler's exception ends the run within moments, and the producer with
+    it."""
+    class Alarm(Exception):
+        pass
+
+    def ring(signum, frame):
+        raise Alarm
+
+    _long_engine(1).advance(10**4, record_every=10**4, ahead=True)
+    before = _threads()
+    previous = signal.signal(signal.SIGALRM, ring)
+    try:
+        signal.setitimer(signal.ITIMER_REAL, 0.05)
+        started = time.perf_counter()
+        with pytest.raises(Alarm):
+            _long_engine(3).advance(10**10, record_every=10**10, ahead=True)
+        assert time.perf_counter() - started < 10.0
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert _threads() == before
+
+
+def _run_bits(engine, rows):
+    return repr(rows), engine.values.tobytes(), engine.rng.bit_generator.state
+
+
+@needs_kernel
+def test_a_run_drawn_ahead_holds_the_generators_lock():
+    """While a producer may draw, the run holds ``rng.bit_generator.lock``:
+    another thread's ``rng.random`` waits for the run to end instead of
+    racing it, so the run's bytes are those of a run left alone, and the
+    thread's values follow the run's draws.  Where the lock is taken, the
+    run draws its chunks itself, with the same bytes."""
+    alone = _long_engine(5)
+    expected = _run_bits(alone, alone.advance(10**6, record_every=10**5, ahead=True))
+    after = alone.rng.random(4).tolist(), alone.rng.bit_generator.state
+
+    engine, got = _long_engine(5), {}
+
+    def other():
+        time.sleep(0.005)
+        got["asked"] = time.perf_counter()
+        got["values"] = engine.rng.random(4).tolist()
+
+    thread = threading.Thread(target=other)
+    thread.start()
+    try:
+        rows = engine.advance(10**6, record_every=10**5, ahead=True)
+        ended = time.perf_counter()
+    finally:
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+    assert got["asked"] < ended  # asked during the run
+    assert _run_bits(engine, rows)[:2] == expected[:2]
+    assert (got["values"], engine.rng.bit_generator.state) == after
+
+    held = _long_engine(5)
+    with held.rng.bit_generator.lock:
+        rows = held.advance(10**6, record_every=10**5, ahead=True)
+    assert _run_bits(held, rows) == expected
+
+
 @needs_kernel
 @pytest.mark.parametrize("model", ORACLE_NOISES)
 @pytest.mark.parametrize("rule", ORACLE_RULES)

@@ -1,6 +1,7 @@
 """Harness: config handling, trace recording, histograms, serialization."""
 
 import csv
+import dataclasses
 import io
 import itertools
 import json
@@ -44,7 +45,7 @@ from gossipavg import (
     run_experiment,
     survival_fit,
 )
-from gossipavg import dynamics
+from gossipavg import dynamics, harness
 from gossipavg.dynamics import Cutoff
 from gossipavg.harness import (DECOMP_COLUMNS, KINDS, TRACE_COLUMNS, DecompositionRecord,
                                TraceRecord, initial_phi_bar, run_and_emit, run_entry,
@@ -647,3 +648,96 @@ def test_fig_b_trace_summary_band(tmp_path):
     trace = run_experiment(config)[0]
     assert trace.snapshots[0].running_avg == 10.0
     assert all(1.0 <= s.running_avg <= 10.0 for s in trace.snapshots)
+
+
+# -- draws made ahead -------------------------------------------------------
+
+
+def _ahead_shapes():
+    """Configs by run size: past both of draws_ahead's limits, short of the
+    run's, and with chunks short of the chunk's (record_every cuts them)."""
+    long = small_config(n=1000, steps=harness.AHEAD_RUN_AGENTS // 2, record_every=10**5)
+    return {
+        "long": long,
+        "short": dataclasses.replace(long, steps=harness.AHEAD_RUN_AGENTS // 2 - 1),
+        "small chunks": dataclasses.replace(long, record_every=harness.AHEAD_CHUNK_AGENTS // 4),
+        "long rounds": small_config(n=10**4, scheduler="synchronous", steps=400,
+                                    record_every=1),
+        "small rounds": small_config(n=100, scheduler="synchronous", steps=10**5,
+                                     record_every=1),
+    }
+
+
+@pytest.mark.parametrize("size", list(_ahead_shapes()))
+@pytest.mark.parametrize("window", [False, True])
+@pytest.mark.parametrize("cpus", [1, 2, 4])
+@pytest.mark.parametrize("pooled", [False, True])
+def test_draws_ahead_only_where_a_second_cpu_can_pay(size, window, cpus, pooled):
+    """A run draws ahead only outside a pool, with 2 CPUs or more, without a
+    window, and with enough chunks of enough agents."""
+    config = _ahead_shapes()[size]
+    if window:
+        config = dataclasses.replace(config, scheduler="sequential",
+                                     decomposition_intervals=((0, 100),))
+    assert harness.draws_ahead(config, cpus, pooled) == (
+        not pooled and cpus >= 2 and not window and size.startswith("long"))
+
+
+def _pooled(config, run_index):
+    return harness._in_a_pool()
+
+
+def test_a_pool_worker_knows_it_is_one():
+    config = small_config(runs=2)
+    assert run_experiment(config, jobs=2, per_run=_pooled) == [True, True]
+    assert run_experiment(config, jobs=1, per_run=_pooled) == [False, False]
+
+
+ON_SOME_CPUS = r"""
+import hashlib, json, os, sys
+from pathlib import Path
+from gossipavg import cli, dynamics
+
+cpus, config, out = int(sys.argv[1]), sys.argv[2], Path(sys.argv[3])
+os.sched_setaffinity(0, sorted(os.sched_getaffinity(0))[:cpus])
+kernel, asked = dynamics._kernel, []
+
+
+class Spy:
+    def __getattr__(self, name):
+        return getattr(kernel, name)
+
+    def run(self, *args):
+        asked.append(args[-1])
+        return kernel.run(*args)
+
+
+dynamics._kernel = Spy()
+before = len(os.listdir("/proc/self/task"))
+assert cli.main(["run", "--config", config, "--out", str(out)]) == 0
+after = len(os.listdir("/proc/self/task"))
+files = b"".join(p.name.encode() + p.read_bytes() for p in sorted(out.iterdir()))
+print(json.dumps([asked, before, after, hashlib.sha256(files).hexdigest()]))
+"""
+
+
+@pytest.mark.skipif(dynamics._kernel is None, reason="no compiled kernel")
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity") or not os.path.isdir("/proc/self/task"),
+                    reason="no CPU affinity or no /proc/self/task")
+@pytest.mark.skipif(harness.usable_cpus() < 2, reason="fewer than 2 CPUs to compare")
+def test_a_run_on_one_cpu_draws_inline_with_the_same_bytes(tmp_path):
+    """`run` in a process limited to one CPU (`--jobs` defaults to 1 there)
+    draws its chunks itself; with two it draws them ahead.  Both write the
+    same bytes, and neither leaves a thread behind."""
+    config = tmp_path / "long.json"
+    config.write_text(json.dumps(config_to_json_dict(_ahead_shapes()["long"])))
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    seen = {}
+    for cpus in (1, 2):
+        done = subprocess.run([sys.executable, "-c", ON_SOME_CPUS, str(cpus), str(config),
+                               str(tmp_path / f"out{cpus}")],
+                              env=env, capture_output=True, text=True, check=True, timeout=120)
+        asked, before, after, seen[cpus] = json.loads(done.stdout.splitlines()[-1])
+        assert asked == [cpus == 2]
+        assert after == before
+    assert seen[1] == seen[2]
