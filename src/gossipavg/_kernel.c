@@ -1,12 +1,18 @@
 /* The gossipavg engines' compiled kernel: a CPython extension module.
  *
- * draw() draws one chunk's randomness from a numpy Generator's bitgen_t with
- * numpy's own C samplers (libnpyrandom.a), in the order and with the calls
- * the numpy methods make, so the values and the generator state afterwards
- * are those of rng.integers or rng.permutation, then rng.normal or
- * rng.random, then rng.random.  Its normals take the first ziggurat step of
- * numpy's random_standard_normal inline, without its branch on the sign
- * (standard_normal()), and the rest in numpy's function on the same draws.
+ * pcg64() makes a run's stream: numpy's PCG64(seed), with numpy's
+ * SeedSequence hash of the seed, its state and its outputs, behind a
+ * "BitGenerator" capsule as numpy's own, so that every entry below takes
+ * either; random_raw() and uniform() fill a buffer as bit_generator.random_raw
+ * and rng.uniform do, and pcg64_state() reads a stream's state.
+ * draw() draws one chunk's randomness from a bitgen_t (a numpy Generator's,
+ * or a stream of pcg64()) with numpy's own C samplers (libnpyrandom.a), in
+ * the order and with the calls the numpy methods make, so the values and the
+ * generator state afterwards are those of rng.integers or rng.permutation,
+ * then rng.normal or rng.random, then rng.random.  Its normals take the
+ * first ziggurat step of numpy's random_standard_normal inline, without its
+ * branch on the sign (standard_normal()), and the rest in numpy's function
+ * on the same draws.
  * Its permutations make random_interval's draws inline and apply each one
  * without a branch; indices above 2^32 - 1 still call random_interval.
  * discrete_map() maps the uniforms that draw() leaves for the discrete model
@@ -56,8 +62,8 @@
  * chunks ahead while run() applies them (see struct ring), and run() joins
  * it before it returns.  That is the one place where two threads share a
  * generator, and dynamics._Engine.advance holds the generator's own lock
- * (rng.bit_generator.lock) around such a call; the other entries do not
- * lock it, as the engines never share one.
+ * (rng.bit_generator.lock, which dynamics.KernelPCG64 has too) around such
+ * a call; the other entries do not lock it, as the engines never share one.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -448,6 +454,217 @@ static int moments(const double *x, int64_t n, double *out)
     out[0] = mean;
     out[1] = phibar;
     return 0;
+}
+
+/* ------------------------------------------------------------------------
+ * A run's stream: numpy's PCG64, seeded and stepped here
+ * ------------------------------------------------------------------------ */
+
+/* numpy's PCG64(seed) for one integer seed in [0, 2^64): the same outputs
+ * and the same state, held in numpy's layout (the 128-bit state and
+ * increment, and the buffered uinteger and has_uint32 of next_uint32), so
+ * that a run needs no numpy.random (O'Neill, PCG, 2014; numpy's NEP 19 on
+ * SeedSequence and bitgen_t).
+ *
+ * Seeding is numpy's SeedSequence(seed).generate_state(4, uint64), then
+ * PCG64's set_seed.  The sequence hashes the seed's 32-bit words, low first
+ * (one below 2^32; a missing word hashes as 0, so one word and two agree),
+ * into a pool of 4 words, and mixes each pool word into every other
+ * (seed_pool()); generate_state hashes the pool, cycled, into 8 words and
+ * pairs them, low word first, into v[0..4).  set_seed takes initstate =
+ * v[0] << 64 | v[1] and initseq = v[2] << 64 | v[3]: state 0, inc =
+ * (initseq << 1) | 1, a step, state += initstate, a step.  A step is state =
+ * state * MULT + inc modulo 2^128; next_uint64 steps, then returns the
+ * XSL-RR of the new state, hi ^ lo rotated right by hi >> 58; next_uint32
+ * keeps the high half of a next_uint64 for the next call, and next_double is
+ * (next_uint64 >> 11) * 2^-53, as numpy's pcg64.h has them.
+ *
+ * The 128-bit words are unsigned __int128 where the compiler has the type,
+ * else pairs of 64-bit limbs: a step took 2.9 to 3.3 ns with the first and
+ * 4.0 to 4.5 ns with the second (gcc 12.2 -O2, a 2-vCPU Xeon KVM guest).
+ * The type matters where the draws set a run's pace, as in sync-trace: one
+ * synchronous round's draws at n = 10^4 took 82 to 96 us on this stream,
+ * and 86 to 110 us on numpy's. */
+#define SEED_INIT_A UINT32_C(0x43b0d7e5)
+#define SEED_MULT_A UINT32_C(0x931e8875)
+#define SEED_INIT_B UINT32_C(0x8b51f9dd)
+#define SEED_MULT_B UINT32_C(0x58f38ded)
+#define SEED_MIX_L UINT32_C(0xca01f9dd)
+#define SEED_MIX_R UINT32_C(0x4973f715)
+#define PCG_MULT_HI UINT64_C(2549297995355413924)
+#define PCG_MULT_LO UINT64_C(4865540595714422341)
+
+#if defined(__SIZEOF_INT128__)
+__extension__ typedef unsigned __int128 u128;
+
+static u128 u128_of(uint64_t hi, uint64_t lo)
+{
+    return (u128)hi << 64 | lo;
+}
+
+static uint64_t u128_hi(u128 v)
+{
+    return (uint64_t)(v >> 64);
+}
+
+static uint64_t u128_lo(u128 v)
+{
+    return (uint64_t)v;
+}
+
+static u128 u128_add(u128 a, u128 b)
+{
+    return a + b;
+}
+
+static u128 u128_mul(u128 a, u128 b)
+{
+    return a * b;
+}
+#else
+typedef struct {
+    uint64_t hi, lo;
+} u128;
+
+static u128 u128_of(uint64_t hi, uint64_t lo)
+{
+    u128 v;
+
+    v.hi = hi;
+    v.lo = lo;
+    return v;
+}
+
+static uint64_t u128_hi(u128 v)
+{
+    return v.hi;
+}
+
+static uint64_t u128_lo(u128 v)
+{
+    return v.lo;
+}
+
+static u128 u128_add(u128 a, u128 b)
+{
+    const uint64_t lo = a.lo + b.lo;
+
+    return u128_of(a.hi + b.hi + (lo < a.lo), lo);
+}
+
+/* The low 128 bits of a * b: a.lo * b.lo in full, from 32-bit halves, and
+ * the low 64 bits of the cross terms. */
+static u128 u128_mul(u128 a, u128 b)
+{
+    const uint64_t a0 = a.lo & 0xffffffff, a1 = a.lo >> 32;
+    const uint64_t b0 = b.lo & 0xffffffff, b1 = b.lo >> 32;
+    const uint64_t p00 = a0 * b0, p01 = a0 * b1, p10 = a1 * b0;
+    const uint64_t mid = (p00 >> 32) + (p01 & 0xffffffff) + (p10 & 0xffffffff);
+
+    return u128_of(a1 * b1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32) + a.hi * b.lo + a.lo * b.hi,
+                   mid << 32 | (p00 & 0xffffffff));
+}
+#endif
+
+/* A stream behind a "BitGenerator" capsule, as numpy's: the capsule holds
+ * &bg, whose state is the struct. */
+struct pcg64 {
+    bitgen_t bg;
+    u128 state, inc;
+    int has_uint32;
+    uint32_t uinteger;
+};
+
+static void pcg64_step(struct pcg64 *s)
+{
+    s->state = u128_add(u128_mul(s->state, u128_of(PCG_MULT_HI, PCG_MULT_LO)), s->inc);
+}
+
+static uint64_t pcg64_next64(void *st)
+{
+    struct pcg64 *s = st;
+    uint64_t hi, x;
+    unsigned rot;
+
+    pcg64_step(s);
+    hi = u128_hi(s->state);
+    x = hi ^ u128_lo(s->state);
+    rot = (unsigned)(hi >> 58);
+    return x >> rot | x << ((64 - rot) & 63);
+}
+
+static uint32_t pcg64_next32(void *st)
+{
+    struct pcg64 *s = st;
+    uint64_t next;
+
+    if (s->has_uint32) {
+        s->has_uint32 = 0;
+        return s->uinteger;
+    }
+    next = pcg64_next64(s);
+    s->has_uint32 = 1;
+    s->uinteger = (uint32_t)(next >> 32);
+    return (uint32_t)next;
+}
+
+static double pcg64_next_double(void *st)
+{
+    return (double)(pcg64_next64(st) >> 11) * (1.0 / 9007199254740992.0);
+}
+
+/* SeedSequence's hashmix, which steps the hash constant *h. */
+static uint32_t hashmix(uint32_t value, uint32_t *h)
+{
+    value ^= *h;
+    *h *= SEED_MULT_A;
+    value *= *h;
+    return value ^ value >> 16;
+}
+
+static uint32_t seed_mix(uint32_t x, uint32_t y)
+{
+    const uint32_t r = SEED_MIX_L * x - SEED_MIX_R * y;
+
+    return r ^ r >> 16;
+}
+
+/* SeedSequence(seed)'s pool of 4 words (its mix_entropy). */
+static void seed_pool(uint64_t seed, uint32_t *pool)
+{
+    uint32_t h = SEED_INIT_A;
+
+    for (int k = 0; k < 4; k++)
+        pool[k] = hashmix(k < 2 ? (uint32_t)(seed >> 32 * k) : 0, &h);
+    for (int src = 0; src < 4; src++)
+        for (int dst = 0; dst < 4; dst++)
+            if (src != dst)
+                pool[dst] = seed_mix(pool[dst], hashmix(pool[src], &h));
+}
+
+/* s as np.random.PCG64(seed) leaves it. */
+static void pcg64_seed(struct pcg64 *s, uint64_t seed)
+{
+    uint32_t pool[4], h = SEED_INIT_B;
+    uint64_t v[4] = {0};
+    u128 initseq;
+
+    seed_pool(seed, pool);
+    for (int k = 0; k < 8; k++) { /* generate_state(4, uint64) */
+        uint32_t w = pool[k % 4] ^ h;
+
+        h *= SEED_MULT_B;
+        w *= h;
+        v[k / 2] |= (uint64_t)(w ^ w >> 16) << 32 * (k % 2);
+    }
+    initseq = u128_of(v[2], v[3]);
+    s->state = u128_of(0, 0);
+    s->inc = u128_add(u128_add(initseq, initseq), u128_of(0, 1));
+    pcg64_step(s);
+    s->state = u128_add(s->state, u128_of(v[0], v[1]));
+    pcg64_step(s);
+    s->has_uint32 = 0;
+    s->uinteger = 0;
 }
 
 /* ------------------------------------------------------------------------
@@ -932,6 +1149,22 @@ static PyObject *discrete_map(PyObject *self, PyObject *const *args, Py_ssize_t 
     Py_RETURN_NONE;
 }
 
+/* rng.uniform(low, high)'s range, *range = high - low, refused with the
+ * exception that numpy raises.  Returns 0, or -1 with it raised. */
+static int uniform_range(double low, double high, double *range)
+{
+    *range = high - low;
+    if (!isfinite(*range)) {
+        PyErr_SetString(PyExc_OverflowError, "high - low range exceeds valid bounds");
+        return -1;
+    }
+    if (signbit(*range)) {
+        PyErr_SetString(PyExc_ValueError, "high - low < 0");
+        return -1;
+    }
+    return 0;
+}
+
 /* The agents a one-step case may hold: rng.integers(2, 33). */
 enum { ONESTEP_MIN_N = 2, ONESTEP_MAX_N = 32 };
 
@@ -967,15 +1200,10 @@ static PyObject *onestep_cases(PyObject *self, PyObject *const *args, Py_ssize_t
         return NULL;
     spread = PyFloat_AsDouble(args[2]);
     sigma = PyFloat_AsDouble(args[3]);
-    if (PyErr_Occurred())
+    if (PyErr_Occurred() || uniform_range(-spread, spread, &range))
         return NULL;
-    range = spread - (-spread);
-    if (!isfinite(range)) {
-        PyErr_SetString(PyExc_OverflowError, "high - low range exceeds valid bounds");
-        return NULL;
-    }
-    if (signbit(range) || (!isnan(sigma) && signbit(sigma))) {
-        PyErr_SetString(PyExc_ValueError, signbit(range) ? "high - low < 0" : "scale < 0");
+    if (!isnan(sigma) && signbit(sigma)) {
+        PyErr_SetString(PyExc_ValueError, "scale < 0");
         return NULL;
     }
     if (cases > PY_SSIZE_T_MAX / ONESTEP_MAX_N) {
@@ -1017,6 +1245,109 @@ static PyObject *onestep_cases(PyObject *self, PyObject *const *args, Py_ssize_t
         noise[2 * k + 1] = 0.0 + sigma * standard_normal(bg);
     }
     release(views, held);
+    Py_RETURN_NONE;
+}
+
+static void free_pcg64(PyObject *capsule)
+{
+    PyMem_Free(PyCapsule_GetPointer(capsule, "BitGenerator"));
+}
+
+/* pcg64(seed): a new stream, np.random.PCG64(seed) for an int seed in
+ * [0, 2^64), behind a "BitGenerator" capsule, which frees it. */
+static PyObject *pcg64(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    unsigned long long seed;
+    struct pcg64 *s;
+    PyObject *capsule;
+
+    (void)self;
+    if (check_nargs("pcg64", nargs, 1))
+        return NULL;
+    seed = PyLong_AsUnsignedLongLong(args[0]);
+    if (PyErr_Occurred())
+        return NULL;
+    s = PyMem_Malloc(sizeof *s);
+    if (!s)
+        return PyErr_NoMemory();
+    s->bg.state = s;
+    s->bg.next_uint64 = pcg64_next64;
+    s->bg.next_uint32 = pcg64_next32;
+    s->bg.next_double = pcg64_next_double;
+    s->bg.next_raw = pcg64_next64;
+    pcg64_seed(s, (uint64_t)seed);
+    capsule = PyCapsule_New(&s->bg, "BitGenerator", free_pcg64);
+    if (!capsule)
+        PyMem_Free(s);
+    return capsule;
+}
+
+/* pcg64_state(capsule): the state of a pcg64() stream, ((state high, low),
+ * (inc high, low), has_uint32, uinteger), the 128-bit words as 64-bit
+ * halves. */
+static PyObject *pcg64_state(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    bitgen_t *bg;
+    const struct pcg64 *s;
+
+    (void)self;
+    if (check_nargs("pcg64_state", nargs, 1) ||
+        !(bg = PyCapsule_GetPointer(args[0], "BitGenerator")))
+        return NULL;
+    if (bg->next_uint64 != pcg64_next64) {
+        PyErr_SetString(PyExc_TypeError, "pcg64_state() takes a stream that pcg64() made");
+        return NULL;
+    }
+    s = bg->state;
+    return Py_BuildValue("((KK)(KK)iI)", (unsigned long long)u128_hi(s->state),
+                         (unsigned long long)u128_lo(s->state), (unsigned long long)u128_hi(s->inc),
+                         (unsigned long long)u128_lo(s->inc), s->has_uint32,
+                         (unsigned int)s->uinteger);
+}
+
+/* random_raw(capsule, out): fill the int64 buffer out with next_raw outputs,
+ * each one's 64 bits as they are, as bit_generator.random_raw(len(out)). */
+static PyObject *random_raw(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    bitgen_t *bg;
+    Py_buffer view;
+    uint64_t *out;
+
+    (void)self;
+    if (check_nargs("random_raw", nargs, 2) ||
+        !(bg = PyCapsule_GetPointer(args[0], "BitGenerator")) ||
+        get_buffer(args[1], &view, "out", 'q', 1, 0))
+        return NULL;
+    out = view.buf;
+    for (Py_ssize_t k = 0; k < view.shape[0]; k++)
+        out[k] = bg->next_raw(bg->state);
+    PyBuffer_Release(&view);
+    Py_RETURN_NONE;
+}
+
+/* uniform(capsule, low, high, out): fill the float64 buffer out as
+ * rng.uniform(low, high, len(out)) does, with numpy's random_uniform, after
+ * its checks of the range. */
+static PyObject *uniform(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    bitgen_t *bg;
+    double low, high, range;
+    Py_buffer view;
+    double *out;
+
+    (void)self;
+    if (check_nargs("uniform", nargs, 4) ||
+        !(bg = PyCapsule_GetPointer(args[0], "BitGenerator")))
+        return NULL;
+    low = PyFloat_AsDouble(args[1]);
+    high = PyFloat_AsDouble(args[2]);
+    if (PyErr_Occurred() || uniform_range(low, high, &range) ||
+        get_buffer(args[3], &view, "out", 'd', 1, 0))
+        return NULL;
+    out = view.buf;
+    for (Py_ssize_t k = 0; k < view.shape[0]; k++)
+        out[k] = random_uniform(bg, low, range);
+    PyBuffer_Release(&view);
     Py_RETURN_NONE;
 }
 
@@ -1678,6 +2009,10 @@ static PyMethodDef methods[] = {
     {"draw", FASTCALL(draw), "One chunk's pairs or permutation, noise and coins."},
     {"discrete_map", FASTCALL(discrete_map), "The discrete noise from its uniforms."},
     {"onestep_cases", FASTCALL(onestep_cases), "The inputs of verify's one-step cases."},
+    {"pcg64", FASTCALL(pcg64), "A new stream: numpy's PCG64(seed), behind a capsule."},
+    {"pcg64_state", FASTCALL(pcg64_state), "The state of a stream that pcg64() made."},
+    {"random_raw", FASTCALL(random_raw), "Raw 64-bit outputs of a stream."},
+    {"uniform", FASTCALL(uniform), "rng.uniform(low, high, len(out)) into out."},
     {"pair_chunk", FASTCALL(pair_chunk), "Apply a batch of exchanges in place."},
     {"run", FASTCALL(run), "A run's boundary loop: chunks, resyncs, snapshots, windows."},
     {"exact_moments", FASTCALL(exact_moments), "Correctly rounded mean and potential."},

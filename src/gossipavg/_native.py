@@ -1,32 +1,35 @@
 """Build and load the compiled kernel ``_kernel.c``, a CPython extension module.
 
-Its ``METH_FASTCALL`` entries take arrays through the buffer protocol: the
-draws of a chunk, with numpy's C samplers (``libnpyrandom.a``, linked) on
-the ``bitgen_t`` of ``rng.bit_generator.capsule``; the pair loop; and the
-exact sums, a superaccumulator in portable C99 (no ``__int128``).
+Its ``METH_FASTCALL`` entries take arrays through the buffer protocol: a
+run's PCG64 stream, numpy's bits seeded and stepped in C; the draws of a
+chunk, with numpy's C samplers (``libnpyrandom.a``, linked) on that stream
+or on the ``bitgen_t`` of a Generator's ``rng.bit_generator.capsule``; the
+pair loop; and the exact sums, a superaccumulator in portable C99 (no
+``__int128``).
 
 It is built once with the system C compiler, ``Python.h`` and numpy's
-headers, and cached as ``$XDG_CACHE_HOME/gossipavg/kernel-<sha256><EXT_SUFFIX>``
+headers, and cached as ``$XDG_CACHE_HOME/gossipavg/kernel-<hash><EXT_SUFFIX>``
 (``~/.cache`` when the variable is unset; the temporary directory if neither
 can be written); a build then deletes all but the newest KEEP libraries of
 that directory.  The compiler and ``Python.h`` are looked up only for a
 build, so a cached load imports no ``sysconfig``.  The name hashes the
 source, the flags, ``EXT_SUFFIX``, ``numpy.__version__`` and the bytes of
 ``libnpyrandom.a``, so an edited source or another numpy is rebuilt, never
-a stale sampler loaded.  The flags keep IEEE double semantics (no fused
-multiply-add, no fast-math), which the kernel needs to match the Python
-reference loop bit for bit.
+a stale sampler loaded.  The hash is ``importlib.util.source_hash``, the
+interpreter's own 64-bit SipHash for hash-based ``.pyc`` files, so a load
+imports neither ``hashlib`` nor OpenSSL's ``_hashlib``.  The flags keep IEEE
+double semantics (no fused multiply-add, no fast-math), which the kernel
+needs to match the Python reference loop bit for bit.
 """
 
 from __future__ import annotations
 
-import hashlib
 import os
 import shutil
 import tempfile
 import warnings
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
-from importlib.util import module_from_spec, spec_from_loader
+from importlib.util import module_from_spec, source_hash, spec_from_loader
 from pathlib import Path
 from types import ModuleType
 from typing import Iterator, Optional
@@ -66,9 +69,9 @@ def _cache_dirs() -> Iterator[Path]:
 def library_name(source: bytes, samplers: bytes, numpy_version: str) -> str:
     """File name of the module built from ``source``, linked against the
     ``samplers`` archive of numpy ``numpy_version``."""
-    key = hashlib.sha256(b"\0".join([
+    key = source_hash(b"\0".join([
         source, " ".join(FLAGS).encode(), EXT_SUFFIX.encode(), numpy_version.encode(), samplers]))
-    return f"kernel-{key.hexdigest()}{EXT_SUFFIX}"
+    return f"kernel-{key.hex()}{EXT_SUFFIX}"
 
 
 def compiler_command(cc: str, output: str, *extra: str) -> list[str]:

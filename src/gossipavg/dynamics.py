@@ -21,6 +21,7 @@ interaction.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Union
 
@@ -237,6 +238,43 @@ _kernel = _native.load()
 #: scale) per value, or uniforms that its ``discrete_map`` maps to the
 #: discrete model, as ``sample_batch`` does, bit for bit.
 _ZERO, _GAUSSIAN, _UNIFORMS = range(3)
+
+
+class KernelPCG64:
+    """numpy's ``PCG64(seed)``, seeded and stepped by the kernel: the same
+    outputs and the same state, without importing ``numpy.random``.  A run
+    of ``harness.run_single`` draws from one where there is a kernel.
+
+    Like a numpy bit generator it has a ``capsule`` (the ``bitgen_t`` that the
+    kernel's ``draw`` and ``run`` take, named "BitGenerator" as numpy's is), a
+    ``lock`` and a ``state`` in numpy's form.  It is its own
+    ``bit_generator``, so an engine reads it as it reads a Generator's; and
+    its one sampler, ``uniform``, gives ``Generator.uniform``'s values."""
+
+    def __init__(self, seed: int):
+        self.capsule = _kernel.pcg64(seed)
+        self.lock = threading.Lock()
+
+    @property
+    def bit_generator(self) -> "KernelPCG64":
+        return self
+
+    @property
+    def state(self) -> dict:
+        """``np.random.PCG64(seed).state`` after the same draws."""
+        (state_hi, state_lo), (inc_hi, inc_lo), has_uint32, uinteger = _kernel.pcg64_state(
+            self.capsule)
+        return {"bit_generator": "PCG64",
+                "state": {"state": state_hi << 64 | state_lo, "inc": inc_hi << 64 | inc_lo},
+                "has_uint32": has_uint32, "uinteger": uinteger}
+
+    def uniform(self, low: float, high: float, size: int) -> np.ndarray:
+        """``rng.uniform(low, high, size)``: the same values, the same errors,
+        drawn holding the lock, as numpy's samplers hold theirs."""
+        out = np.empty(size)
+        with self.lock:
+            _kernel.uniform(self.capsule, low, high, out)
+        return out
 
 
 def _noise_params(model: NoiseModel) -> tuple[int, float]:

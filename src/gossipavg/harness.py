@@ -22,7 +22,7 @@ from typing import NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
-from . import __version__
+from . import __version__, dynamics
 from .dynamics import (
     Cutoff,
     DiscreteRounding,
@@ -42,7 +42,7 @@ from .potentials import (
     PotentialSnapshot,
     check_decomposition_bound,
 )
-from .seeding import GENERATOR_NAME, make_rng
+from .seeding import GENERATOR_NAME, make_rng, mix64
 
 # ---------------------------------------------------------------------------
 # configuration
@@ -324,9 +324,19 @@ def _initial_values(config: ExperimentConfig, rng) -> np.ndarray:
     return np.asarray(init.values, dtype=float)
 
 
+def _run_rng(config: ExperimentConfig, run_index: int):
+    """Run ``run_index``'s PCG64 stream, seeded with ``mix64(master_seed,
+    run_index)``: the kernel's (``dynamics.KernelPCG64``, which needs no
+    ``numpy.random``) where there is a kernel, else ``make_rng``'s numpy
+    Generator.  Both give the same bits."""
+    if dynamics._kernel is None:
+        return make_rng(config.master_seed, run_index)
+    return dynamics.KernelPCG64(mix64(config.master_seed, run_index))
+
+
 def initial_phi_bar(config: ExperimentConfig) -> float:
     """Run 0's phi_bar at step 0, as :func:`run_single` records it, without the run."""
-    return _exact(_initial_values(config, make_rng(config.master_seed, 0)))[1]
+    return _exact(_initial_values(config, _run_rng(config, 0)))[1]
 
 
 def usable_cpus() -> int:
@@ -373,7 +383,7 @@ def run_single(config: ExperimentConfig, run_index: int) -> TraceRecord:
     The engine's ``advance`` runs its boundary loop (one kernel call where
     there is a kernel), with its draws made ahead where ``draws_ahead``
     says; this makes its rows snapshots and its windows records."""
-    rng = make_rng(config.master_seed, run_index)
+    rng = _run_rng(config, run_index)
     engine = ENGINES[config.scheduler](init_population(_initial_values(config, rng)),
                                        config.noise, config.rule, rng)
     rows, closed = engine.advance(config.steps, record_every=config.record_every,

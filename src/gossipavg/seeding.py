@@ -5,6 +5,13 @@ Every run of an ensemble gets its own PCG64 generator seeded by mixing
 full-avalanche 64-bit permutation.  Runs are therefore reproducible and
 order-independent: run r never depends on how many other runs exist or
 in which order they execute.
+
+``make_rng`` gives numpy's ``Generator(PCG64(mix64(...)))``, for the
+library, ``verify`` and the step API, and for a run where there is no
+compiled kernel.  Where there is one, ``harness.run_single`` draws from
+the kernel's own PCG64 seeded with the same ``mix64`` value
+(``dynamics.KernelPCG64``): numpy's ``SeedSequence`` hash, state and
+outputs, bit for bit, without importing ``numpy.random``.
 """
 
 from __future__ import annotations

@@ -296,16 +296,84 @@ def test_verify_passes():
 
 def test_cli_import_leaves_pool_and_build_modules_unloaded():
     """Only `--jobs > 1`, a kernel build, `verify`, reading a trace CSV and
-    a run without a seed need these; the other commands do not pay for
+    a run without a seed need these, and numpy.random only `verify`, the
+    library and a run without a kernel; the other commands do not pay for
     importing them."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=src)
     probe = ("import sys, gossipavg.cli; print(sorted(m for m in ('concurrent.futures', "
-             "'multiprocessing', 'subprocess', 'gossipavg.verify', 'csv', 'sysconfig', 'secrets') "
-             "if m in sys.modules))")
+             "'multiprocessing', 'subprocess', 'gossipavg.verify', 'csv', 'sysconfig', 'secrets', "
+             "'numpy.random', 'hashlib') if m in sys.modules))")
     done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                           text=True, check=True)
     assert done.stdout.strip() == "[]"
+
+
+#: Runs each argv of argv[1] (JSON) through cli.main in one fresh
+#: interpreter and prints, after each, which of the modules a run must not
+#: need are loaded; a pool worker checks itself after each of its runs.
+RUNS_WITHOUT_NUMPY_RANDOM = r"""
+import json, sys
+from gossipavg import cli, harness
+
+UNNEEDED = ("numpy.random", "hashlib", "_hashlib", "secrets")
+
+
+def loaded():
+    return [m for m in UNNEEDED if m in sys.modules]
+
+
+run_and_emit = harness.run_and_emit
+
+
+def checked(*args):
+    entry = run_and_emit(*args)
+    if loaded():
+        raise RuntimeError(f"a run loaded {loaded()}")
+    return entry
+
+
+harness.run_and_emit = checked
+seen = []
+for argv in json.loads(sys.argv[1]):
+    assert cli.main(argv) == 0, argv
+    seen.append(loaded())
+print(json.dumps(seen))
+"""
+
+
+@pytest.mark.skipif(dynamics._kernel is None, reason="no compiled kernel")
+def test_runs_with_the_kernel_import_no_numpy_random_nor_hashlib(tmp_path):
+    """A run's stream is the kernel's PCG64, and the kernel's cache name
+    comes from importlib's source hash, so `run` (both schedulers, each
+    noise, with a window and without, at `--jobs` 1 and 2, where the pool's
+    workers make the runs), `replicate-fig-b` and `histogram` leave
+    numpy.random, hashlib (with OpenSSL's _hashlib) and secrets unloaded."""
+    shapes = {
+        "seq-gaussian-window": {},
+        "seq-discrete": {"noise": {"kind": "discrete_geometric", "p": 0.8},
+                         "rule": {"kind": "cutoff", "vmin": 1.0, "vmax": 9.0, "rounding": True},
+                         "decomposition_intervals": []},
+        "sync-zero": {"scheduler": "synchronous", "noise": {"kind": "zero"}, "steps": 40,
+                      "record_every": 10, "decomposition_intervals": []},
+        "sync-discrete": {"scheduler": "synchronous", "steps": 40, "record_every": 10,
+                          "noise": {"kind": "discrete_geometric", "p": 0.5},
+                          "decomposition_intervals": []},
+    }
+    argvs = []
+    for name, changes in shapes.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps({**BASE_CONFIG, **changes}))
+        argvs += [["run", "--config", str(path), "--seed", "3", "--jobs", jobs,
+                   "--out", str(tmp_path / f"{name}-{jobs}")] for jobs in ("1", "2")]
+    argvs += [["replicate-fig-b", "--out", str(tmp_path / "fig-b")],
+              ["histogram", "--config", str(tmp_path / "seq-discrete.json"), "--seed", "3",
+               "--out", str(tmp_path / "histogram")]]
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    done = subprocess.run([sys.executable, "-c", RUNS_WITHOUT_NUMPY_RANDOM, json.dumps(argvs)],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout.splitlines()[-1]) == [[]] * len(argvs)
 
 
 def _env_without_blas_threads(**extra) -> dict:

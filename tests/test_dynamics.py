@@ -36,7 +36,7 @@ from gossipavg import (
     sequential_step,
     synchronous_step,
 )
-from gossipavg import _native, dynamics, harness
+from gossipavg import _native, dynamics, harness, seeding
 from gossipavg.dynamics import Population, SequentialEngine, SynchronousEngine
 from gossipavg.errors import NumericalDriftError
 
@@ -382,13 +382,32 @@ def _event_bits(event):
     return [(*it[:2], _bits(it[2]), _bits(it[3]), *it[4:]) for it in event.interactions]
 
 
-def _drive(scheduler, rule, model, start, seed, segments, decomp, collect):
+def _generator(bits, seed):
+    """A numpy Generator, as a library caller passes one to an engine: over
+    ``make_rng``'s PCG64, or over numpy's bit generator of the name ``bits``."""
+    if bits == "PCG64":
+        return make_rng(seed)
+    return np.random.Generator(getattr(np.random, bits)(seed))
+
+
+def _state(rng):
+    """``rng.bit_generator.state`` with its arrays (MT19937's key, Philox's
+    counter and key) as lists, so that two states compare with ==."""
+    def plain(value):
+        if isinstance(value, dict):
+            return {key: plain(item) for key, item in value.items()}
+        return value.tolist() if isinstance(value, np.ndarray) else value
+
+    return plain(rng.bit_generator.state)
+
+
+def _drive(scheduler, rule, model, start, seed, segments, decomp, collect, bits="PCG64"):
     """Run one engine over ``segments`` of (length, refresh after it) and
     record everything observable, floats as their bytes, and the generator's
     state at the end."""
     pop = init_population(start)
     engine_cls = SequentialEngine if scheduler == "sequential" else SynchronousEngine
-    engine = engine_cls(pop, model, rule, make_rng(seed))
+    engine = engine_cls(pop, model, rule, _generator(bits, seed))
     events = [] if collect else None
     seen = []
     if decomp:
@@ -402,7 +421,7 @@ def _drive(scheduler, rule, model, start, seed, segments, decomp, collect):
         seen.append([_bits(x) for x in engine.end_decomposition()])
     if collect:
         seen.append([_event_bits(ev) for ev in events])
-    return engine.values.tobytes(), seen, engine.rng.bit_generator.state
+    return engine.values.tobytes(), seen, _state(engine.rng)
 
 
 @needs_kernel
@@ -418,11 +437,14 @@ def _drive(scheduler, rule, model, start, seed, segments, decomp, collect):
     seed=st.integers(0, 2**32 - 1),
     segments=st.lists(st.tuples(st.one_of(st.integers(0, 2600), st.sampled_from([1024, 2048])),
                                 st.booleans()), min_size=1, max_size=4),
+    bits=st.sampled_from(["PCG64", "MT19937", "Philox"]),
 )
 def test_kernel_matches_reference_loop(scheduler, rule, model, n, integral, decomp, collect,
-                                       seed, segments):
+                                       seed, segments, bits):
     """Bit-for-bit: values, trackers, interval sums, refreshes and events,
-    and the generator state, so the kernel's draws are numpy's.
+    and the generator state, so the kernel's draws are numpy's, on a
+    Generator over any of numpy's bit generators, as a library caller may
+    pass one.
 
     Sequential segments reach past the 1024-step resync and synchronous
     ones (about as many pairs) past the 4096 // n round resync; the
@@ -436,11 +458,43 @@ def test_kernel_matches_reference_loop(scheduler, rule, model, n, integral, deco
     if scheduler == "synchronous":
         segments = [(2 * length // n, refresh) for length, refresh in segments]
         decomp = False
-    args = (scheduler, rule, model, start, seed, segments, decomp, collect)
+    args = (scheduler, rule, model, start, seed, segments, decomp, collect, bits)
     compiled = _drive(*args)
     with mock.patch.object(dynamics, "_kernel", None):
         reference = _drive(*args)
     assert compiled == reference
+
+
+@needs_kernel
+@pytest.mark.parametrize("bits", ["PCG64", "MT19937", "Philox"])
+@pytest.mark.parametrize("scheduler,n,steps,every,windows", [
+    ("sequential", 40, 3000, 700, ()),
+    ("sequential", 40, 3000, 700, ((0, 1500), (2100, 3000))),
+    ("synchronous", 41, 60, 13, ()),
+], ids=["sequential", "sequential-windows", "synchronous"])
+def test_run_on_a_callers_generator_matches_the_python_loop(bits, scheduler, n, steps, every,
+                                                              windows):
+    """The library's path: an engine given a numpy Generator makes a run's
+    boundary loop (``advance`` with ``record_every``) in one kernel call on
+    the Generator's capsule, drawn inline or ahead, with the Python loop's
+    rows, windows, final values and generator state, bit for bit."""
+    start = make_rng(61).uniform(0.0, 12.0, n)
+    engine_cls = SequentialEngine if scheduler == "sequential" else SynchronousEngine
+    seen = []
+    for kernel, ahead in [(dynamics._kernel, False), (dynamics._kernel, True), (None, False)]:
+        with mock.patch.object(dynamics, "_kernel", kernel):
+            engine = engine_cls(init_population(start), DiscreteGeometric(0.8),
+                                Cutoff(1.0, 10.0, rounding=True), _generator(bits, 62))
+            rows, closed = engine.advance(steps, record_every=every, windows=windows, ahead=ahead)
+        seen.append((repr(rows), repr(closed), engine.values.tobytes(), _state(engine.rng)))
+    assert seen[0] == seen[1] == seen[2]
+
+
+def test_make_rng_is_a_numpy_generator_over_pcg64():
+    """The library, ``verify`` and the step API keep numpy's Generator."""
+    rng = make_rng(7, 3)
+    assert isinstance(rng, np.random.Generator)
+    assert rng.bit_generator.state == np.random.PCG64(seeding.mix64(7, 3)).state
 
 
 def _observed_run(config, kernel):
@@ -448,15 +502,15 @@ def _observed_run(config, kernel):
     loop): the repr of its snapshots and decomposition records (exact for
     floats, signed zeros included) and its final values' bytes, or the
     message of the NumericalDriftError it raised; and its generator's state
-    after the run."""
-    rngs = []
+    after the run: the kernel's stream with a kernel, numpy's without."""
+    rngs, run_rng = [], harness._run_rng
 
     def spy(*args):
-        rngs.append(make_rng(*args))
+        rngs.append(run_rng(*args))
         return rngs[-1]
 
     with mock.patch.object(dynamics, "_kernel", kernel), \
-            mock.patch.object(harness, "make_rng", spy):
+            mock.patch.object(harness, "_run_rng", spy):
         try:
             trace = harness.run_single(config, 0)
         except NumericalDriftError as exc:
@@ -1238,14 +1292,169 @@ def test_reference_loop_matches_engine_and_replay(monkeypatch, scheduler, n, mod
 needs_compiler = pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
 
 
-def test_kernel_library_name_follows_numpy():
+def test_kernel_library_name_follows_numpy(monkeypatch):
     """Another numpy (its version or its samplers' bytes) never loads a
-    module built against this one."""
+    module built against this one, nor does another source, another set of
+    flags or another interpreter's extension suffix."""
     source, samplers = _native.SOURCE.read_bytes(), _native.SAMPLERS.read_bytes()
     name = _native.library_name(source, samplers, "2.4.6")
     assert name != _native.library_name(source, samplers, "2.4.7")
     assert name != _native.library_name(source, samplers + b"\0", "2.4.6")
+    assert name != _native.library_name(source + b"\n", samplers, "2.4.6")
     assert name.endswith(sysconfig.get_config_var("EXT_SUFFIX"))
+    with monkeypatch.context() as patch:
+        patch.setattr(_native, "FLAGS", (*_native.FLAGS, "-g"))
+        assert _native.library_name(source, samplers, "2.4.6") != name
+    monkeypatch.setattr(_native, "EXT_SUFFIX", ".cpython-399-x86_64-linux-gnu.so")
+    other = _native.library_name(source, samplers, "2.4.6")
+    assert other.endswith(_native.EXT_SUFFIX)
+    assert other.removesuffix(_native.EXT_SUFFIX) != name.removesuffix(
+        sysconfig.get_config_var("EXT_SUFFIX"))
+
+
+# ---------------------------------------------------------------------------
+# the kernel's PCG64 stream against numpy's
+# ---------------------------------------------------------------------------
+
+#: The master seeds of the stream oracle: the ends of the 64-bit range and
+#: of the low 32-bit word, and one with the top bit set.
+STREAM_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63 + 7, 2**64 - 1]
+
+#: (low, high) for ``uniform``: ordinary ranges, an empty one (its values are
+#: low, and still use draws), and those numpy refuses: high below low, and a
+#: range that is not finite.
+UNIFORM_RANGES = [(0.0, 1.0), (1.0, 10.0), (-3.5, 2.25), (5.0, 5.0), (-0.0, 0.0), (10.0, 1.0),
+                  (-1e308, 1e308), (0.0, math.inf), (math.nan, 1.0)]
+
+
+@pytest.fixture(scope="module")
+def stream_kernels(tmp_path_factory):
+    """The kernel in each 128-bit form it may take: ``int128`` as loaded, and
+    ``limbs``, built by the loader's compile command with __SIZEOF_INT128__
+    undefined, so that its 128-bit words are pairs of 64-bit limbs."""
+    kernels = {"int128": dynamics._kernel}
+    if dynamics._kernel is not None and shutil.which("cc") is not None:
+        path = tmp_path_factory.mktemp("limbs") / f"kernel{_native.EXT_SUFFIX}"
+        subprocess.run(_native.compiler_command(shutil.which("cc"), str(path),
+                                                "-U__SIZEOF_INT128__"),
+                       input=_native.SOURCE.read_bytes(), check=True, capture_output=True,
+                       timeout=300)
+        kernels["limbs"] = _native._import(path)
+    return kernels
+
+
+def _stream_kernel(stream_kernels, form):
+    if stream_kernels.get(form) is None:
+        pytest.skip(f"no kernel in the {form} form")
+    return stream_kernels[form]
+
+
+@needs_kernel
+@pytest.mark.parametrize("form", ["int128", "limbs"])
+def test_kernel_stream_is_numpys_pcg64_at_the_seed_edges(stream_kernels, form):
+    """For each edge seed and runs 0-3, the kernel's stream seeded with
+    mix64(seed, run) holds ``np.random.PCG64(mix64(seed, run))``'s state,
+    gives its raw outputs and then holds its state again; a seed outside
+    [0, 2^64) is refused, and only a stream of ``pcg64`` has its state read."""
+    kernel = _stream_kernel(stream_kernels, form)
+    with mock.patch.object(dynamics, "_kernel", kernel):
+        for seed, run in itertools.product(STREAM_SEEDS, range(4)):
+            stream = dynamics.KernelPCG64(seeding.mix64(seed, run))
+            twin = np.random.PCG64(seeding.mix64(seed, run))
+            assert stream.state == twin.state
+            raw = np.zeros(1000, np.int64)
+            kernel.random_raw(stream.capsule, raw)
+            assert raw.view(np.uint64).tolist() == twin.random_raw(1000).tolist()
+            assert stream.state == twin.state
+        for seed in STREAM_SEEDS:
+            assert dynamics.KernelPCG64(seed).state == np.random.PCG64(seed).state
+        for seed in (-1, 2**64):
+            with pytest.raises(OverflowError):
+                kernel.pcg64(seed)
+        with pytest.raises(TypeError):
+            kernel.pcg64_state(make_rng(0).bit_generator.capsule)
+
+
+@st.composite
+def _stream_ops(draw):
+    """What a run or a caller asks of a stream, a few times over: raw outputs,
+    one chunk's draws (``draw``: both schedulers, each noise code, with coins
+    or without), a run's boundary loop (``run``, drawn inline or ahead), and
+    ``uniform``."""
+    ops = []
+    for _ in range(draw(st.integers(1, 5))):
+        kind = draw(st.sampled_from(["raw", "draw", "run", "uniform"]))
+        if kind == "raw":
+            ops.append(("raw", draw(st.sampled_from([0, 1, 3, 1000]))))
+        elif kind == "draw":
+            matching = draw(st.booleans())
+            n = draw(st.sampled_from([2, 3, 17, 1000]))
+            count = n if matching else draw(st.sampled_from([0, 1, 2, 7, 1001]))
+            code = draw(st.sampled_from([dynamics._ZERO, dynamics._GAUSSIAN, dynamics._UNIFORMS]))
+            ops.append(("draw", matching, n, count, code, draw(st.booleans())))
+        elif kind == "run":
+            ops.append(("run", draw(st.sampled_from(["sequential", "synchronous"])),
+                        draw(st.sampled_from(ORACLE_NOISES)), draw(st.sampled_from(ORACLE_RULES)),
+                        draw(st.booleans())))
+        else:
+            ops.append(("uniform", *draw(st.sampled_from(UNIFORM_RANGES)),
+                        draw(st.sampled_from([0, 1, 5, 40]))))
+    return ops
+
+
+def _stream_op(op, rng, kernel):
+    """Apply ``op`` to ``rng``, the kernel's stream or a numpy Generator, and
+    return what it gave as bytes, or the exception it raised."""
+    kind, *args = op
+    if kind == "raw":
+        if isinstance(rng, np.random.Generator):
+            return rng.bit_generator.random_raw(args[0]).tobytes()
+        raw = np.zeros(args[0], np.int64)
+        kernel.random_raw(rng.capsule, raw)
+        return raw.tobytes()
+    if kind == "draw":
+        matching, n, count, code, coins = args
+        agents, noise, flips = np.zeros(count, np.int64), np.zeros(count), np.zeros(count)
+        kernel.draw(rng.bit_generator.capsule, matching, n, count, code, 1.0, agents, noise,
+                    flips if coins else None)
+        return agents.tobytes() + noise.tobytes() + flips.tobytes()
+    if kind == "run":
+        scheduler, model, rule, ahead = args
+        engine_cls = SequentialEngine if scheduler == "sequential" else SynchronousEngine
+        steps, every = (2500, 700) if scheduler == "sequential" else (50, 13)
+        engine = engine_cls(init_population(np.arange(9.0)), model, rule, rng)
+        rows, _ = engine.advance(steps, record_every=every, ahead=ahead)
+        return repr(rows).encode() + engine.values.tobytes()
+    low, high, size = args
+    try:
+        return rng.uniform(low, high, size).tobytes()
+    except (OverflowError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+@needs_kernel
+@pytest.mark.parametrize("form", ["int128", "limbs"])
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(seed=st.sampled_from(STREAM_SEEDS), run=st.integers(0, 3), ops=_stream_ops())
+def test_kernel_stream_follows_numpys_pcg64(stream_kernels, form, seed, run, ops):
+    """The stream that a run draws from with a kernel
+    (``harness._run_rng``) against ``np.random.PCG64(mix64(seed, run))`` in
+    a Generator, over a sequence of what a run asks of it: after each, the
+    same values, bit for bit, or the same exception, and the same state
+    ({state, inc, has_uint32, uinteger}), so numpy's buffered half of a
+    next_uint32 carries over as numpy carries it.  ``uniform`` is numpy's
+    ``rng.uniform(low, high, size)``, refusals included."""
+    kernel = _stream_kernel(stream_kernels, form)
+    with mock.patch.object(dynamics, "_kernel", kernel):
+        config = harness.ExperimentConfig(
+            n=2, init=harness.ConstantInit(0.0), scheduler="sequential", noise=Zero(),
+            rule=Real(), steps=1, master_seed=seed, record_every=1)
+        stream = harness._run_rng(config, run)
+        assert isinstance(stream, dynamics.KernelPCG64)
+        twin = np.random.Generator(np.random.PCG64(seeding.mix64(seed, run)))
+        for op in ops:
+            assert _stream_op(op, stream, kernel) == _stream_op(op, twin, kernel), op
+            assert stream.state == twin.bit_generator.state, op
 
 
 @needs_compiler
