@@ -1794,10 +1794,10 @@ static PyObject *get_tuple(PyObject *obj, const char *name, Py_ssize_t size)
  * open or to open, a producer thread draws the chunks (see struct ring), and
  * it has ended when the call returns; where an exception ends the call, the
  * generator may then be up to RING chunks ahead of the values.  Returns
- * (rows, closed, since_resync, decomp, drift): each closed window as (t0, t1,
- * phi_bar(t0), phi_bar(t1), S', S*, S^-), and drift None, or (tracker,
- * tracked, exact, step) for a tracker that drifted at a record step, where
- * the run stopped. */
+ * (rows, closed, decomp, drift): each closed window as (t0, t1, phi_bar(t0),
+ * phi_bar(t1), S', S*, S^-), and drift None, or (tracker, tracked, exact,
+ * step) for a tracker that drifted at a record step, where the run stopped.
+ * Either way the call ends on a record step, so no resync is pending. */
 static PyObject *run(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
     struct engine e;
@@ -1963,8 +1963,7 @@ fail:
         stop_ring(ring);
     release(views, held);
     if (drift)
-        out = Py_BuildValue("(OOnON)", rows, closed, plan.since_resync,
-                            e.decomp ? Py_True : Py_False, drift);
+        out = Py_BuildValue("(OOON)", rows, closed, e.decomp ? Py_True : Py_False, drift);
     Py_XDECREF(rows);
     Py_XDECREF(closed);
     return out;

@@ -384,16 +384,14 @@ def _buffers(size: int) -> tuple[np.ndarray, ...]:
 
 def _draw_and_apply(values: np.ndarray, count: int, matching: bool, model: NoiseModel,
                     rng: np.random.Generator, flags, decomp: bool, state: np.ndarray,
-                    buffers, collect: bool, noise_params: Optional[tuple[int, float]] = None
-                    ) -> list:
+                    buffers, collect: bool, noise_params: tuple[int, float]) -> list:
     """Draw ``count`` agents into ``buffers`` (uniform picks with replacement
     or, ``matching``, a permutation of all n), then the noise, then the coins
     of the exchanges (agents[2k], agents[2k+1]), and apply them to ``values``
     in order.  An odd last agent self-pairs.  ``state`` is the float64 array
     [mean, phi_bar, S', S*, S^-], updated in place (the last four only when
     ``decomp``).  With ``collect``, returns each pair's Interaction.
-    ``noise_params`` is ``_noise_params(model)``, which callers compute once;
-    without it, it is computed here.
+    ``noise_params`` is ``_noise_params(model)``, which callers compute once.
 
     The kernel's draws, on ``rng.bit_generator.capsule`` with numpy's C
     samplers, are the numpy calls' values, leaving the same generator state.
@@ -405,7 +403,7 @@ def _draw_and_apply(values: np.ndarray, count: int, matching: bool, model: Noise
     coins = coins if flags[0] else None
     offsets = offsets if collect else None
     if _kernel is not None:
-        code, param = noise_params or _noise_params(model)
+        code, param = noise_params
         _kernel.draw(rng.bit_generator.capsule, matching, n, count, code, param, agents, noise,
                      coins)
         if code == _UNIFORMS:
@@ -433,8 +431,9 @@ def _draw_and_apply(values: np.ndarray, count: int, matching: bool, model: Noise
 
 class _Engine:
     """What both engines share: the values, the trackers in ``state``, the
-    exact recomputation that checks and resyncs them, the buffers each
-    chunk's draws fill, the chunk loop and a run's boundary loop.  ``state``
+    exact recomputation that checks and resyncs them, the windows that open
+    and close them, the buffers each chunk's draws fill, the chunk loop and
+    a run's boundary loop.  ``state``
     is [mean, phi_bar, S', S*, S^-] in ``pair_chunk``'s layout; the trackers
     are live only while a decomposition window is open (``_decomp``), the one
     reader of the mean tracker, and hold no meaning outside one.  A subclass
@@ -495,26 +494,37 @@ class _Engine:
         window is open, verify and resync the trackers."""
         return self._resync(True)
 
-    def advance(self, steps: int, collect: Optional[list] = None,
-                record_every: Optional[int] = None, windows=(),
-                ahead: bool = False) -> Optional[tuple[list, list]]:
-        """Run ``steps`` steps, appending one StepEvent per step to ``collect``.
-        With ``record_every``, run them as a run's boundary loop and return
-        what ``_record`` returns, in one call of the kernel's ``run`` where
-        there is a kernel, which leaves everything as ``_record`` leaves it.
-        With ``ahead`` (``harness.draws_ahead`` decides), and no window, a
-        second thread draws the chunks while this one applies them, holding
-        the generator's lock; where another thread holds it, or there is a
+    def begin_decomposition(self, exact: Optional[tuple[float, float]] = None) -> None:
+        """Open a window: zero the sums and track phi_bar.  ``exact`` is the
+        (mean, potential) of the current values, as ``refresh`` just returned
+        them; without it they are computed."""
+        self.state[2:] = 0.0
+        self._decomp = True
+        self._resync(False, exact)
+
+    def end_decomposition(self) -> tuple[float, float, float]:
+        self._decomp = False
+        return tuple(self.state[2:].tolist())
+
+    def advance(self, steps: int, record_every: Optional[int] = None, windows=(),
+                ahead: bool = False) -> tuple[list, list]:
+        """Run ``steps`` steps as a run's boundary loop and return what
+        ``_record`` returns, in one call of the kernel's ``run`` where there
+        is a kernel, which leaves everything as ``_record`` leaves it.
+        ``record_every`` defaults to ``steps`` (to 1 at 0 steps).  With
+        ``ahead`` (``harness.draws_ahead`` decides), and no window, a second
+        thread draws the chunks while this one applies them, holding the
+        generator's lock; where another thread holds it, or there is a
         window, the run draws its chunks itself.  Either way gives the same
         bits."""
         if record_every is None:
-            return self._advance(steps, collect)
+            record_every = steps or 1
         if _kernel is None:
             return self._record(steps, record_every, windows)
         lock = self.rng.bit_generator.lock
         ahead = ahead and lock.acquire(blocking=False)
         try:
-            rows, closed, self._since_resync, self._decomp, drift = _kernel.run(
+            rows, closed, self._decomp, drift = _kernel.run(
                 self.rng.bit_generator.capsule, self.values, self.state, self._buffers,
                 np.empty(self.n), self.flags, self._noise,
                 (self._matching, self._resync_every, self._chunk, self._per_step),
@@ -523,13 +533,14 @@ class _Engine:
         finally:
             if ahead:
                 lock.release()
+        self._since_resync = 0  # the call ends on a record step, which resyncs
         if drift is not None:  # (tracker, tracked, exact, step)
             self.step += drift[3]
             self._drifted(*drift[:3])
         self.step += steps
         return rows, closed
 
-    def _advance(self, steps: int, collect: Optional[list] = None) -> None:
+    def _advance(self, steps: int) -> None:
         """Run ``steps`` steps in chunks of at most ``_chunk``, none past a
         resync.  A due resync runs before the next chunk rather than after the
         last one, so a ``refresh`` between the two (which resyncs too) replaces
@@ -541,14 +552,9 @@ class _Engine:
             if self._since_resync >= self._resync_every:
                 self._resync(False)
             b = min(self._chunk, steps - done, self._resync_every - self._since_resync)
-            interactions = _draw_and_apply(self.values, b * self._per_step, self._matching,
-                                           self.model, self.rng, self.flags, self._decomp,
-                                           self.state, self._buffers, collect is not None,
-                                           self._noise)
-            if collect is not None:
-                per = len(interactions) // b
-                collect.extend(StepEvent(interactions[k:k + per])
-                               for k in range(0, len(interactions), per))
+            _draw_and_apply(self.values, b * self._per_step, self._matching, self.model,
+                            self.rng, self.flags, self._decomp, self.state, self._buffers,
+                            False, self._noise)
             done += b
             self._since_resync += b
         self.step += steps
@@ -586,18 +592,6 @@ class SequentialEngine(_Engine):
     def _schedule(n: int) -> tuple[int, int, int]:
         """The resync interval, the longest chunk in steps, and the agents per step."""
         return max(n, 1024), CHUNK, 2
-
-    def begin_decomposition(self, exact: Optional[tuple[float, float]] = None) -> None:
-        """Open a window: zero the sums and track phi_bar.  ``exact`` is the
-        (mean, potential) of the current values, as ``refresh`` just returned
-        them; without it they are computed."""
-        self.state[2:] = 0.0
-        self._decomp = True
-        self._resync(False, exact)
-
-    def end_decomposition(self) -> tuple[float, float, float]:
-        self._decomp = False
-        return tuple(self.state[2:].tolist())
 
 
 class SynchronousEngine(_Engine):

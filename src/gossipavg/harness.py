@@ -125,6 +125,10 @@ class ExperimentConfig:
         if self.n > MAX_ARRAY_VALUES:
             raise ConfigError(f"n: {self.n} values take more bytes than a numpy array "
                               f"can hold (at most {MAX_ARRAY_VALUES} float64 values)")
+        # the kernel's run counts steps in a Py_ssize_t; record_every and the
+        # window ends lie within [0, steps], so this bounds them too
+        if self.steps > sys.maxsize:
+            raise ConfigError(f"steps: must be at most {sys.maxsize}, got {self.steps}")
         prev_end = 0
         for t0, t1 in self.decomposition_intervals:
             if not (0 <= t0 < t1 <= self.steps):

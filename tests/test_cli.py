@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -10,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gossipavg import dynamics, harness
+from gossipavg import _native, dynamics, harness
 from gossipavg.errors import NumericalDriftError
 from gossipavg.cli import build_parser, main
 
@@ -512,6 +513,7 @@ def test_jobs_defaults_to_the_cpus_the_process_may_use(monkeypatch):
         ("master_seed=abc", "master_seed"),
         ("n=1e400", "n"),
         ("steps=1e400", "steps"),
+        ("steps=9223372036854775808", "steps"),
     ],
 )
 def test_malformed_config_exits_2_naming_the_field(tmp_path, config_path, capsys, override,
@@ -748,6 +750,27 @@ def test_run_outputs_keep_their_bytes(tmp_path, monkeypatch, name, compiled, job
     out = tmp_path / "out"
     assert main(["run", "--config", str(path), "--out", str(out), "--jobs", jobs]) == 0
     assert _dir_digest(out) == GOLDEN_DIGESTS.get(name)
+
+
+@pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
+@pytest.mark.parametrize("level", ["-O0", "-O3"])
+def test_kernel_builds_keep_the_golden_bytes(tmp_path, monkeypatch, level):
+    """The kernel's bytes do not depend on how hard the compiler optimises:
+    ``_native.FLAGS`` keep IEEE double semantics, and a build at -O0 or -O3
+    (which follows FLAGS' -O2 and so replaces it) writes every golden
+    digest.  A build that contracts into fused multiply-adds or takes
+    -ffast-math, which FLAGS forbid, moves some of them."""
+    path = tmp_path / f"kernel{level}{_native.EXT_SUFFIX}"
+    subprocess.run(_native.compiler_command(shutil.which("cc"), str(path), level),
+                   input=_native.SOURCE.read_bytes(), check=True, capture_output=True,
+                   timeout=300)
+    monkeypatch.setattr(dynamics, "_kernel", _native._import(path))
+    for name in sorted(GOLDEN_CONFIGS):
+        config = tmp_path / f"{name}.json"
+        config.write_text(json.dumps({**BASE_CONFIG, **GOLDEN_CONFIGS[name]}))
+        out = tmp_path / name
+        assert main(["run", "--config", str(config), "--out", str(out), "--jobs", "1"]) == 0
+        assert (name, _dir_digest(out)) == (name, GOLDEN_DIGESTS[name])
 
 
 #: The one-run commands' argv (``histogram`` on BASE_CONFIG at runs=3), each

@@ -1,6 +1,7 @@
 """Averaging dynamic: step semantics, rules, replay, determinism."""
 
 import functools
+import inspect
 import itertools
 import math
 import os
@@ -217,6 +218,25 @@ def test_replay_synchronous_bitexact_rounding(n, rule):
     assert {it.round_i for event in events for it in event.interactions} == {-1, 0, 1}
 
 
+def _advance_collecting(engine, steps):
+    """``engine._advance(steps)``, returning one StepEvent per step (one
+    pair, or one round's whole matching): each of its chunks runs through
+    ``_draw_and_apply(..., collect=True)``, which returns the chunk's
+    Interactions, so the batched chunks are what the events replay."""
+    events, draw_and_apply = [], dynamics._draw_and_apply
+
+    def collecting(values, count, *args):
+        interactions = draw_and_apply(values, count, *args[:7], True, args[8])
+        per = len(interactions) // (count // engine._per_step)
+        events.extend(StepEvent(interactions[k:k + per])
+                      for k in range(0, len(interactions), per))
+        return interactions
+
+    with mock.patch.object(dynamics, "_draw_and_apply", collecting):
+        engine._advance(steps)
+    return events
+
+
 @pytest.mark.parametrize(
     "model,rule",
     [
@@ -231,8 +251,7 @@ def test_engine_matches_event_replay(model, rule):
     pop = init_population(start)
     ref = pop.copy()
     engine = SequentialEngine(pop, model, rule, make_rng(30))
-    events = []
-    engine.advance(3000, collect=events)
+    events = _advance_collecting(engine, 3000)
     for event in events:
         replay_event(ref, event, rule)
     assert np.array_equal(engine.values, ref.values)
@@ -251,8 +270,7 @@ def test_synchronous_engine_matches_event_replay(n, model, rule):
     pop = init_population(start)
     ref = pop.copy()
     engine = SynchronousEngine(pop, model, rule, make_rng(35))
-    events = []
-    engine.advance(60, collect=events)
+    events = _advance_collecting(engine, 60)
     assert len(events) == 60
     for event in events:
         replay_event(ref, event, rule)
@@ -295,11 +313,11 @@ def test_refresh_checks_each_tracker(engine_cls, n, every, decomp, honest, drift
     assert engine._resync_every == every
     if decomp:
         engine.begin_decomposition()
-    engine.advance(honest)
+    engine._advance(honest)
     engine.refresh()  # passes on honest trackers
-    engine.advance(drift_at)
+    engine._advance(drift_at)
     engine.state[tracker] += bump
-    engine.advance(then)
+    engine._advance(then)
     if decomp:
         with pytest.raises(NumericalDriftError, match=("running-mean", "potential")[tracker]):
             engine.refresh()
@@ -324,7 +342,7 @@ def test_advance_resyncs_every_interval(monkeypatch, engine_cls, every, window):
         engine.begin_decomposition()
     due = []
     for _ in range(3):
-        twin.advance(every)
+        twin._advance(every)
         due.append(twin.values.copy())
     resyncs, sums = [], []
     resync, exact = engine_cls._resync, dynamics._exact
@@ -341,14 +359,14 @@ def test_advance_resyncs_every_interval(monkeypatch, engine_cls, every, window):
 
     monkeypatch.setattr(engine_cls, "_resync", resync_spy)
     monkeypatch.setattr(dynamics, "_exact", exact_spy)
-    engine.advance(3 * every + 8)
+    engine._advance(3 * every + 8)
     monkeypatch.undo()
     assert len(resyncs) == 3
     assert all(np.array_equal(a, b) for a, b in zip(resyncs, due))
     assert len(sums) == (3 if window else 0)
     assert all(np.array_equal(a, b) for a, b in zip(sums, due))
     assert engine._since_resync == 8
-    twin.advance(8)
+    twin._advance(8)
     assert engine.values.tobytes() == twin.values.tobytes()
     assert engine.state.tobytes() == twin.state.tobytes()
 
@@ -408,12 +426,15 @@ def _drive(scheduler, rule, model, start, seed, segments, decomp, collect, bits=
     pop = init_population(start)
     engine_cls = SequentialEngine if scheduler == "sequential" else SynchronousEngine
     engine = engine_cls(pop, model, rule, _generator(bits, seed))
-    events = [] if collect else None
+    events = []
     seen = []
     if decomp:
         engine.begin_decomposition()
     for length, refresh in segments:
-        engine.advance(length, collect=events)
+        if collect:
+            events += _advance_collecting(engine, length)
+        else:
+            engine._advance(length)
         seen.append([_bits(x) for x in engine.state.tolist()])
         if refresh:
             seen.append([_bits(x) for x in engine.refresh()])
@@ -457,7 +478,6 @@ def test_kernel_matches_reference_loop(scheduler, rule, model, n, integral, deco
         start = np.floor(start)
     if scheduler == "synchronous":
         segments = [(2 * length // n, refresh) for length, refresh in segments]
-        decomp = False
     args = (scheduler, rule, model, start, seed, segments, decomp, collect, bits)
     compiled = _drive(*args)
     with mock.patch.object(dynamics, "_kernel", None):
@@ -488,6 +508,47 @@ def test_run_on_a_callers_generator_matches_the_python_loop(bits, scheduler, n, 
             rows, closed = engine.advance(steps, record_every=every, windows=windows, ahead=ahead)
         seen.append((repr(rows), repr(closed), engine.values.tobytes(), _state(engine.rng)))
     assert seen[0] == seen[1] == seen[2]
+
+
+@needs_kernel
+@pytest.mark.parametrize("n,rounds,every,windows", [
+    (9, 40, 7, ((0, 13), (13, 40))),
+    (40, 30, 4, ((2, 9), (20, 29))),
+    (41, 30, 30, ((0, 30),)),
+    (4100, 6, 1, ((0, 2), (3, 6))),  # a resync due every round
+])
+@pytest.mark.parametrize("model", [Gaussian(1.0), DiscreteGeometric(0.8), Zero()])
+@pytest.mark.parametrize("rule", [Real(), DiscreteRounding(), Cutoff(1.0, 10.0, rounding=True)])
+def test_synchronous_windows_run_as_the_python_loop(n, rounds, every, windows, model, rule):
+    """The window methods are the engines' common code, so a synchronous run
+    with windows, which the kernel's ``run`` takes, has its Python loop
+    too: both give the same rows, closed windows, trackers, final values
+    and generator state, bit for bit."""
+    start = make_rng(63).uniform(0.0, 12.0, n)
+    seen = []
+    for kernel in (dynamics._kernel, None):
+        with mock.patch.object(dynamics, "_kernel", kernel):
+            engine = SynchronousEngine(init_population(start), model, rule, make_rng(64))
+            rows, closed = engine.advance(rounds, record_every=every, windows=windows)
+        assert len(closed) == len(windows)
+        seen.append((repr(rows), repr(closed), engine.values.tobytes(), engine.state.tobytes(),
+                     engine.step, engine._since_resync, engine._decomp, _state(engine.rng)))
+    assert seen[0] == seen[1]
+
+
+def test_engines_share_one_surface():
+    """A scheduler's engine holds only data; every method is ``_Engine``'s,
+    and ``advance`` runs a run's boundary loop on every call, recording at
+    step 0 and at ``steps`` by default."""
+    for engine_cls in (SequentialEngine, SynchronousEngine):
+        own = {name for name in vars(engine_cls) if not name.startswith("__")}
+        assert own <= {"_unit", "_matching", "_schedule"}
+        engine = engine_cls(init_population(np.arange(7.0)), Gaussian(1.0), Real(), make_rng(3))
+        rows, closed = engine.advance(5)
+        assert [row[0] for row in rows] == [0, 5] and closed == []
+        assert engine.advance(0) == ([(0, *rows[-1][1:])], [])  # counted from step 5
+    assert list(inspect.signature(dynamics._Engine.advance).parameters) == [
+        "self", "steps", "record_every", "windows", "ahead"]
 
 
 def test_make_rng_is_a_numpy_generator_over_pcg64():
@@ -723,6 +784,16 @@ def _threads():
     return len(os.listdir("/proc/self/task"))
 
 
+def _threads_once_back_to(before, deadline=5.0):
+    """The thread count once it is back to ``before``, or after ``deadline``
+    seconds: the OS task of a thread just joined may linger in /proc a
+    moment, while a thread still running stays until the deadline."""
+    end = time.monotonic() + deadline
+    while _threads() != before and time.monotonic() < end:
+        time.sleep(0.01)
+    return _threads()
+
+
 def _affinities():
     """Each thread's allowed CPUs, as /proc lists them."""
     masks = set()
@@ -766,7 +837,7 @@ def test_no_thread_outlives_a_run_drawn_ahead():
     during = [masks for count, masks in seen if count == before + 2]  # the watcher, the producer
     assert during and max(count for count, _ in seen) == before + 2
     assert during[-1] == mask
-    assert _threads() == before
+    assert _threads_once_back_to(before) == before
 
 
 @needs_kernel
@@ -794,7 +865,7 @@ def test_no_thread_outlives_a_run_drawn_ahead_that_a_signal_stops():
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
-    assert _threads() == before
+    assert _threads_once_back_to(before) == before
 
 
 def _run_bits(engine, rows):
@@ -1251,7 +1322,8 @@ def test_run_pairs_rejects_a_state_the_kernel_cannot_write(monkeypatch, state):
         with pytest.raises((TypeError, ValueError)):
             dynamics._draw_and_apply(values, 2, False, Gaussian(1.0), make_rng(0),
                                      dynamics._rule_flags(Real()), False, state,
-                                     dynamics._buffers(2), False)
+                                     dynamics._buffers(2), False,
+                                     dynamics._noise_params(Gaussian(1.0)))
         assert values.tolist() == [0.0, 1.0, 2.0, 3.0]
 
 
@@ -1281,8 +1353,7 @@ def test_reference_loop_matches_engine_and_replay(monkeypatch, scheduler, n, mod
     ref = pop.copy()
     engine_cls = SequentialEngine if scheduler == "sequential" else SynchronousEngine
     engine = engine_cls(pop, model, rule, make_rng(30))
-    events = []
-    engine.advance(length, collect=events)
+    events = _advance_collecting(engine, length)
     for event in events:
         replay_event(ref, event, rule)
     assert np.array_equal(engine.values, ref.values)
