@@ -56,14 +56,17 @@
  * draws; run() can fail later only where a call into Python (numpy,
  * math.fsum or a signal handler) raises.
  * None of them releases the GIL while it works: the calls are short or call
- * back into Python.  run() lets a waiting thread take the GIL between its
- * chunks, touching nothing while it is released.  Where its caller asks
- * (ahead), a producer thread, which touches no Python object, draws run()'s
- * chunks ahead while run() applies them (see struct ring), and run() joins
- * it before it returns.  That is the one place where two threads share a
- * generator, and dynamics._Engine.advance holds the generator's own lock
- * (rng.bit_generator.lock, which dynamics.KernelPCG64 has too) around such
- * a call; the other entries do not lock it, as the engines never share one.
+ * back into Python.  run() releases it between chunks, touching nothing
+ * while it is released, where it waits for its producer and otherwise every
+ * two switch intervals, so that a waiting thread gets a turn (see run()).
+ * Where its caller asks (ahead, which dynamics._Engine._draws_ahead
+ * decides), a producer thread, which touches no Python object, draws
+ * run()'s chunks ahead while run() applies them (see struct ring), and run()
+ * joins it before it returns.  That is the one place where two threads
+ * share a generator, and dynamics._Engine.advance holds the generator's own
+ * lock (rng.bit_generator.lock, which dynamics.KernelPCG64 has too) around
+ * such a call; the other entries do not lock it, as the engines never share
+ * one.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -1582,19 +1585,27 @@ static int ready(const struct ring *r, const Py_ssize_t *counter, Py_ssize_t wan
     return load(counter) >= want || load(&r->stop);
 }
 
+/* The monotonic clock in nanoseconds. */
+static int64_t now_ns(void)
+{
+    struct timespec t;
+
+    clock_gettime(CLOCK_MONOTONIC, &t);
+    return (int64_t)t.tv_sec * 1000000000 + t.tv_nsec;
+}
+
 /* Wait until *counter reaches want or the run stops: yield the CPU for up
  * to SPIN_NS, which lets the other thread run where the two share one, then
  * sleep until post() wakes it.  Returns nonzero where the run stops. */
 static int wait_for(struct ring *r, const Py_ssize_t *counter, Py_ssize_t want)
 {
-    struct timespec t0, t;
+    int64_t t0;
 
     if (ready(r, counter, want))
         return load(&r->stop) != 0;
-    clock_gettime(CLOCK_MONOTONIC, &t0);
+    t0 = now_ns();
     while (!ready(r, counter, want)) {
-        clock_gettime(CLOCK_MONOTONIC, &t);
-        if ((int64_t)(t.tv_sec - t0.tv_sec) * 1000000000 + (t.tv_nsec - t0.tv_nsec) < SPIN_NS) {
+        if (now_ns() - t0 < SPIN_NS) {
             sched_yield();
             continue;
         }
@@ -1766,6 +1777,18 @@ static int append(PyObject *list, PyObject *item)
     return failed ? -1 : 0;
 }
 
+/* sys.getswitchinterval() in nanoseconds, or -1.0 with an exception set. */
+static double switch_interval_ns(void)
+{
+    PyObject *sys = PyImport_ImportModule("sys");
+    PyObject *s = sys ? PyObject_CallMethod(sys, "getswitchinterval", NULL) : NULL;
+    const double ns = s ? PyFloat_AsDouble(s) * 1e9 : -1.0;
+
+    Py_XDECREF(s);
+    Py_XDECREF(sys);
+    return ns;
+}
+
 /* A tuple of `size` items, or NULL with a TypeError naming it. */
 static PyObject *get_tuple(PyObject *obj, const char *name, Py_ssize_t size)
 {
@@ -1787,17 +1810,23 @@ static PyObject *get_tuple(PyObject *obj, const char *name, Py_ssize_t size)
  * counted from the call, it advances in the engine's chunks and resyncs,
  * checks and resyncs the trackers as refresh() does, closes a window that
  * ends there, appends the snapshot row and opens a window that starts there
- * on the same exact sums.  Before each chunk it does what the interpreter did
- * between the Python loop's chunks: it lets a waiting Python thread take the
- * GIL, and it runs the signal handlers, so that a long run neither stalls
- * the caller's other threads nor ignores Ctrl-C.  With ahead, and no window
- * open or to open, a producer thread draws the chunks (see struct ring), and
- * it has ended when the call returns; where an exception ends the call, the
- * generator may then be up to RING chunks ahead of the values.  Returns
- * (rows, closed, decomp, drift): each closed window as (t0, t1, phi_bar(t0),
- * phi_bar(t1), S', S*, S^-), and drift None, or (tracker, tracked, exact,
- * step) for a tracker that drifted at a record step, where the run stopped.
- * Either way the call ends on a record step, so no resync is pending. */
+ * on the same exact sums.  Before each chunk it runs the signal handlers, so
+ * that a long run does not ignore Ctrl-C, and it releases the GIL where it
+ * waits for the ring or where two switch intervals (sys.getswitchinterval(),
+ * read once) have passed since it last did, so that a long run does not
+ * stall the caller's other threads.  Not before every chunk: each release
+ * wakes a thread that waits for the GIL before its switch interval runs out,
+ * it finds the GIL taken again and starts a fresh wait, and so it never asks
+ * for a hand-over (CPython's take_gil).  Held for two intervals, its wait
+ * times out and asks, and the next release hands the GIL over.  With ahead,
+ * and no window open or to open, a producer thread draws the chunks (see
+ * struct ring), and it has ended when the call returns; where an exception
+ * ends the call, the generator may then be up to RING chunks ahead of the
+ * values.  Returns (rows, closed, decomp, drift): each closed window as (t0,
+ * t1, phi_bar(t0), phi_bar(t1), S', S*, S^-), and drift None, or (tracker,
+ * tracked, exact, step) for a tracker that drifted at a record step, where
+ * the run stopped.  Either way the call ends on a record step, so no resync
+ * is pending. */
 static PyObject *run(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
     struct engine e;
@@ -1808,7 +1837,8 @@ static PyObject *run(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
     PyObject *buffers, *noise, *schedule, *rows = NULL, *closed = NULL, *drift = NULL;
     PyObject *out = NULL;
     Py_ssize_t cap, need, nwin, next = 0, open = -1, chunks = 0;
-    double x0, exact[2], phi0 = 0.0;
+    double x0, exact[2], phi0 = 0.0, hold;
+    int64_t released;
     const int64_t *win;
 
     (void)self;
@@ -1831,6 +1861,7 @@ static PyObject *run(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
     x0 = PyFloat_AsDouble(args[9]);
     e.drift_tol = PyFloat_AsDouble(args[13]);
     ahead = PyObject_IsTrue(args[15]);
+    hold = 2.0 * switch_interval_ns();
     if (PyErr_Occurred())
         return NULL;
     if (plan.resync_every < 1 || plan.chunk < 1 || e.per_step < 1 || plan.record_every < 1 ||
@@ -1896,6 +1927,7 @@ static PyObject *run(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
     /* only a window's tracker check stops a run early, stranding drawn chunks */
     if (ahead && !nwin && !e.decomp)
         ring = start_ring(&e, &plan, need);
+    released = now_ns();
     for (;;) {
         Py_ssize_t b, count, m;
         int due, drifted;
@@ -1905,10 +1937,14 @@ static PyObject *run(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
             int64_t *agents = e.agents;
             double *noise = e.noise, *coins = e.coins;
 
-            Py_BEGIN_ALLOW_THREADS
-            if (ring)
-                wait_for(ring, &ring->made, chunks + 1);
-            Py_END_ALLOW_THREADS
+            if ((ring && !ready(ring, &ring->made, chunks + 1)) ||
+                (double)(now_ns() - released) >= hold) {
+                Py_BEGIN_ALLOW_THREADS
+                if (ring)
+                    wait_for(ring, &ring->made, chunks + 1);
+                Py_END_ALLOW_THREADS
+                released = now_ns();
+            }
             if (PyErr_CheckSignals() || (due && resync(&e, 0, NULL)))
                 goto fail;
             count = b * e.per_step;

@@ -167,11 +167,19 @@ def evaluate_all(
     Each N' and N* envelope is bisected once per budget: at delta/2, where
     they are reported and feed ``b_prime``, and at delta/4, where they feed
     ``z_value`` and ``b_star``.  The moments, the standing assumption and z
-    are each computed once.
+    are each computed once.  A (t, delta) for which 2 t / delta, or any
+    reported float, is not finite raises ParameterError.
     """
     _check_delta(delta)
     if n < 1:
         raise ParameterError(f"n must be at least 1, got {n}")
+    try:
+        ratio = 2.0 * t / delta
+    except OverflowError:  # t is an int beyond the float range
+        ratio = math.inf
+    if not math.isfinite(ratio):
+        raise ParameterError(f"t and delta: 2 t / delta must be finite, got t = {t}, "
+                             f"delta = {delta}")
     if not 0.0 <= phi0 < math.inf:
         raise ParameterError(f"phi0 must be finite and nonnegative, got {phi0}")
     mom = moments(model)
@@ -219,4 +227,8 @@ def evaluate_all(
         out["drift_general"] = None
     if gamma is not None:
         out["s_minus_tail"] = s_minus_tail(gamma, t, n)
+    for name, value in out.items():
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ParameterError(f"t and delta: {name} = {value} is not finite at t = {t}, "
+                                 f"delta = {delta}")
     return out

@@ -21,6 +21,8 @@ interaction.
 from __future__ import annotations
 
 import math
+import os
+import sys
 import threading
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Union
@@ -429,6 +431,30 @@ def _draw_and_apply(values: np.ndarray, count: int, matching: bool, model: Noise
             for k in range(0, len(p), 2)]
 
 
+def usable_cpus() -> int:
+    """The CPUs this process may run on: the size of its affinity mask where
+    the OS has one (1 under `taskset -c 0`), else the machine's count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _in_a_pool() -> bool:
+    """Whether multiprocessing started this process, as it starts the pool
+    workers of ``harness.run_experiment``; such a worker has the module loaded."""
+    mp = sys.modules.get("multiprocessing")
+    return mp is not None and mp.parent_process() is not None
+
+
+#: The least agents in a run's chunks, and in the whole run, for its draws
+#: to be made ahead: below either, the hand-offs and the thread's start cost
+#: what the overlap saves (measured in-process on a 2-core Xeon: 512-agent
+#: chunks and runs of 2^17 to 2^18 agents in 2048-agent chunks gained
+#: nothing, fig-b's 4·10^6 agents in 2048-agent chunks a quarter).
+AHEAD_CHUNK_AGENTS = 1024
+AHEAD_RUN_AGENTS = 1 << 20
+
+
 class _Engine:
     """What both engines share: the values, the trackers in ``state``, the
     exact recomputation that checks and resyncs them, the windows that open
@@ -506,23 +532,35 @@ class _Engine:
         self._decomp = False
         return tuple(self.state[2:].tolist())
 
-    def advance(self, steps: int, record_every: Optional[int] = None, windows=(),
-                ahead: bool = False) -> tuple[list, list]:
+    def _draws_ahead(self, steps: int, record_every: int, windows) -> bool:
+        """Whether a run has a second thread draw its chunks while this one
+        applies them: where no window is open or opens (only a window's
+        tracker check stops a run early), its chunks (``record_every`` steps
+        at most, fewer where the schedule cuts them) and the whole run hold
+        enough agents, and only then, so that a short run makes no system
+        call, where this process may use 2 CPUs and is not a pool worker."""
+        return (not len(windows) and not self._decomp
+                and min(self._chunk, self._resync_every, record_every) * self._per_step
+                >= AHEAD_CHUNK_AGENTS
+                and steps * self._per_step >= AHEAD_RUN_AGENTS
+                and usable_cpus() >= 2 and not _in_a_pool())
+
+    def advance(self, steps: int, record_every: Optional[int] = None,
+                windows=()) -> tuple[list, list]:
         """Run ``steps`` steps as a run's boundary loop and return what
         ``_record`` returns, in one call of the kernel's ``run`` where there
         is a kernel, which leaves everything as ``_record`` leaves it.
-        ``record_every`` defaults to ``steps`` (to 1 at 0 steps).  With
-        ``ahead`` (``harness.draws_ahead`` decides), and no window, a second
-        thread draws the chunks while this one applies them, holding the
-        generator's lock; where another thread holds it, or there is a
-        window, the run draws its chunks itself.  Either way gives the same
+        ``record_every`` defaults to ``steps`` (to 1 at 0 steps).  Where
+        ``_draws_ahead`` says so, a second thread draws the chunks while this
+        one applies them, holding the generator's lock; where another thread
+        holds it, the run draws its chunks itself.  Either way gives the same
         bits."""
         if record_every is None:
             record_every = steps or 1
         if _kernel is None:
             return self._record(steps, record_every, windows)
         lock = self.rng.bit_generator.lock
-        ahead = ahead and lock.acquire(blocking=False)
+        ahead = self._draws_ahead(steps, record_every, windows) and lock.acquire(blocking=False)
         try:
             rows, closed, self._decomp, drift = _kernel.run(
                 self.rng.bit_generator.capsule, self.values, self.state, self._buffers,

@@ -232,6 +232,9 @@ def test_replicate_fig_a_without_enough_tail_data_writes_no_fit(tmp_path, capsys
          "--noise: discrete p = 0.8 at t = 1000000000000: the N' quantile lies in the tail "
          "of mass 1e-12 "),
         (["--noise", "discrete:1e-300"], "--noise: discrete p = 1e-300 is too small: "),
+        (["--t", "10", "--delta", "1e-309"], "t and delta: 2 t / delta must be finite, "),
+        (["--t", "1" + "0" * 305], "t and delta: z = inf is not finite at t = 1" + "0" * 305),
+        (["--delta", "5e-324"], "t and delta: 2 t / delta must be finite, "),
     ],
 )
 def test_bounds_malformed_number_exits_2_naming_the_argument(capsys, args, named):

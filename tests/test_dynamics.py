@@ -505,7 +505,8 @@ def test_run_on_a_callers_generator_matches_the_python_loop(bits, scheduler, n, 
         with mock.patch.object(dynamics, "_kernel", kernel):
             engine = engine_cls(init_population(start), DiscreteGeometric(0.8),
                                 Cutoff(1.0, 10.0, rounding=True), _generator(bits, 62))
-            rows, closed = engine.advance(steps, record_every=every, windows=windows, ahead=ahead)
+            engine._draws_ahead = lambda *facts: ahead
+            rows, closed = engine.advance(steps, record_every=every, windows=windows)
         seen.append((repr(rows), repr(closed), engine.values.tobytes(), _state(engine.rng)))
     assert seen[0] == seen[1] == seen[2]
 
@@ -548,7 +549,7 @@ def test_engines_share_one_surface():
         assert [row[0] for row in rows] == [0, 5] and closed == []
         assert engine.advance(0) == ([(0, *rows[-1][1:])], [])  # counted from step 5
     assert list(inspect.signature(dynamics._Engine.advance).parameters) == [
-        "self", "steps", "record_every", "windows", "ahead"]
+        "self", "steps", "record_every", "windows"]
 
 
 def test_make_rng_is_a_numpy_generator_over_pcg64():
@@ -674,12 +675,15 @@ def test_kernel_run_stops_on_a_signal():
 
 
 @needs_kernel
-def test_kernel_run_lets_other_threads_run():
+@pytest.mark.parametrize("ahead", [False, True], ids=["inline", "ahead"])
+def test_kernel_run_lets_other_threads_run(ahead):
     """A whole run is one kernel call, which lets a waiting Python thread take
-    the GIL before each chunk, as the interpreter did between the Python
-    loop's chunks: a thread that ticks every 5 ms keeps ticking through a
-    run of 10^7 steps, which it could not if the call held the GIL
-    throughout (its longest gap would be the run)."""
+    the GIL, as the interpreter did between the Python loop's chunks: a
+    thread that ticks every 5 ms keeps ticking through a run of 10^7 steps,
+    which it could not if the call held the GIL throughout (its longest gap
+    would be the run).  Drawn inline, the call releases the GIL only every
+    two switch intervals; drawn ahead, also where it waits for the
+    producer."""
     ticks, running = [], [True]
 
     def tick():
@@ -689,6 +693,7 @@ def test_kernel_run_lets_other_threads_run():
 
     engine = SequentialEngine(init_population(np.arange(100.0)), Gaussian(1.0), Real(),
                               make_rng(4))
+    engine._draws_ahead = lambda *facts: ahead
     ticker = threading.Thread(target=tick)
     ticker.start()
     try:
@@ -703,9 +708,9 @@ def test_kernel_run_lets_other_threads_run():
 
 
 def _run_drawn(config, ahead):
-    """``_observed_run(config, dynamics._kernel)`` with ``harness.draws_ahead``
-    forced to ``ahead``, and whether it asked the kernel's ``run`` for a
-    producer."""
+    """``_observed_run(config, dynamics._kernel)`` with the engine's
+    ``_draws_ahead`` forced to ``ahead``, and whether it asked the kernel's
+    ``run`` for a producer."""
     asked = []
 
     def run(*args):
@@ -713,7 +718,7 @@ def _run_drawn(config, ahead):
         return kernel.run(*args)
 
     kernel = dynamics._kernel
-    with mock.patch.object(harness, "draws_ahead", lambda *facts: ahead), \
+    with mock.patch.object(dynamics._Engine, "_draws_ahead", lambda *facts: ahead), \
             mock.patch.object(dynamics, "_kernel", mock.Mock(wraps=kernel, run=run)):
         observed = _observed_run(config, dynamics._kernel)
     assert asked == [ahead]
@@ -745,16 +750,16 @@ def _windowless_runs(draw):
 
 
 def _at_the_size_limit(steps):
-    """A sequential run whose chunks hold harness.AHEAD_CHUNK_AGENTS agents,
+    """A sequential run whose chunks hold dynamics.AHEAD_CHUNK_AGENTS agents,
     of ``steps`` steps."""
     return harness.ExperimentConfig(
         n=1000, init=harness.ConstantInit(10.0), scheduler="sequential",
         noise=DiscreteGeometric(0.8), rule=Cutoff(1.0, 10.0, rounding=True), steps=steps,
-        master_seed=7, record_every=harness.AHEAD_CHUNK_AGENTS // 2)
+        master_seed=7, record_every=dynamics.AHEAD_CHUNK_AGENTS // 2)
 
 
-_BELOW_THE_LIMIT = _at_the_size_limit(harness.AHEAD_RUN_AGENTS // 2 - 1)
-_AT_THE_LIMIT = _at_the_size_limit(harness.AHEAD_RUN_AGENTS // 2)
+_BELOW_THE_LIMIT = _at_the_size_limit(dynamics.AHEAD_RUN_AGENTS // 2 - 1)
+_AT_THE_LIMIT = _at_the_size_limit(dynamics.AHEAD_RUN_AGENTS // 2)
 
 
 @needs_kernel
@@ -771,9 +776,53 @@ def test_a_run_drawn_ahead_is_the_run_drawn_inline(config):
     assert _run_drawn(config, True) == _run_drawn(config, False)
 
 
+def _draws_ahead(config, cpus=2, pooled=False):
+    """The rule of the engine that runs ``config``, for a run of it, in a
+    process that may use ``cpus`` CPUs and is (``pooled``) or is not a pool
+    worker."""
+    engine = harness.ENGINES[config.scheduler](init_population(np.zeros(config.n)),
+                                               config.noise, config.rule, make_rng(0))
+    with mock.patch.object(dynamics, "usable_cpus", lambda: cpus), \
+            mock.patch.object(dynamics, "_in_a_pool", lambda: pooled):
+        return engine._draws_ahead(config.steps, config.record_every,
+                                   config.decomposition_intervals)
+
+
 def test_the_size_limit_examples_straddle_the_rule():
-    assert not harness.draws_ahead(_BELOW_THE_LIMIT, 2, False)
-    assert harness.draws_ahead(_AT_THE_LIMIT, 2, False)
+    assert not _draws_ahead(_BELOW_THE_LIMIT)
+    assert _draws_ahead(_AT_THE_LIMIT)
+
+
+def _asks_for_a_producer(cpus):
+    """What a long windowless run of ``SequentialEngine.advance``, with no
+    harness, asks the kernel's ``run`` for (its last argument), where this
+    process may use ``cpus`` CPUs."""
+    asked, kernel = [], dynamics._kernel
+
+    def run(*args):
+        asked.append(args[-1])
+        return kernel.run(*args)
+
+    engine = SequentialEngine(init_population(np.arange(1000.0)), Gaussian(1.0), Real(),
+                              make_rng(8))
+    steps = dynamics.AHEAD_RUN_AGENTS // 2
+    with mock.patch.object(dynamics, "usable_cpus", lambda: cpus), \
+            mock.patch.object(dynamics, "_kernel", mock.Mock(wraps=kernel, run=run)):
+        engine.advance(steps, record_every=steps)
+    return asked
+
+
+@needs_kernel
+def test_a_long_library_run_draws_ahead_on_its_own():
+    """An engine given a Generator decides for itself whether to draw ahead:
+    its long windowless run asks for a producer with 2 CPUs, and not with 1
+    or in a pool worker, whose processes share the CPUs."""
+    assert _asks_for_a_producer(2) == [True]
+    assert _asks_for_a_producer(1) == [False]
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(max_workers=1) as pool:
+        assert pool.submit(_asks_for_a_producer, 2).result(timeout=120) == [False]
 
 
 needs_tasks = pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
@@ -807,8 +856,11 @@ def _affinities():
 
 
 def _long_engine(seed):
-    return SequentialEngine(init_population(np.arange(1000.0)), Gaussian(1.0), Real(),
-                            make_rng(seed))
+    """An engine whose runs draw ahead, whatever the CPUs."""
+    engine = SequentialEngine(init_population(np.arange(1000.0)), Gaussian(1.0), Real(),
+                              make_rng(seed))
+    engine._draws_ahead = lambda *facts: True
+    return engine
 
 
 @needs_kernel
@@ -818,7 +870,7 @@ def test_no_thread_outlives_a_run_drawn_ahead():
     it), with the process's affinity mask (it moves itself off the caller's
     CPU once, at its start, and restores its mask), and it has ended when
     ``run`` returns."""
-    _long_engine(1).advance(10**4, record_every=10**4, ahead=True)  # any lazy thread starts
+    _long_engine(1).advance(10**4, record_every=10**4)  # any lazy thread starts
     before, mask, seen, running = _threads(), _affinities(), [], [True]
 
     def watch():
@@ -829,7 +881,7 @@ def test_no_thread_outlives_a_run_drawn_ahead():
     watcher = threading.Thread(target=watch)
     watcher.start()
     try:
-        _long_engine(2).advance(2 * 10**6, record_every=10**6, ahead=True)
+        _long_engine(2).advance(2 * 10**6, record_every=10**6)
     finally:
         running[0] = False
         watcher.join(timeout=10)
@@ -853,14 +905,14 @@ def test_no_thread_outlives_a_run_drawn_ahead_that_a_signal_stops():
     def ring(signum, frame):
         raise Alarm
 
-    _long_engine(1).advance(10**4, record_every=10**4, ahead=True)
+    _long_engine(1).advance(10**4, record_every=10**4)
     before = _threads()
     previous = signal.signal(signal.SIGALRM, ring)
     try:
         signal.setitimer(signal.ITIMER_REAL, 0.05)
         started = time.perf_counter()
         with pytest.raises(Alarm):
-            _long_engine(3).advance(10**10, record_every=10**10, ahead=True)
+            _long_engine(3).advance(10**10, record_every=10**10)
         assert time.perf_counter() - started < 10.0
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
@@ -880,7 +932,7 @@ def test_a_run_drawn_ahead_holds_the_generators_lock():
     thread's values follow the run's draws.  Where the lock is taken, the
     run draws its chunks itself, with the same bytes."""
     alone = _long_engine(5)
-    expected = _run_bits(alone, alone.advance(10**6, record_every=10**5, ahead=True))
+    expected = _run_bits(alone, alone.advance(10**6, record_every=10**5))
     after = alone.rng.random(4).tolist(), alone.rng.bit_generator.state
 
     engine, got = _long_engine(5), {}
@@ -893,7 +945,7 @@ def test_a_run_drawn_ahead_holds_the_generators_lock():
     thread = threading.Thread(target=other)
     thread.start()
     try:
-        rows = engine.advance(10**6, record_every=10**5, ahead=True)
+        rows = engine.advance(10**6, record_every=10**5)
         ended = time.perf_counter()
     finally:
         thread.join(timeout=10)
@@ -904,7 +956,7 @@ def test_a_run_drawn_ahead_holds_the_generators_lock():
 
     held = _long_engine(5)
     with held.rng.bit_generator.lock:
-        rows = held.advance(10**6, record_every=10**5, ahead=True)
+        rows = held.advance(10**6, record_every=10**5)
     assert _run_bits(held, rows) == expected
 
 
@@ -1494,7 +1546,8 @@ def _stream_op(op, rng, kernel):
         engine_cls = SequentialEngine if scheduler == "sequential" else SynchronousEngine
         steps, every = (2500, 700) if scheduler == "sequential" else (50, 13)
         engine = engine_cls(init_population(np.arange(9.0)), model, rule, rng)
-        rows, _ = engine.advance(steps, record_every=every, ahead=ahead)
+        engine._draws_ahead = lambda *facts: ahead
+        rows, _ = engine.advance(steps, record_every=every)
         return repr(rows).encode() + engine.values.tobytes()
     low, high, size = args
     try:

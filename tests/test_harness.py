@@ -10,6 +10,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -39,6 +40,7 @@ from gossipavg import (
     emit_json,
     histogram_of,
     init_population,
+    make_rng,
     mix64,
     monte_carlo_drift,
     read_trace_csv,
@@ -654,13 +656,14 @@ def test_fig_b_trace_summary_band(tmp_path):
 
 
 def _ahead_shapes():
-    """Configs by run size: past both of draws_ahead's limits, short of the
-    run's, and with chunks short of the chunk's (record_every cuts them)."""
-    long = small_config(n=1000, steps=harness.AHEAD_RUN_AGENTS // 2, record_every=10**5)
+    """Configs by run size: past both of the engine's limits for drawing
+    ahead, short of the run's, and with chunks short of the chunk's
+    (record_every cuts them)."""
+    long = small_config(n=1000, steps=dynamics.AHEAD_RUN_AGENTS // 2, record_every=10**5)
     return {
         "long": long,
-        "short": dataclasses.replace(long, steps=harness.AHEAD_RUN_AGENTS // 2 - 1),
-        "small chunks": dataclasses.replace(long, record_every=harness.AHEAD_CHUNK_AGENTS // 4),
+        "short": dataclasses.replace(long, steps=dynamics.AHEAD_RUN_AGENTS // 2 - 1),
+        "small chunks": dataclasses.replace(long, record_every=dynamics.AHEAD_CHUNK_AGENTS // 4),
         "long rounds": small_config(n=10**4, scheduler="synchronous", steps=400,
                                     record_every=1),
         "small rounds": small_config(n=100, scheduler="synchronous", steps=10**5,
@@ -674,17 +677,23 @@ def _ahead_shapes():
 @pytest.mark.parametrize("pooled", [False, True])
 def test_draws_ahead_only_where_a_second_cpu_can_pay(size, window, cpus, pooled):
     """A run draws ahead only outside a pool, with 2 CPUs or more, without a
-    window, and with enough chunks of enough agents."""
+    window, and with enough chunks of enough agents: the rule of the engine
+    that runs the config (``_Engine._draws_ahead``)."""
     config = _ahead_shapes()[size]
     if window:
         config = dataclasses.replace(config, scheduler="sequential",
                                      decomposition_intervals=((0, 100),))
-    assert harness.draws_ahead(config, cpus, pooled) == (
-        not pooled and cpus >= 2 and not window and size.startswith("long"))
+    engine = harness.ENGINES[config.scheduler](init_population(np.zeros(config.n)),
+                                               config.noise, config.rule, make_rng(0))
+    with mock.patch.object(dynamics, "usable_cpus", lambda: cpus), \
+            mock.patch.object(dynamics, "_in_a_pool", lambda: pooled):
+        ahead = engine._draws_ahead(config.steps, config.record_every,
+                                    config.decomposition_intervals)
+    assert ahead == (not pooled and cpus >= 2 and not window and size.startswith("long"))
 
 
 def _pooled(config, run_index):
-    return harness._in_a_pool()
+    return dynamics._in_a_pool()
 
 
 def test_a_pool_worker_knows_it_is_one():
